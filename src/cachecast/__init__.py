@@ -10,32 +10,28 @@ the delivery plan to demand redundancy (several caches asking for the
 same file), compares everything against a cutset lower bound, and
 simulates correlated request processes to measure the average gains.
 
-The public surface is re-exported here; see the module docstrings for
+The library surface is re-exported here; see the module docstrings for
 the underlying conventions (1-based cache and file indices, bitmask
-subset encoding, non-increasing redundancy patterns).
+subset encoding, non-increasing redundancy patterns). The command line
+lives in ``cachecast.cli`` and is not re-exported.
 """
 
-from .bounds import BoundReport, average_bound, cutset_bound
-from .cli import GapReport, ScenarioConfig, gap_reduction, main, run_scenario
+from .bounds import BoundReport, average_bound, cutset_bound, gap_reduction
 from .core import (
-    CacheSubset,
     DemandVector,
     RedundancyPattern,
     SystemConfig,
     binomial,
     partitions_into_parts,
     redundancy_pattern,
-    subsets_of_size,
 )
 from .delivery import (
     DecodeError,
     Message,
     MessageSchedule,
-    RateReport,
     SimplifiedPlan,
     TransferPlan,
     adaptive_plan,
-    adaptive_rate_direct,
     build_messages,
     canonical_demand,
     decode,
@@ -80,13 +76,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CacheSubset",
     "ChainState",
     "CorrelationModel",
     "DecodeError",
     "DemandStats",
     "DemandVector",
-    "GapReport",
     "LinearProgram",
     "LpNumericalError",
     "LpSolution",
@@ -96,14 +90,11 @@ __all__ = [
     "PlacementProfile",
     "PopularityDist",
     "ProfileCheck",
-    "RateReport",
     "RedundancyPattern",
-    "ScenarioConfig",
     "SimplifiedPlan",
     "SystemConfig",
     "TransferPlan",
     "adaptive_plan",
-    "adaptive_rate_direct",
     "apportion",
     "average_bound",
     "binomial",
@@ -121,7 +112,6 @@ __all__ = [
     "gibbs_sweep",
     "init_chain",
     "load_edge_list",
-    "main",
     "materialize_partition",
     "mean_request_index",
     "partitions_into_parts",
@@ -130,13 +120,11 @@ __all__ = [
     "rate_nonadaptive",
     "rate_of_schedule",
     "redundancy_pattern",
-    "run_scenario",
     "sample_chains",
     "sample_demands",
     "simplified_plan",
     "solve",
     "solve_placement_lp",
-    "subsets_of_size",
     "transfer_cutoff",
     "validate_profile",
     "zipf_pmf",

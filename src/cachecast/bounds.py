@@ -7,7 +7,8 @@ A cut-set argument over any s of the L distinctly-requested files gives
 with M the per-cache capacity in file units: a server message plus s
 cache contents must reconstruct s files, and the caches can be reused
 floor(N / s) times across disjoint file batches.  The bound is the best
-such cut, clamped at zero.
+such cut, clamped at zero.  ``gap_reduction`` measures how much of the
+distance between the nonadaptive rate and this bound a scheme closes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 
 from .core import DemandVector
 
+GAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -23,10 +26,6 @@ class BoundReport:
 
     value: float
     argmax_s: int
-    K: int
-    L: int
-    N: int
-    M: float
 
 
 def cutset_bound(K: int, L: int, N: int, M: float) -> BoundReport:
@@ -44,7 +43,7 @@ def cutset_bound(K: int, L: int, N: int, M: float) -> BoundReport:
         if val > best_val:
             best_val = val
             best_s = s
-    return BoundReport(value=max(best_val, 0.0), argmax_s=best_s, K=K, L=L, N=N, M=M)
+    return BoundReport(value=max(best_val, 0.0), argmax_s=best_s)
 
 
 def average_bound(demands: list[DemandVector], N: int, M: float, K: int) -> float:
@@ -57,3 +56,14 @@ def average_bound(demands: list[DemandVector], N: int, M: float, K: int) -> floa
             raise ValueError("demand length disagrees with K")
         total += cutset_bound(K, len(set(d.requests)), N, M).value
     return total / len(demands)
+
+
+def gap_reduction(r_na: float, r_scheme: float, bound: float) -> float:
+    """Fraction of the nonadaptive-to-bound gap closed by a scheme.
+
+    Defined as (r_na - r_scheme) / (r_na - bound); requires the
+    nonadaptive rate to sit strictly above the bound.
+    """
+    if r_na <= bound + GAP_TOL:
+        raise ValueError("gap reduction undefined: nonadaptive rate does not exceed the bound")
+    return (r_na - r_scheme) / (r_na - bound)

@@ -34,8 +34,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import average_bound, cutset_bound
-from .core import DemandVector, RedundancyPattern, partitions_into_parts, redundancy_pattern
+from .bounds import GAP_TOL, average_bound, cutset_bound, gap_reduction
+from .core import (
+    DemandVector,
+    RedundancyPattern,
+    SystemConfig,
+    partitions_into_parts,
+    redundancy_pattern,
+)
 from .delivery import (
     DecodeError,
     adaptive_plan,
@@ -54,7 +60,6 @@ from .placement import (
     materialize_partition,
     solve_placement_lp,
 )
-from .core import SystemConfig
 from .demand import (
     CorrelationModel,
     complete_graph,
@@ -68,7 +73,6 @@ from .demand import (
 
 PLACEMENTS = ("centralized", "decentralized", "lp")
 SCHEMES = ("nonadaptive", "simplified", "adaptive")
-GAP_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -79,10 +83,8 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Everything needed to run one experiment.
 
-    m_ratio is a list (a one-point grid for single values). demand_mode
-    selects how demand vectors arise: an explicit vector, the canonical
-    demand of a redundancy pattern, a uniform average over all patterns
-    with each distinct-file count, or Gibbs-sampled correlated requests.
+    m_ratio is a list (a one-point grid for single values). Every field
+    has a command-line flag of the same name (underscores as dashes).
     """
 
     K: int
@@ -90,7 +92,6 @@ class ScenarioConfig:
     m_ratio: list = field(default_factory=list)
     placement: str = "centralized"
     delivery: tuple = SCHEMES
-    demand_mode: str | None = None
     demands: tuple | None = None
     pattern: tuple | None = None
     r: float = 0.0
@@ -110,6 +111,8 @@ class ScenarioConfig:
             errors.append("K: must be at least 1")
         if self.N < 1:
             errors.append("N: must be at least 1")
+        elif self.N < self.K:
+            errors.append(f"N: must be at least K={self.K}")
         if not self.m_ratio:
             errors.append("m_ratio: required")
         for m in self.m_ratio:
@@ -125,23 +128,13 @@ class ScenarioConfig:
             errors.append("delivery: need at least one scheme")
         if "adaptive" in self.delivery and self.K > SUBSET_ENUM_CAP:
             errors.append(f"K: adaptive delivery requires K <= {SUBSET_ENUM_CAP}")
-        if self.demand_mode not in (None, "explicit", "pattern", "pattern-average", "gibbs"):
-            errors.append(f"demand_mode: unknown mode {self.demand_mode}")
-        if self.demand_mode == "explicit" and self.demands is None:
-            errors.append("demands: required when demand_mode=explicit")
-        if self.demand_mode == "pattern" and self.pattern is None:
-            errors.append("pattern: required when demand_mode=pattern")
         if self.demands is not None:
-            if self.demand_mode not in (None, "explicit"):
-                errors.append(f"demands: not allowed with demand_mode={self.demand_mode}")
-            elif len(self.demands) != self.K:
+            if len(self.demands) != self.K:
                 errors.append(f"demands: expected {self.K} entries, got {len(self.demands)}")
             elif any(not 1 <= d <= self.N for d in self.demands):
                 errors.append(f"demands: file indices must lie in 1..{self.N}")
         if self.pattern is not None:
-            if self.demand_mode not in (None, "pattern"):
-                errors.append(f"pattern: not allowed with demand_mode={self.demand_mode}")
-            elif sum(self.pattern) != self.K:
+            if sum(self.pattern) != self.K:
                 errors.append(f"pattern: counts must sum to K={self.K}")
             elif any(c < 1 for c in self.pattern):
                 errors.append("pattern: counts must be positive")
@@ -163,43 +156,25 @@ class ScenarioConfig:
             raise ConfigError("; ".join(errors))
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Rates and the fraction of the gap to the lower bound closed."""
-
-    m_ratio: float
-    rate_nonadaptive: float
-    rate_scheme: float
-    bound: float
-    gap_reduction: float
-
-
-def gap_reduction(r_na: float, r_scheme: float, bound: float) -> float:
-    """Fraction of the nonadaptive-to-bound gap closed by a scheme.
-
-    Defined as (r_na - r_scheme) / (r_na - bound); requires the
-    nonadaptive rate to sit strictly above the bound.
-    """
-    if r_na <= bound + GAP_TOL:
-        raise ValueError("gap reduction undefined: nonadaptive rate does not exceed the bound")
-    return (r_na - r_scheme) / (r_na - bound)
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
-def _emit_csv(path, header, rows) -> str:
-    """Write rows (already formatted) as CSV to path, or stdout if None."""
-    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+def _emit(path, text: str) -> str:
+    """Write text to path, or stdout if None; returns where it went."""
     if path is None:
         sys.stdout.write(text)
         return "<stdout>"
     with open(path, "w") as fh:
         fh.write(text)
     return str(path)
+
+
+def _emit_csv(path, header, rows) -> str:
+    """Write rows (already formatted) as CSV to path, or stdout if None."""
+    return _emit(path, ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows))
 
 
 def _profile_for(cfg: ScenarioConfig, m: float):
@@ -210,13 +185,18 @@ def _profile_for(cfg: ScenarioConfig, m: float):
     return solve_placement_lp(cfg.K, m)
 
 
-def _scheme_rate(profile, scheme: str, pattern: RedundancyPattern, K: int) -> float:
+def _scheme_plan(profile, scheme: str, d: DemandVector, L: int):
+    """(plan, analytic rate) of one delivery scheme for demand d with L distinct files."""
     if scheme == "nonadaptive":
-        return rate_nonadaptive(profile, pattern.L, K)
+        return profile, rate_nonadaptive(profile, L, d.K)
     if scheme == "simplified":
-        return simplified_plan(profile, pattern.L, K).rate
-    _, rate = adaptive_plan(profile, canonical_demand(pattern))
-    return rate
+        plan = simplified_plan(profile, L, d.K)
+        return plan, plan.rate
+    return adaptive_plan(profile, d)
+
+
+def _scheme_rate(profile, scheme: str, pattern: RedundancyPattern) -> float:
+    return _scheme_plan(profile, scheme, canonical_demand(pattern), pattern.L)[1]
 
 
 def _gap_cell(r_na: float, rate: float, bound: float) -> str:
@@ -241,35 +221,25 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _pattern_rate_rows(cfg: ScenarioConfig, m: float, pattern: RedundancyPattern):
-    """Rate CSV rows for one grid point and one redundancy pattern."""
+def _rate_rows(cfg: ScenarioConfig, m: float, L: int, patterns, label: str):
+    """Rate CSV rows for one grid point, averaged uniformly over patterns with L files."""
     profile = _profile_for(cfg, m)
-    bound = cutset_bound(cfg.K, pattern.L, cfg.N, m * cfg.N).value
-    r_na = rate_nonadaptive(profile, pattern.L, cfg.K)
-    rows = []
-    for scheme in SCHEMES:
-        if scheme not in cfg.delivery:
-            continue
-        rate = _scheme_rate(profile, scheme, pattern, cfg.K)
-        rows.append((_fmt(m), scheme, str(pattern), str(pattern.L), _fmt(rate),
-                     _fmt(bound), _gap_cell(r_na, rate, bound)))
-    return rows
-
-
-def _average_rate_rows(cfg: ScenarioConfig, m: float, L: int):
-    """Rate rows averaged uniformly over all patterns with L distinct files."""
-    profile = _profile_for(cfg, m)
-    patterns = partitions_into_parts(cfg.K, L)
     bound = cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value
     r_na = rate_nonadaptive(profile, L, cfg.K)
     rows = []
     for scheme in SCHEMES:
         if scheme not in cfg.delivery:
             continue
-        rate = float(np.mean([_scheme_rate(profile, scheme, p, cfg.K) for p in patterns]))
-        rows.append((_fmt(m), scheme, "avg", str(L), _fmt(rate),
+        rate = float(np.mean([_scheme_rate(profile, scheme, p) for p in patterns]))
+        rows.append((_fmt(m), scheme, label, str(L), _fmt(rate),
                      _fmt(bound), _gap_cell(r_na, rate, bound)))
     return rows
+
+
+def _emit_rates(cfg: ScenarioConfig, tasks):
+    """Rate rows of (m, L, patterns, label) tasks, mapped over cfg.jobs, as one CSV."""
+    chunks = _map_jobs(lambda t: _rate_rows(cfg, *t), tasks, cfg.jobs)
+    return [_emit_csv(cfg.out, RATE_HEADER, [row for chunk in chunks for row in chunk])]
 
 
 def _run_placement(cfg: ScenarioConfig):
@@ -303,18 +273,15 @@ def _run_rate(cfg: ScenarioConfig):
         pattern = RedundancyPattern(cfg.pattern)
     else:
         raise ConfigError("demands: rate needs an explicit demand vector or a pattern")
-    chunks = _map_jobs(lambda m: _pattern_rate_rows(cfg, m, pattern), cfg.m_ratio, cfg.jobs)
-    return [_emit_csv(cfg.out, RATE_HEADER, [row for chunk in chunks for row in chunk])]
+    return _emit_rates(cfg, [(m, pattern.L, [pattern], str(pattern)) for m in cfg.m_ratio])
 
 
 def _run_sweep(cfg: ScenarioConfig):
     if cfg.pattern is not None:
         pattern = RedundancyPattern(cfg.pattern)
-        chunks = _map_jobs(lambda m: _pattern_rate_rows(cfg, m, pattern), cfg.m_ratio, cfg.jobs)
-    else:
-        tasks = [(m, L) for m in cfg.m_ratio for L in range(1, cfg.K + 1)]
-        chunks = _map_jobs(lambda t: _average_rate_rows(cfg, t[0], t[1]), tasks, cfg.jobs)
-    return [_emit_csv(cfg.out, RATE_HEADER, [row for chunk in chunks for row in chunk])]
+        return _emit_rates(cfg, [(m, pattern.L, [pattern], str(pattern)) for m in cfg.m_ratio])
+    return _emit_rates(cfg, [(m, L, partitions_into_parts(cfg.K, L), "avg")
+                             for m in cfg.m_ratio for L in range(1, cfg.K + 1)])
 
 
 def _graph_for(cfg: ScenarioConfig) -> np.ndarray:
@@ -364,7 +331,7 @@ def _run_simulate(cfg: ScenarioConfig):
         for scheme in SCHEMES:
             if scheme not in cfg.delivery:
                 continue
-            vals = _map_jobs(lambda p, s=scheme: _scheme_rate(profile, s, p, cfg.K),
+            vals = _map_jobs(lambda p, s=scheme: _scheme_rate(profile, s, p),
                              distinct, cfg.jobs)
             cache[scheme] = dict(zip(distinct, vals))
         bound = average_bound(samples, cfg.N, m * cfg.N, cfg.K)
@@ -389,7 +356,6 @@ def _run_verify(cfg: ScenarioConfig) -> list:
     sys_cfg = SystemConfig(K=cfg.K, N=cfg.N, m_ratio=m, F=cfg.F)
     profile = _profile_for(cfg, m)
     partition = materialize_partition(sys_cfg, profile, cfg.seed)
-    slack = (2**cfg.K) * cfg.K / cfg.F
 
     if cfg.demands is not None:
         demand_list = [DemandVector(cfg.demands)]
@@ -399,15 +365,12 @@ def _run_verify(cfg: ScenarioConfig) -> list:
                        for _ in range(cfg.samples)]
 
     for d in demand_list:
-        pattern, L, _ = redundancy_pattern(d)
+        _, L, _ = redundancy_pattern(d)
+        # apportion rounds every coded message and every distinct file's
+        # uncoded part to within one symbol of its analytic length
+        slack = (2**cfg.K - cfg.K - 1 + L) / cfg.F
         for scheme in cfg.delivery:
-            if scheme == "nonadaptive":
-                plan, analytic = profile, rate_nonadaptive(profile, L, cfg.K)
-            elif scheme == "simplified":
-                plan = simplified_plan(profile, L, cfg.K)
-                analytic = plan.rate
-            else:
-                plan, analytic = adaptive_plan(profile, d)
+            plan, analytic = _scheme_plan(profile, scheme, d, L)
             schedule = build_messages(partition, plan, d)
             achieved = rate_of_schedule(schedule, cfg.F)
             for k in range(1, cfg.K + 1):
@@ -424,14 +387,10 @@ def _run_verify(cfg: ScenarioConfig) -> list:
             lines.append(f"{scheme} demand {d.requests}: rate {achieved:.6g} analytic {analytic:.6g}")
 
     report = "\n".join(lines + (["FAIL:"] + failures if failures else ["PASS"])) + "\n"
-    if cfg.out is None:
-        sys.stdout.write(report)
-    else:
-        with open(cfg.out, "w") as fh:
-            fh.write(report)
+    path = _emit(cfg.out, report)
     if failures:
         raise DecodeError(f"{len(failures)} verification failure(s); first: {failures[0]}")
-    return [cfg.out or "<stdout>"]
+    return [path]
 
 
 _RUNNERS = {
@@ -448,8 +407,6 @@ def run_scenario(cfg: ScenarioConfig, command: str = "sweep"):
     """Validate cfg and run one subcommand, returning the artifact paths."""
     if command not in _RUNNERS:
         raise ConfigError(f"command: unknown subcommand {command}")
-    if command == "simulate" and cfg.demand_mode is None:
-        cfg.demand_mode = "gibbs"
     cfg.validate()
     return _RUNNERS[command](cfg)
 
@@ -460,7 +417,10 @@ def parse_m_ratio(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError("m_ratio: grid must be start:step:end")
-        start, step, end = (float(p) for p in parts)
+        try:
+            start, step, end = (float(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"m_ratio: grid start:step:end needs numbers, got {text!r}") from None
         if step <= 0:
             raise ConfigError("m_ratio: grid step must be positive")
         values = []
@@ -471,7 +431,10 @@ def parse_m_ratio(text: str) -> list:
         if not values:
             raise ConfigError("m_ratio: empty grid")
         return values
-    return [float(text)]
+    try:
+        return [float(text)]
+    except ValueError:
+        raise ConfigError(f"m_ratio: expected a number or a start:step:end grid, got {text!r}") from None
 
 
 def _parse_int_tuple(text: str, what: str) -> tuple:
@@ -541,24 +504,9 @@ def _config_from_args(args) -> ScenarioConfig:
             if key not in known:
                 raise ConfigError(f"config: unknown field {key}")
             values[key] = val
-
-    overrides = {
-        "K": args.K, "N": args.N, "placement": args.placement, "r": args.r,
-        "theta": args.theta, "chains": args.chains, "burn_in": args.burn_in,
-        "samples": args.samples, "seed": args.seed, "F": args.F,
-        "graph": args.graph, "out": args.out, "jobs": args.jobs,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.m_ratio is not None:
-        values["m_ratio"] = args.m_ratio
-    if args.delivery is not None:
-        values["delivery"] = args.delivery
-    if args.demands is not None:
-        values["demands"] = args.demands
-    if args.pattern is not None:
-        values["pattern"] = args.pattern
+    for f in fields(ScenarioConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
 
     if "K" not in values:
         raise ConfigError("K: required")

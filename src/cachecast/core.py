@@ -3,15 +3,15 @@
 A delivery round involves a server holding N files of F symbols each, K
 caches that each store an m_ratio fraction of the library, and multicast
 messages addressed to subsets of caches.  This module holds the small
-pieces everything else builds on: system and demand descriptions, cache
-subsets as bitmasks, exact binomial coefficients, and the integer
-partitions that classify how K requests split over the distinct files
-(the redundancy pattern of a demand vector).
+pieces everything else builds on: system and demand descriptions, exact
+binomial coefficients, and the integer partitions that classify how K
+requests split over the distinct files (the redundancy pattern of a
+demand vector).
 
 Conventions used throughout the package:
 
 * cache indices and file indices are 1-based,
-* a subset of caches is canonically a bitmask where bit ``i - 1`` stands
+* a subset of caches is a bitmask where bit ``i - 1`` stands
   for cache ``i``, and subsets are ordered by ascending mask value,
 * redundancy patterns are non-increasing tuples of positive counts.
 """
@@ -100,52 +100,6 @@ class RedundancyPattern:
         return "-".join(str(c) for c in self.counts)
 
 
-@dataclass(frozen=True, order=True)
-class CacheSubset:
-    """A subset of caches stored as a bitmask (bit i-1 <-> cache i)."""
-
-    mask: int
-
-    def __post_init__(self):
-        if self.mask < 0:
-            raise ValueError("mask must be non-negative")
-
-    @classmethod
-    def from_members(cls, members) -> "CacheSubset":
-        mask = 0
-        for k in members:
-            if k < 1:
-                raise ValueError("cache indices are 1-based and positive")
-            mask |= 1 << (k - 1)
-        return cls(mask)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        out, m, k = [], self.mask, 1
-        while m:
-            if m & 1:
-                out.append(k)
-            m >>= 1
-            k += 1
-        return tuple(out)
-
-    def contains(self, cache: int) -> bool:
-        return bool(self.mask >> (cache - 1) & 1)
-
-    def without(self, cache: int) -> "CacheSubset":
-        return CacheSubset(self.mask & ~(1 << (cache - 1)))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(k) for k in self.members) + "}"
-
-
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k); 0 when k > n.  Arbitrary-precision integers."""
     if n < 0 or k < 0:
@@ -162,15 +116,6 @@ def redundancy_pattern(d: DemandVector):
     counts = Counter(d.requests)
     pattern = RedundancyPattern(tuple(sorted(counts.values(), reverse=True)))
     return pattern, len(counts), frozenset(counts)
-
-
-def subsets_of_size(K: int, s: int) -> list[CacheSubset]:
-    """All size-s subsets of {1..K} in ascending bitmask order."""
-    if K < 0 or s < 0:
-        raise ValueError("subsets_of_size needs K, s >= 0")
-    if s > K:
-        return []
-    return [CacheSubset(m) for m in range(1 << K) if m.bit_count() == s]
 
 
 def partitions_into_parts(K: int, L: int) -> list[RedundancyPattern]:

@@ -26,8 +26,6 @@ Two planners implement that idea:
   a symmetry-reduced form (caches requesting the same file are
   interchangeable, as are files requested equally often), which keeps
   the problem tiny even at the K = 12 enumeration cap.
-  ``adaptive_rate_direct`` builds the unreduced LP over all subsets and
-  exists to cross-check the reduction.
 
 ``build_messages`` / ``decode`` realize a plan at symbol level: kept
 pieces are the first round(y*F) symbols of each subset piece (largest
@@ -39,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DemandVector, RedundancyPattern, binomial, redundancy_pattern
+from .core import DemandVector, RedundancyPattern, binomial
 from .lp import LinearProgram, LpNumericalError, solve
 from .placement import PartitionMap, PlacementProfile, SUBSET_ENUM_CAP, apportion
 
@@ -52,17 +50,6 @@ PLAN_TOL = 1e-9
 
 class DecodeError(RuntimeError):
     """A cache could not reconstruct its file from schedule + storage."""
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """One evaluated scheme: its rate and the demand context."""
-
-    scheme: str
-    rate: float
-    L: int
-    pattern: RedundancyPattern | None
-    m_ratio: float
 
 
 @dataclass
@@ -88,7 +75,6 @@ class TransferPlan:
     fractions: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        K = self.demand.K
         x = self.profile.fractions
         sums: dict[int, float] = {}
         for (file, mask), y in self.fractions.items():
@@ -319,62 +305,6 @@ def _composition_weight(ks, a) -> float:
     return float(w)
 
 
-def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
-    """Reference adaptive rate from the unreduced LP over all subsets.
-
-    Exponential in K; exists to verify the symmetry-reduced solver.
-    """
-    K = d.K
-    if p.K != K:
-        raise ValueError("profile length disagrees with demand length")
-    x = np.maximum(np.asarray(p.fractions, dtype=float), 0.0)
-    files, _, _ = _demand_groups(d)
-    L = len(files)
-    file_of = {n: i for i, n in enumerate(files)}
-    nmask = 1 << K
-
-    def y_id(i, mask):
-        return i * nmask + mask
-
-    n_y = L * nmask
-    zmasks = [m for m in range(nmask) if m.bit_count() >= 2]
-    z_of = {m: n_y + j for j, m in enumerate(zmasks)}
-    n = n_y + len(zmasks)
-
-    c = np.zeros(n)
-    for i in range(L):
-        c[y_id(i, 0)] = 1.0
-    for m in zmasks:
-        c[z_of[m]] = 1.0
-    lo = np.zeros(n)
-    hi = np.empty(n)
-    for i in range(L):
-        for mask in range(nmask):
-            hi[y_id(i, mask)] = 1.0 if mask == 0 else float(x[mask.bit_count()])
-    hi[n_y:] = float(np.max(x)) if np.max(x) > 0 else 0.0
-    E = np.zeros((L, n))
-    for i in range(L):
-        E[i, y_id(i, 0):y_id(i, nmask - 1) + 1] = 1.0
-    f = np.ones(L)
-    rows = []
-    for m in zmasks:
-        for k in range(1, K + 1):
-            bit = 1 << (k - 1)
-            if not m & bit:
-                continue
-            i = file_of[d.requests[k - 1]]
-            row = np.zeros(n)
-            row[y_id(i, m & ~bit)] = 1.0
-            row[z_of[m]] = -1.0
-            rows.append(row)
-    A = np.array(rows)
-    b = np.zeros(A.shape[0])
-    sol = solve(LinearProgram(c=c, E=E, f=f, A=A, b=b, lo=lo, hi=hi))
-    if sol.status != "optimal":
-        raise LpNumericalError(f"direct adaptive LP ended with status {sol.status}")
-    return float(sol.value)
-
-
 # --- bit-level realization -------------------------------------------------
 
 
@@ -398,16 +328,13 @@ class MessageSchedule:
 
 
 def _plan_accessor(plan, d: DemandVector, K: int):
+    """kept(file, mask) of a TransferPlan, or of a per-size plan such as a
+    SimplifiedPlan or PlacementProfile (one fraction per subset size)."""
     if isinstance(plan, TransferPlan):
         if plan.demand.requests != d.requests:
             raise ValueError("transfer plan was built for a different demand vector")
         return plan.kept
-    if isinstance(plan, SimplifiedPlan):
-        y = np.asarray(plan.fractions, dtype=float)
-    elif isinstance(plan, PlacementProfile):
-        y = np.asarray(plan.fractions, dtype=float)
-    else:
-        y = np.asarray(plan, dtype=float).reshape(-1)
+    y = np.asarray(plan.fractions, dtype=float)
     if y.shape[0] != K + 1:
         raise ValueError("per-size plan needs one fraction per subset size 0..K")
 

@@ -16,7 +16,7 @@ simplest thing that is both fast enough and auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -203,7 +203,7 @@ class PartitionMap:
 
     def cache_view(self, cache: int):
         """What one cache holds: per file, (held flags, masked values)."""
-        K, F = self.config.K, self.config.F
+        F = self.config.F
         bit = 1 << (cache - 1)
         out = {}
         for fi, per_file in enumerate(self.pieces):

@@ -1,16 +1,17 @@
 """Command-line interface: subcommands, config handling, and exit codes."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import cachecast.cli as cli
-from cachecast.bounds import cutset_bound
+from cachecast.bounds import cutset_bound, gap_reduction
 from cachecast.cli import (
     ConfigError,
     ScenarioConfig,
-    gap_reduction,
     main,
     parse_m_ratio,
 )
@@ -42,6 +43,9 @@ def test_parse_m_ratio():
         parse_m_ratio("0.1:0.5")
     with pytest.raises(ConfigError):
         parse_m_ratio("0.1:0:0.5")
+    for text in ("0,1", "a:b:c"):
+        with pytest.raises(ConfigError, match="m_ratio:.*start:step:end"):
+            parse_m_ratio(text)
 
 
 def test_scenario_validation_aggregates_field_errors():
@@ -51,6 +55,12 @@ def test_scenario_validation_aggregates_field_errors():
     text = str(exc.value)
     for field in ("K:", "m_ratio:", "delivery:", "jobs:"):
         assert field in text
+
+    cfg = ScenarioConfig(K=4, N=2, m_ratio=[0.5], pattern=(2, 2), jobs=0)
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert "N: must be at least K=4" in str(exc.value)
+    assert "jobs:" in str(exc.value)
 
     cfg = ScenarioConfig(K=3, m_ratio=[0.2], pattern=(2, 2))
     with pytest.raises(ConfigError, match="sum to K"):
@@ -63,6 +73,14 @@ def test_scenario_validation_aggregates_field_errors():
     cfg = ScenarioConfig(K=20, m_ratio=[0.2], pattern=tuple([1] * 20))
     with pytest.raises(ConfigError, match="adaptive delivery requires"):
         cfg.validate()
+
+
+def test_every_config_field_has_a_flag():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    want = {f.name for f in fields(ScenarioConfig)}
+    for name, parser in sub.choices.items():
+        assert {a.dest for a in parser._actions} - {"help", "config"} == want, name
 
 
 def test_placement_subcommand_writes_profile(tmp_path):
@@ -160,6 +178,13 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["placement", "--config", str(cfg_path)]) == 1
 
 
+def test_config_file_rejects_demand_mode(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"K": 3, "m_ratio": 0.2, "demand_mode": "gibbs"}))
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert "unknown field demand_mode" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["sweep", "--m-ratio", "0.2"]) == 1  # K missing
     assert "K: required" in capsys.readouterr().err
@@ -167,6 +192,11 @@ def test_usage_errors_exit_one(capsys):
     assert main(["sweep", "--K", "3", "--m-ratio", "0.2", "--placement", "sideways"]) == 1
     assert main(["sweep", "--K", "3", "--m-ratio", "1.7"]) == 1
     assert main(["rate", "--K", "3", "--m-ratio", "0.2", "--demands", "1,x,2"]) == 1
+    capsys.readouterr()
+    assert main(["rate", "--K", "4", "--N", "2", "--pattern", "2,2", "--m-ratio", "0.5"]) == 1
+    assert "N: must be at least K=4" in capsys.readouterr().err
+    assert main(["sweep", "--K", "3", "--m-ratio", "0,1"]) == 1
+    assert "start:step:end" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(tmp_path, monkeypatch):
@@ -212,6 +242,17 @@ def test_verify_decode_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "FAIL:" in report.read_text()
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_rate_slack_is_the_rounding_bound(tmp_path, monkeypatch):
+    # five surplus symbols at F=1000 exceed (2^K - K - 1 + L) / F = 0.003
+    exact = cli.rate_of_schedule
+    monkeypatch.setattr(cli, "rate_of_schedule", lambda s, F: exact(s, F) + 5 / F)
+    report = tmp_path / "verify.txt"
+    code = main(["verify", "--K", "2", "--N", "4", "--m-ratio", "0.5",
+                 "--F", "1000", "--demands", "1,2", "--out", str(report)])
+    assert code == 3
+    assert "exceeds slack 0.003" in report.read_text()
 
 
 def test_simulate_writes_three_artifacts(tmp_path, capsys):

@@ -2,18 +2,15 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from cachecast.core import (
-    CacheSubset,
     DemandVector,
     RedundancyPattern,
     SystemConfig,
     binomial,
     partitions_into_parts,
     redundancy_pattern,
-    subsets_of_size,
 )
 
 
@@ -64,19 +61,6 @@ def test_redundancy_pattern_of_demand():
     assert L == 1
 
 
-def test_cache_subset():
-    s = CacheSubset.from_members([1, 3, 4])
-    assert s.mask == 0b1101
-    assert s.size == 3
-    assert s.members == (1, 3, 4)
-    assert s.contains(3) and not s.contains(2)
-    assert s.without(3).members == (1, 4)
-    assert list(s) == [1, 3, 4]
-    assert str(s) == "{1,3,4}"
-    with pytest.raises(ValueError):
-        CacheSubset(-1)
-
-
 def test_binomial():
     assert binomial(5, 2) == 10
     assert binomial(4, 0) == 1
@@ -85,17 +69,6 @@ def test_binomial():
     assert binomial(60, 30) == math.comb(60, 30)
     with pytest.raises(ValueError):
         binomial(-1, 2)
-
-
-def test_subsets_of_size_ascending_masks():
-    subs = subsets_of_size(5, 2)
-    assert len(subs) == binomial(5, 2)
-    masks = [s.mask for s in subs]
-    assert masks == sorted(masks)
-    assert all(s.size == 2 for s in subs)
-    # every subset appears exactly once
-    assert len(set(masks)) == len(masks)
-    assert subsets_of_size(3, 0) == [CacheSubset(0)]
 
 
 def test_partitions_into_parts_enumeration():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cachecast.core import SystemConfig, binomial, subsets_of_size
+from cachecast.core import SystemConfig, binomial
 from cachecast.placement import (
     apportion,
     centralized_profile,
