@@ -44,6 +44,7 @@ from .core import (
 )
 from .delivery import (
     DecodeError,
+    _plan_accessor,
     adaptive_plan,
     build_messages,
     canonical_demand,
@@ -106,7 +107,9 @@ class ScenarioConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        errors = []
+        errors = [e for e in (_type_error(f, getattr(self, f.name)) for f in fields(self)) if e]
+        if errors:
+            raise ConfigError("; ".join(errors))
         if self.K < 1:
             errors.append("K: must be at least 1")
         if self.N < 1:
@@ -154,6 +157,36 @@ class ScenarioConfig:
             errors.append("jobs: must be at least 1")
         if errors:
             raise ConfigError("; ".join(errors))
+
+
+_ELEMENT_TYPES = {"m_ratio": float, "delivery": str, "demands": int, "pattern": int}
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings")}
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance, except that bools are not numbers and ints are floats."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_error(f, value) -> str | None:
+    """'field: expected ...' if value does not match the field's annotation."""
+    kinds = [k.strip() for k in f.type.split("|")]
+    if value is None and "None" in kinds:
+        return None
+    if kinds[0] in ("list", "tuple"):
+        elem = _ELEMENT_TYPES[f.name]
+        if isinstance(value, (list, tuple)) and all(_has_type(v, elem) for v in value):
+            return None
+        want = f"a list of {_TYPE_NAMES[elem][1]}"
+    else:
+        kind = {"int": int, "float": float, "str": str}[kinds[0]]
+        if _has_type(value, kind):
+            return None
+        want = _TYPE_NAMES[kind][0]
+    return f"{f.name}: expected {want}, got {value!r}"
 
 
 def _fmt(value) -> str:
@@ -347,6 +380,43 @@ def _run_simulate(cfg: ScenarioConfig):
     return [sample_path, stats_path, rate_path]
 
 
+# Per-message rounding bound.  apportion starts each kept count at
+# floor(t + 1e-9), t = F * kept(file, mask), and hands out the deficit
+# (the sum of the remainders t - floor) one symbol per entry in
+# largest-remainder order.  A plan keeps at most x_s of a size-s piece,
+# which holds at least floor(x_s F + 1e-9) symbols, so no cap binds below
+# the floor, and one pass places the whole deficit unless full pieces
+# leave fewer entries with room than symbols to place.  Each count is then
+# within one symbol of its t.  So is each coded message, the longest of
+# its members' counts, and each file's uncoded part, which holds F minus
+# the file's coded counts, i.e. its own mask-0 count.  The 1e-6 absorbs
+# float noise.
+MESSAGE_SLACK = 1.0 + 1e-6
+
+
+def _message_failures(label: str, schedule, kept, d: DemandVector, F: int) -> list:
+    """Coded messages and uncoded parts further than MESSAGE_SLACK symbols
+    from F times the plan's kept fraction."""
+    failures = []
+    members = [(1 << (k - 1), n) for k, n in enumerate(d.requests, start=1)]
+    for mask in range(1 << d.K):
+        if mask.bit_count() < 2:
+            continue
+        want = F * max(kept(n, mask ^ bit) for bit, n in members if mask & bit)
+        msg = schedule.coded.get(mask)
+        got = 0 if msg is None else msg.payload.shape[0]
+        if abs(got - want) > MESSAGE_SLACK:
+            failures.append(f"{label}: coded message {mask} has {got} symbols "
+                            f"vs analytic {want:.6g}")
+    for n in sorted(set(d.requests)):
+        want = F * kept(n, 0)
+        got = schedule.uncoded[n][1].shape[0] if n in schedule.uncoded else 0
+        if abs(got - want) > MESSAGE_SLACK:
+            failures.append(f"{label}: uncoded part of file {n} has {got} symbols "
+                            f"vs analytic {want:.6g}")
+    return failures
+
+
 def _run_verify(cfg: ScenarioConfig) -> list:
     if cfg.F is None:
         raise ConfigError("F: required for verify (bit-level symbol count)")
@@ -373,6 +443,8 @@ def _run_verify(cfg: ScenarioConfig) -> list:
             plan, analytic = _scheme_plan(profile, scheme, d, L)
             schedule = build_messages(partition, plan, d)
             achieved = rate_of_schedule(schedule, cfg.F)
+            failures += _message_failures(f"{scheme} demand {d.requests}", schedule,
+                                          _plan_accessor(plan, d, cfg.K), d, cfg.F)
             for k in range(1, cfg.K + 1):
                 try:
                     got = decode(k, partition.cache_view(k), schedule, d)
@@ -510,25 +582,26 @@ def _config_from_args(args) -> ScenarioConfig:
 
     if "K" not in values:
         raise ConfigError("K: required")
+    # strings come from flags or JSON; anything not of the field's type is
+    # left for ScenarioConfig.validate to report
     mr = values.get("m_ratio")
     if isinstance(mr, str):
         values["m_ratio"] = parse_m_ratio(mr)
-    elif isinstance(mr, (int, float)):
+    elif _has_type(mr, float):
         values["m_ratio"] = [float(mr)]
     elif isinstance(mr, (list, tuple)):
-        values["m_ratio"] = [float(v) for v in mr]
+        values["m_ratio"] = [float(v) if _has_type(v, float) else v for v in mr]
     if isinstance(values.get("delivery"), str):
         values["delivery"] = tuple(s for s in values["delivery"].split(",") if s)
-    elif isinstance(values.get("delivery"), (list, tuple)):
-        values["delivery"] = tuple(values["delivery"])
-    if isinstance(values.get("demands"), str):
-        values["demands"] = _parse_int_tuple(values["demands"], "demands")
-    elif isinstance(values.get("demands"), (list, tuple)):
-        values["demands"] = tuple(int(v) for v in values["demands"])
-    if isinstance(values.get("pattern"), str):
-        values["pattern"] = _parse_int_tuple(values["pattern"], "pattern")
-    if values.get("pattern") is not None:
-        values["pattern"] = tuple(sorted((int(c) for c in values["pattern"]), reverse=True))
+    for name in ("demands", "pattern"):
+        if isinstance(values.get(name), str):
+            values[name] = _parse_int_tuple(values[name], name)
+    for name in ("delivery", "demands", "pattern"):
+        if isinstance(values.get(name), list):
+            values[name] = tuple(values[name])
+    pattern = values.get("pattern")
+    if isinstance(pattern, tuple) and all(_has_type(c, int) for c in pattern):
+        values["pattern"] = tuple(sorted(pattern, reverse=True))
     try:
         return ScenarioConfig(**values)
     except TypeError as exc:

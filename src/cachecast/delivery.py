@@ -25,7 +25,10 @@ Two planners implement that idea:
   distinct file's uncoded part ships once.  The LP is solved exactly in
   a symmetry-reduced form (caches requesting the same file are
   interchangeable, as are files requested equally often), which keeps
-  the problem tiny even at the K = 12 enumeration cap.
+  the problem tiny even at the K = 12 enumeration cap.  Its
+  ``TransferPlan`` stores one value per orbit of (file, subset) pairs
+  and resolves a pair's kept fraction only when asked, so a caller that
+  needs just the rate never pays for the L * 2^K expansion.
 
 ``build_messages`` / ``decode`` realize a plan at symbol level: kept
 pieces are the first round(y*F) symbols of each subset piece (largest
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -61,34 +65,89 @@ class SimplifiedPlan:
     cutoff: int
 
 
+def _orbit_key(ks, i, a) -> tuple:
+    """Orbit of the kept fraction of group i's file at composition a.
+
+    a[j] counts the subset's members among group j's requesters, so
+    (file, mask) pairs with equal keys are interchangeable under the
+    demand's symmetries: (own group size, own count, sorted multiset of
+    the other groups' (size, count) pairs).
+    """
+    others = sorted((ks[j], a[j]) for j in range(len(ks)) if j != i)
+    return (ks[i], a[i], tuple(others))
+
+
+def _orbit_weight(key) -> int:
+    """Number of subset masks whose pair with one file falls in this orbit
+    (0 if a count exceeds its group's size, ValueError if one is negative).
+
+    That is C(k, a) times C(k_j, a_j) over the other groups, times the
+    ways to hand the other (size, count) pairs to the labelled groups of
+    each size: runs of one size, and of equal pairs, are adjacent in the
+    sorted key, so that multinomial builds up one pair at a time.
+    """
+    k, a, others = key
+    w = comb(k, a)
+    size = pair = None
+    run = same = 0
+    for p in others:
+        w *= comb(*p)
+        run = run + 1 if p[0] == size else 1
+        same = same + 1 if p == pair else 1
+        size, pair = p[0], p
+        w = w * run // same
+    return w
+
+
 @dataclass
 class TransferPlan:
-    """Kept fraction y for every (distinct file, subset mask) pair.
+    """Kept fraction y for every (distinct file, subset mask) pair,
+    stored per orbit and resolved on demand.
 
-    The uncoded entry is the mask-0 fraction; per file the fractions sum
-    to one, and no kept fraction exceeds the placed fraction of its
-    subset size.
+    ``values`` maps orbit keys (see ``_orbit_key``) to kept fractions;
+    ``kept(file, mask)`` finds the pair's orbit from the demand's
+    requester groups, and missing orbits keep nothing.  The uncoded
+    entry is the mask-0 fraction; per file the fractions sum to one, and
+    no kept fraction exceeds the placed fraction of its subset size.
+    Both are checked over the orbits when the plan is built.
     """
 
     demand: DemandVector
     profile: PlacementProfile
-    fractions: dict[tuple[int, int], float]
+    values: dict[tuple, float]
 
     def __post_init__(self):
+        files, ks, gmasks = _demand_groups(self.demand)
+        self._group = {n: i for i, n in enumerate(files)}
+        self._ks, self._gmasks = ks, gmasks
         x = self.profile.fractions
-        sums: dict[int, float] = {}
-        for (file, mask), y in self.fractions.items():
-            s = mask.bit_count()
-            cap = 1.0 if mask == 0 else float(x[s])
+        # sorted sizes of the groups other than one of size k
+        rest = {k: tuple(sorted(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks)}
+        sums = dict.fromkeys(ks, 0.0)
+        for key, y in self.values.items():
+            k, a, others = key
+            try:
+                w = _orbit_weight(key) if rest.get(k) == tuple(kj for kj, _ in others) else 0
+            except ValueError:  # a negative count
+                w = 0
+            if not w:
+                raise ValueError(f"{key} is not an orbit of demand {self.demand.requests}")
+            s = a + sum(aj for _, aj in others)
+            cap = 1.0 if s == 0 else float(x[s])
             if y < -PLAN_TOL or y > cap + 1e-7:
-                raise ValueError(f"kept fraction out of range for file {file}, mask {mask}")
-            sums[file] = sums.get(file, 0.0) + y
-        for file, total in sums.items():
+                raise ValueError(f"kept fraction out of range for file {files[ks.index(k)]}, "
+                                 f"orbit {key}")
+            sums[k] += w * y
+        for k, total in sums.items():
             if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"kept fractions for file {file} sum to {total}, not 1")
+                raise ValueError(f"kept fractions for file {files[ks.index(k)]} sum to {total}, not 1")
 
     def kept(self, file: int, mask: int) -> float:
-        return self.fractions.get((file, mask), 0.0)
+        i = self._group.get(file)
+        if i is None:
+            return 0.0
+        a = [(mask & g).bit_count() for g in self._gmasks]
+        return self.values.get(_orbit_key(self._ks, i, a), 0.0)
 
 
 def rate_nonadaptive(p: PlacementProfile, L: int, K: int) -> float:
@@ -191,22 +250,14 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
         raise ValueError(f"K > {SUBSET_ENUM_CAP} exceeds the subset enumeration cap")
     x = np.maximum(np.asarray(p.fractions, dtype=float), 0.0)
 
-    files, ks, gmasks = _demand_groups(d)
-    L = len(files)
-
-    # orbit key of the kept fraction for (group i, composition a):
-    # (group size, own count, sorted multiset of the other groups' pairs)
-    pair_rows = list(range(L))
-
-    def var_key(i, a):
-        others = sorted((ks[j], a[j]) for j in pair_rows if j != i)
-        return (ks[i], a[i], tuple(others))
+    _, ks, _ = _demand_groups(d)
+    L = len(ks)
 
     var_index: dict[tuple, int] = {}
     var_hi: list[float] = []
 
     def var_id(i, a, size):
-        key = var_key(i, a)
+        key = _orbit_key(ks, i, a)
         idx = var_index.get(key)
         if idx is None:
             idx = len(var_index)
@@ -285,17 +336,9 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
     if sol.status != "optimal":
         raise LpNumericalError(f"adaptive plan LP ended with status {sol.status}")
 
-    yvals = sol.assignment[:n_y]
-    fractions: dict[tuple[int, int], float] = {}
-    for gi, file in enumerate(files):
-        for mask in range(1 << K):
-            a = tuple((mask & gmasks[j]).bit_count() for j in range(L))
-            size = mask.bit_count()
-            v = float(yvals[var_index[var_key(gi, a)]])
-            cap = 1.0 if size == 0 else float(x[size])
-            fractions[(file, mask)] = min(max(v, 0.0), cap)
-    plan = TransferPlan(demand=d, profile=p, fractions=fractions)
-    return plan, float(sol.value)
+    y = sol.assignment
+    values = {key: min(max(float(y[idx]), 0.0), var_hi[idx]) for key, idx in var_index.items()}
+    return TransferPlan(demand=d, profile=p, values=values), float(sol.value)
 
 
 def _composition_weight(ks, a) -> float:

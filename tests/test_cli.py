@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, and exit codes."""
 
 import argparse
+import hashlib
 import json
 from dataclasses import fields
 
@@ -141,6 +142,18 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert all(row["pattern"] == "avg" for row in rows)
 
 
+def test_sweep_bytes_are_pinned(tmp_path):
+    # Non-integer t (K m = 0.8 and 3.2), where the adaptive LP carries
+    # fixed variables that the presolve drops. The digest was recorded at
+    # commit 27d3f24, before the presolve, so last-ulp drift in the planner
+    # fails here.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--K", "8", "--N", "1000", "--m-ratio", "0.1:0.3:0.4",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9d389f6d3a618d9c7ca9cfb2ba1e96f5d95c8c818e21477ed9ba93630f90ce24")
+
+
 def test_sweep_with_pattern_column(tmp_path):
     out = tmp_path / "pat.csv"
     assert main(["sweep", "--K", "4", "--N", "40", "--pattern", "2,2",
@@ -185,7 +198,7 @@ def test_config_file_rejects_demand_mode(tmp_path, capsys):
     assert "unknown field demand_mode" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", "--m-ratio", "0.2"]) == 1  # K missing
     assert "K: required" in capsys.readouterr().err
     assert main(["bogus"]) == 1
@@ -197,6 +210,16 @@ def test_usage_errors_exit_one(capsys):
     assert "N: must be at least K=4" in capsys.readouterr().err
     assert main(["sweep", "--K", "3", "--m-ratio", "0,1"]) == 1
     assert "start:step:end" in capsys.readouterr().err
+    # wrongly typed JSON fields are field errors, not tracebacks
+    conf = tmp_path / "c.json"
+    for raw, where in (({"K": 3, "m_ratio": 0.2, "demands": 5}, ["demands: expected a list"]),
+                       ({"K": "3", "m_ratio": 0.2, "demands": [1, 2, 2]}, ["K: expected an integer"]),
+                       ({"K": 3, "m_ratio": [0.2, "x"], "pattern": [2, 1.5], "r": True},
+                        ["m_ratio: expected", "pattern: expected", "r: expected a number"])):
+        conf.write_text(json.dumps(raw))
+        assert main(["rate", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(w in err for w in where), err
 
 
 def test_numerical_failure_exits_two(tmp_path, monkeypatch):
@@ -242,6 +265,28 @@ def test_verify_decode_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "FAIL:" in report.read_text()
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_checks_each_message_length(tmp_path, monkeypatch):
+    # At F=3 the total-rate slack (2^K - K - 1 + L) / F = 1 exceeds the rate
+    # itself, so only a per-message check sees one coded message padded by
+    # a symbol; decoding ignores the padding.
+    exact = cli.build_messages
+
+    def padded(pm, plan, d):
+        schedule = exact(pm, plan, d)
+        msg = schedule.coded[3]
+        msg.payload = np.concatenate([msg.payload, np.zeros(1, dtype=np.uint8)])
+        return schedule
+
+    monkeypatch.setattr(cli, "build_messages", padded)
+    report = tmp_path / "verify.txt"
+    code = main(["verify", "--K", "2", "--N", "4", "--m-ratio", "0.5",
+                 "--F", "3", "--demands", "1,2", "--out", str(report)])
+    assert code == 3
+    text = report.read_text()
+    assert "coded message 3 has 3 symbols vs analytic 1.5" in text
+    assert "exceeds slack" not in text
 
 
 def test_verify_rate_slack_is_the_rounding_bound(tmp_path, monkeypatch):

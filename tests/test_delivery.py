@@ -10,6 +10,7 @@ from cachecast.core import (
     RedundancyPattern,
     SystemConfig,
     binomial,
+    partitions_into_parts,
     redundancy_pattern,
 )
 from cachecast.delivery import (
@@ -33,6 +34,7 @@ from cachecast.placement import (
     centralized_profile,
     decentralized_profile,
     materialize_partition,
+    solve_placement_lp,
 )
 
 
@@ -90,6 +92,33 @@ def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
     if sol.status != "optimal":
         raise LpNumericalError(f"direct adaptive LP ended with status {sol.status}")
     return float(sol.value)
+
+
+def eager_fractions(plan: TransferPlan) -> dict:
+    """Every (file, mask) kept fraction of an adaptive plan, expanded eagerly.
+
+    The reference for the lazy ``kept``, written out pair by pair: the
+    mask's composition over the requester groups, its orbit key (computed
+    here, not by ``delivery._orbit_key``), and the orbit value clipped to
+    the pair's cap.
+    """
+    d = plan.demand
+    files, ks, gmasks = _demand_groups(d)
+    L = len(files)
+    x = np.maximum(np.asarray(plan.profile.fractions, dtype=float), 0.0)
+
+    def var_key(i, a):
+        others = sorted((ks[j], a[j]) for j in range(L) if j != i)
+        return (ks[i], a[i], tuple(others))
+
+    fractions = {}
+    for gi, file in enumerate(files):
+        for mask in range(1 << d.K):
+            a = tuple((mask & gmasks[j]).bit_count() for j in range(L))
+            size = mask.bit_count()
+            cap = 1.0 if size == 0 else float(x[size])
+            fractions[(file, mask)] = min(max(plan.values[var_key(gi, a)], 0.0), cap)
+    return fractions
 
 
 def rounding_bound(K, L, F):
@@ -253,28 +282,71 @@ def test_canonical_demand():
     assert redundancy_pattern(d)[0].counts == (3, 2, 1)
 
 
+def test_lazy_plan_matches_eager_expansion():
+    rng = np.random.default_rng(2024)
+    makers = (centralized_profile, decentralized_profile, solve_placement_lp)
+    for K in range(1, 8):
+        # 0 and 1 are the edges, 2/K an integer t, 0.3 a non-integer one
+        for m in sorted({0.0, 0.3, min(2 / K, 1.0), 1.0}):
+            for maker in makers:
+                prof = maker(K, m)
+                x = prof.fractions
+                for L in range(1, K + 1):
+                    for pattern in partitions_into_parts(K, L):
+                        # scattered requester groups and file labels
+                        reqs = [f + 10 for f in canonical_demand(pattern).requests]
+                        d = DemandVector(tuple(reqs[i] for i in rng.permutation(K)))
+                        plan, rate = adaptive_plan(prof, d)
+                        eager = eager_fractions(plan)
+                        where = (K, m, maker.__name__, pattern.counts)
+                        for (file, mask), y in eager.items():
+                            assert plan.kept(file, mask) == y, (where, file, mask)
+                            cap = 1.0 if mask == 0 else float(x[mask.bit_count()])
+                            assert -1e-9 <= y <= cap + 1e-7, (where, file, mask)
+                        for file in set(d.requests):
+                            total = sum(eager[(file, mask)] for mask in range(1 << K))
+                            assert abs(total - 1.0) <= 1e-6, where
+                        # the pair-level plan costs what the LP reported
+                        cost = sum(eager[(file, 0)] for file in set(d.requests))
+                        for mask in range(1 << K):
+                            if mask.bit_count() >= 2:
+                                cost += max(eager[(d.requests[k - 1], mask & ~(1 << (k - 1)))]
+                                            for k in range(1, K + 1) if mask >> (k - 1) & 1)
+                        assert cost == pytest.approx(rate, abs=1e-9), where
+
+
 def test_transfer_plan_validation():
     prof = centralized_profile(3, 1 / 3)
-    d = DemandVector((1, 1, 2))
+    d = DemandVector((1, 1, 2))  # file 1 by a group of two, file 2 by one cache
     x1 = float(prof.fractions[1])
-    good = {}
-    for file in (1, 2):
-        for mask in (1, 2, 4):
-            good[(file, mask)] = x1
-        good[(file, 0)] = 0.0
-    TransferPlan(demand=d, profile=prof, fractions=dict(good))
+    # orbit keys: (own group size, own count, other groups' (size, count) pairs);
+    # each file keeps its three singleton subsets whole and nothing else
+    good = {
+        (2, 0, ((1, 0),)): 0.0, (2, 1, ((1, 0),)): x1, (2, 0, ((1, 1),)): x1,
+        (1, 0, ((2, 0),)): 0.0, (1, 1, ((2, 0),)): x1, (1, 0, ((2, 1),)): x1,
+    }
+    plan = TransferPlan(demand=d, profile=prof, values=dict(good))
+    assert plan.kept(1, 0b001) == plan.kept(1, 0b010) == plan.kept(1, 0b100) == x1
+    assert plan.kept(2, 0b001) == plan.kept(2, 0b010) == plan.kept(2, 0b100) == x1
+    assert plan.kept(1, 0) == 0.0
+    assert plan.kept(2, 0b011) == 0.0  # orbit absent from values
+    assert plan.kept(3, 0b001) == 0.0  # file nobody requested
 
     bad_sum = dict(good)
-    bad_sum[(1, 1)] = 0.0  # file 1 no longer sums to 1
-    with pytest.raises(ValueError):
-        TransferPlan(demand=d, profile=prof, fractions=bad_sum)
+    bad_sum[(2, 1, ((1, 0),))] = 0.0  # file 1 no longer sums to 1
+    with pytest.raises(ValueError, match="sum to"):
+        TransferPlan(demand=d, profile=prof, values=bad_sum)
 
     over_cap = dict(good)
-    over_cap[(2, 1)] = x1 + 0.5
-    over_cap[(2, 2)] = x1 - 0.25
-    over_cap[(2, 4)] = x1 - 0.25
-    with pytest.raises(ValueError):
-        TransferPlan(demand=d, profile=prof, fractions=over_cap)
+    over_cap[(1, 1, ((2, 0),))] = x1 + 0.5  # mask 0b100 of file 2
+    over_cap[(1, 0, ((2, 1),))] = x1 - 0.25  # masks 0b001 and 0b010 of file 2
+    with pytest.raises(ValueError, match="out of range"):
+        TransferPlan(demand=d, profile=prof, values=over_cap)
+
+    foreign = dict(good)
+    foreign[(3, 1, ((1, 0),))] = 0.0  # no group of three requesters
+    with pytest.raises(ValueError, match="not an orbit"):
+        TransferPlan(demand=d, profile=prof, values=foreign)
 
 
 def roundtrip(pm, plan, d):
