@@ -42,10 +42,10 @@ achieved = rate_of_schedule(schedule, F)
 print(f"schedule: {len(schedule.coded)} coded messages, "
       f"{len(schedule.uncoded)} uncoded file remainders")
 print(f"rate: achieved {achieved:.4f} vs analytic {analytic:.4f} "
-      f"(quantization slack {2**K * K / F:.4f})")
+      f"(rounding bound {(2**K - K - 1 + L) / F:.4f})")
 
 for k in range(1, K + 1):
-    got = decode(k, partition.cache_view(k), schedule, DEMAND)
+    got = decode(k, partition.cache_view(k, set(DEMAND.requests)), schedule, DEMAND)
     want = partition.data[DEMAND.requests[k - 1] - 1]
     status = "ok" if np.array_equal(got, want) else "MISMATCH"
     print(f"cache {k} reconstructs file {DEMAND.requests[k - 1]}: {status}")

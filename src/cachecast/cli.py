@@ -447,7 +447,7 @@ def _run_verify(cfg: ScenarioConfig) -> list:
                                           _plan_accessor(plan, d, cfg.K), d, cfg.F)
             for k in range(1, cfg.K + 1):
                 try:
-                    got = decode(k, partition.cache_view(k), schedule, d)
+                    got = decode(k, partition.cache_view(k, set(d.requests)), schedule, d)
                 except DecodeError as exc:
                     failures.append(f"{scheme} demand {d.requests}: cache {k} decode error: {exc}")
                     continue

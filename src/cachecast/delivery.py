@@ -402,14 +402,14 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     if any(r > cfg.N for r in d.requests):
         raise ValueError("demand requests a file beyond the library")
     kept_of = _plan_accessor(plan, d, K)
-    files = sorted(set(d.requests), key=lambda n: (-d.requests.count(n), n))
+    files = _demand_groups(d)[0]
 
     masks = list(range(1 << K))
     kept_idx: dict[tuple[int, int], np.ndarray] = {}
     uncoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for n in files:
         plan_targets = np.array([kept_of(n, m) * F for m in masks])
-        pieces = [pm.piece(n, m) for m in masks]
+        pieces = pm.pieces(n)
         caps = np.array([F if m == 0 else p.shape[0] for m, p in zip(masks, pieces)],
                         dtype=np.int64)
         counts = apportion(plan_targets, F, caps)
@@ -419,7 +419,7 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
             kept_idx[(n, m)] = pieces[m][:cnt]
             if cnt < pieces[m].shape[0]:
                 tails.append(pieces[m][cnt:])
-        idx = np.concatenate(tails) if tails else np.zeros(0, dtype=np.int64)
+        idx = np.concatenate(tails)
         uncoded[n] = (pm.data[n - 1][idx], idx)
 
     coded: dict[int, Message] = {}
@@ -455,7 +455,8 @@ def rate_of_schedule(schedule: MessageSchedule, F: int) -> float:
 def decode(cache: int, cached, schedule: MessageSchedule, d: DemandVector) -> np.ndarray:
     """Reconstruct cache's requested file from storage plus the schedule.
 
-    ``cached`` is the PartitionMap.cache_view of this cache.  Raises
+    ``cached`` is the PartitionMap.cache_view of this cache over at least
+    the demanded files.  Raises
     DecodeError on missing side information, conflicting fills, or
     coverage gaps.
     """

@@ -31,7 +31,7 @@ from .core import SystemConfig, binomial
 from .lp import LinearProgram, LpNumericalError, solve
 
 PROFILE_TOL = 1e-9
-SUBSET_ENUM_CAP = 12  # bit-level work enumerates all 2^K subsets
+SUBSET_ENUM_CAP = 12  # bit-level work enumerates all 2^K subsets; masks fit uint16
 
 
 @dataclass
@@ -187,45 +187,37 @@ def apportion(targets: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
 class PartitionMap:
     """Symbol-level realization of a profile for bit-level delivery.
 
-    For each file (1-based) and each cache subset (bitmask), ``pieces``
-    holds the ascending symbol indices stored exactly at that subset.
-    ``data`` holds the pseudo-random file contents, one row per file.
+    ``holder`` has shape (N, F): ``holder[file - 1, i]`` is the bitmask of
+    the cache subset that stores symbol i of that file (0: no cache).
+    Under a shared (non-decentralized) placement it is a read-only view of
+    one row.  ``data`` holds the pseudo-random file contents, one row per
+    file.
     """
 
     config: SystemConfig
     scheme: str
     seed: int
-    pieces: list[dict[int, np.ndarray]]
+    holder: np.ndarray
     data: np.ndarray
 
-    def piece(self, file: int, mask: int) -> np.ndarray:
-        return self.pieces[file - 1].get(mask, _EMPTY_IDX)
+    def pieces(self, file: int) -> list[np.ndarray]:
+        """Per mask 0..2^K-1, the ascending symbol indices stored exactly there."""
+        row = self.holder[file - 1]
+        order = np.argsort(row, kind="stable")
+        counts = np.bincount(row, minlength=1 << self.config.K)
+        return np.split(order, np.cumsum(counts)[:-1])
 
-    def cache_view(self, cache: int):
-        """What one cache holds: per file, (held flags, masked values)."""
-        F = self.config.F
-        bit = 1 << (cache - 1)
+    def cache_view(self, cache: int, files):
+        """What one cache holds of each of ``files``: per file, (held flags,
+        values with the symbols it does not hold zeroed)."""
         out = {}
-        for fi, per_file in enumerate(self.pieces):
-            held = np.zeros(F, dtype=bool)
-            for mask, idx in per_file.items():
-                if mask & bit:
-                    held[idx] = True
-            vals = np.where(held, self.data[fi], 0).astype(np.uint8)
-            out[fi + 1] = (held, vals)
+        for n in files:
+            held = ((self.holder[n - 1] >> (cache - 1)) & 1).astype(bool)
+            out[n] = (held, np.where(held, self.data[n - 1], 0).astype(np.uint8))
         return out
 
     def stored_symbols(self, cache: int) -> int:
-        bit = 1 << (cache - 1)
-        return sum(
-            int(idx.shape[0])
-            for per_file in self.pieces
-            for mask, idx in per_file.items()
-            if mask & bit
-        )
-
-
-_EMPTY_IDX = np.zeros(0, dtype=np.int64)
+        return int(np.count_nonzero(self.holder & (1 << (cache - 1))))
 
 
 def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) -> PartitionMap:
@@ -233,10 +225,11 @@ def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) 
 
     Subset sizes follow the profile fractions, rounded by largest
     remainder so each file's pieces partition its F symbols exactly.
-    The centralized scheme uses contiguous deterministic slices in
-    ascending-mask order; the decentralized scheme assigns a seeded
-    random permutation of symbols to the same subset sizes, so which
-    symbols land where is random while the piece sizes stay exact.
+    The layout lists each mask once per symbol, in ascending-mask order.
+    Every file shares it as contiguous slices, except under the
+    decentralized scheme, where each file scatters it over a seeded
+    random permutation of its symbols: which symbols land where is
+    random while the piece sizes stay exact.
     """
     K, F = config.K, config.F
     if F is None:
@@ -256,22 +249,11 @@ def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) 
     children = ss.spawn(config.N + 1)
     data = np.random.default_rng(children[0]).integers(0, 256, size=(config.N, F), dtype=np.uint8)
 
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    pieces: list[dict[int, np.ndarray]] = []
-    if p.scheme != "decentralized":
-        shared = {
-            int(masks[i]): np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
-            for i in range(masks.shape[0]) if counts[i]
-        }
-        for _ in range(config.N):
-            pieces.append(shared)
-    else:
+    layout = np.repeat(masks, counts).astype(np.uint16)
+    if p.scheme == "decentralized":
+        holder = np.empty((config.N, F), dtype=np.uint16)
         for fi in range(config.N):
-            rng = np.random.default_rng(children[fi + 1])
-            perm = rng.permutation(F)
-            per_file = {
-                int(masks[i]): np.sort(perm[bounds[i]:bounds[i + 1]]).astype(np.int64)
-                for i in range(masks.shape[0]) if counts[i]
-            }
-            pieces.append(per_file)
-    return PartitionMap(config=config, scheme=p.scheme, seed=seed, pieces=pieces, data=data)
+            holder[fi, np.random.default_rng(children[fi + 1]).permutation(F)] = layout
+    else:
+        holder = np.broadcast_to(layout, (config.N, F))
+    return PartitionMap(config=config, scheme=p.scheme, seed=seed, holder=holder, data=data)

@@ -1,9 +1,23 @@
-"""Cut-set lower bound: hand values, clamping, and demand averaging."""
+"""Converse bounds: cut-set hand values, clamping and demand averaging,
+and the uncoded-placement converse as an oracle under every scheme."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachecast.bounds import average_bound, cutset_bound
-from cachecast.core import DemandVector
+from cachecast.core import DemandVector, binomial, partitions_into_parts
+from cachecast.delivery import adaptive_plan, canonical_demand, rate_nonadaptive, simplified_plan
+from cachecast.placement import PlacementProfile, centralized_profile, decentralized_profile
+
+
+def uncoded_converse(x, K: int, L: int) -> float:
+    """Lowest rate any delivery can reach over a symmetric uncoded placement x
+    for a demand with L distinct files (Yu, Maddah-Ali and Avestimehr):
+
+        U(x, L) = sum_{s<K} x_s (C(K, s+1) - C(K-L, s+1)).
+    """
+    return sum(float(x[s]) * (binomial(K, s + 1) - binomial(K - L, s + 1)) for s in range(K))
 
 
 def test_hand_values():
@@ -72,3 +86,48 @@ def test_average_bound():
         average_bound([], 30, 3.0, 3)
     with pytest.raises(ValueError):
         average_bound([DemandVector((1, 2))], 30, 3.0, 3)
+
+
+def test_uncoded_converse_closed_form_at_integer_t():
+    # at integer t it is (C(K, t+1) - C(K-L, t+1)) / C(K, t)
+    for K in range(1, 8):
+        for t in range(K + 1):
+            x = centralized_profile(K, t / K).fractions
+            for L in range(1, K + 1):
+                expect = (binomial(K, t + 1) - binomial(K - L, t + 1)) / binomial(K, t)
+                assert uncoded_converse(x, K, L) == pytest.approx(expect, abs=1e-12)
+
+
+_weight = st.one_of(st.just(0.0), st.floats(1e-2, 1.0))
+
+
+@pytest.mark.parametrize("K", range(1, 8))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["centralized", "decentralized", "random"]),
+       m=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       weights=st.lists(_weight, min_size=8, max_size=8).filter(any))
+def test_converse_chain_over_every_pattern(K, kind, m, weights):
+    if kind == "centralized":
+        prof = centralized_profile(K, m)
+    elif kind == "decentralized":
+        prof = decentralized_profile(K, m)
+    else:  # any symmetric profile that partitions the file
+        w = np.array(weights[: K + 1])
+        if not w.any():
+            w[0] = 1.0
+        sizes = np.array([float(binomial(K, s)) for s in range(K + 1)])
+        prof = PlacementProfile(w / (sizes @ w), "random")
+        m = min(1.0, sum(binomial(K - 1, s - 1) * prof.fractions[s] for s in range(1, K + 1)))
+    x = prof.fractions
+    N = max(K, 10)
+    for L in range(1, K + 1):
+        bound = cutset_bound(K, L, N, m * N).value
+        converse = uncoded_converse(x, K, L)
+        simplified = simplified_plan(prof, L, K).rate
+        nonadaptive = rate_nonadaptive(prof, L, K)
+        assert bound <= converse + 1e-9
+        assert simplified <= nonadaptive + 1e-9
+        for pattern in partitions_into_parts(K, L):
+            _, adaptive = adaptive_plan(prof, canonical_demand(pattern))
+            assert converse <= adaptive + 1e-9, pattern
+            assert adaptive <= simplified + 1e-9, pattern

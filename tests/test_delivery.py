@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cachecast.cli import SCHEMES, _message_failures, _scheme_plan
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
@@ -27,6 +29,7 @@ from cachecast.delivery import (
     simplified_plan,
     transfer_cutoff,
     _demand_groups,
+    _plan_accessor,
 )
 from cachecast.lp import LinearProgram, LpNumericalError, solve
 from cachecast.placement import (
@@ -352,10 +355,31 @@ def test_transfer_plan_validation():
 def roundtrip(pm, plan, d):
     schedule = build_messages(pm, plan, d)
     for k in range(1, pm.config.K + 1):
-        got = decode(k, pm.cache_view(k), schedule, d)
+        got = decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
         want = pm.data[d.requests[k - 1] - 1]
         assert np.array_equal(got, want), f"cache {k} mismatch"
     return schedule
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bit_level_round_trip_property(K, data):
+    N = data.draw(st.integers(K, K + 3), label="N")
+    F = data.draw(st.one_of(st.integers(1, 2**K), st.integers(2**K, 400)), label="F")
+    m = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), label="m")
+    maker = data.draw(st.sampled_from([centralized_profile, decentralized_profile,
+                                       solve_placement_lp]), label="placement")
+    requests = data.draw(st.lists(st.integers(1, N), min_size=K, max_size=K), label="demand")
+    prof = maker(K, m)
+    pm = materialize_partition(SystemConfig(K=K, N=N, m_ratio=m, F=F), prof,
+                               seed=data.draw(st.integers(0, 2**16), label="seed"))
+    d = DemandVector(tuple(requests))
+    _, L, _ = redundancy_pattern(d)
+    for scheme in SCHEMES:
+        plan, _ = _scheme_plan(prof, scheme, d, L)
+        schedule = roundtrip(pm, plan, d)
+        assert _message_failures(scheme, schedule, _plan_accessor(plan, d, K), d, F) == []
 
 
 def test_roundtrip_identity_plan_matches_nonadaptive_rate():
@@ -412,7 +436,7 @@ def test_decode_detects_corruption():
     corrupted = []
     for k in range(1, K + 1):
         try:
-            got = decode(k, pm.cache_view(k), schedule, d)
+            got = decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
         except DecodeError:
             corrupted.append(k)
             continue
@@ -433,7 +457,7 @@ def test_decode_missing_message_reports_gap():
     del schedule.coded[mask]
     with pytest.raises(DecodeError):
         for k in range(1, K + 1):
-            decode(k, pm.cache_view(k), schedule, d)
+            decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
 
 
 def test_schedule_rate_accounts_uncoded_once_per_file():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachecast.core import SystemConfig, binomial
 from cachecast.placement import (
@@ -12,6 +13,33 @@ from cachecast.placement import (
     solve_placement_lp,
     validate_profile,
 )
+
+PLACEMENTS = (centralized_profile, decentralized_profile, solve_placement_lp)
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def eager_pieces(config: SystemConfig, p, seed: int) -> list[dict]:
+    """Reference partition: per file, {mask: ascending symbol indices} over
+    the nonempty masks, built slice by slice from the rounded subset counts.
+
+    Shared placements cut every file into the same contiguous slices in
+    ascending-mask order; the decentralized one cuts a seeded permutation
+    of each file's symbols, one spawned stream per file.
+    """
+    K, F = config.K, config.F
+    masks = np.arange(1 << K)
+    sizes = np.array([int(m).bit_count() for m in masks])
+    counts = apportion(p.fractions[sizes] * F, F, np.full(masks.shape[0], F, dtype=np.int64))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    children = np.random.SeedSequence(seed).spawn(config.N + 1)
+    pieces = []
+    for fi in range(config.N):
+        order = np.arange(F)
+        if p.scheme == "decentralized":
+            order = np.random.default_rng(children[fi + 1]).permutation(F)
+        pieces.append({int(masks[i]): np.sort(order[bounds[i]:bounds[i + 1]])
+                       for i in range(masks.shape[0]) if counts[i]})
+    return pieces
 
 # optimal centralized fractions for K=5: valued entries are (size, fraction)
 FIVE_CACHE_PROFILES = {
@@ -103,9 +131,10 @@ def test_materialize_two_caches_half():
     cfg = SystemConfig(K=2, N=2, m_ratio=0.5, F=2)
     pm = materialize_partition(cfg, centralized_profile(2, 0.5), seed=0)
     for file in (1, 2):
-        assert list(pm.piece(file, 0b01)) == [0]
-        assert list(pm.piece(file, 0b10)) == [1]
-        assert pm.piece(file, 0).size == 0
+        pieces = pm.pieces(file)
+        assert list(pieces[0b01]) == [0]
+        assert list(pieces[0b10]) == [1]
+        assert pieces[0].size == 0
 
 
 def test_materialize_three_caches_third():
@@ -113,7 +142,7 @@ def test_materialize_three_caches_third():
     cfg = SystemConfig(K=3, N=3, m_ratio=1 / 3, F=6)
     pm = materialize_partition(cfg, centralized_profile(3, 1 / 3), seed=0)
     for file in (1, 2, 3):
-        sizes = {mask: pm.piece(file, mask).size for mask in (1, 2, 4)}
+        sizes = {mask: pm.pieces(file)[mask].size for mask in (1, 2, 4)}
         assert sizes == {1: 2, 2: 2, 4: 2}
 
 
@@ -126,8 +155,7 @@ def test_materialize_partitions_every_symbol_once():
         pm = materialize_partition(cfg, profile, seed=9)
         for file in range(1, 6):
             seen = np.zeros(500, dtype=int)
-            for mask in range(16):
-                idx = pm.piece(file, mask)
+            for idx in pm.pieces(file):
                 seen[idx] += 1
                 assert np.all(np.diff(idx) > 0)  # ascending, unique
             assert np.all(seen == 1)
@@ -140,8 +168,8 @@ def test_materialize_sizes_track_fractions():
         pm = materialize_partition(cfg, profile, seed=3)
         for file in (1, 4):
             by_size = np.zeros(K + 1)
-            for mask in range(2**K):
-                by_size[bin(mask).count("1")] += pm.piece(file, mask).size
+            for mask, idx in enumerate(pm.pieces(file)):
+                by_size[bin(mask).count("1")] += idx.size
             for s in range(K + 1):
                 share = profile.fractions[s] * binomial(K, s)
                 assert by_size[s] / F == pytest.approx(share, abs=2**K / F)
@@ -161,10 +189,10 @@ def test_materialize_centralized_shared_slices():
     # every file is cut identically, so coded pieces align symbol-for-symbol
     cfg = SystemConfig(K=3, N=4, m_ratio=0.4, F=300)
     pm = materialize_partition(cfg, centralized_profile(3, 0.4), seed=5)
-    for mask in range(8):
-        ref = pm.piece(1, mask)
-        for file in (2, 3, 4):
-            assert np.array_equal(pm.piece(file, mask), ref)
+    ref = pm.pieces(1)
+    for file in (2, 3, 4):
+        for mask, idx in enumerate(pm.pieces(file)):
+            assert np.array_equal(idx, ref[mask])
 
 
 def test_materialize_decentralized_files_differ():
@@ -172,9 +200,8 @@ def test_materialize_decentralized_files_differ():
     pm = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=7)
     differing = sum(
         1
-        for mask in range(16)
-        if pm.piece(1, mask).size
-        and not np.array_equal(pm.piece(1, mask), pm.piece(2, mask))
+        for a, b in zip(pm.pieces(1), pm.pieces(2))
+        if a.size and not np.array_equal(a, b)
     )
     assert differing > 0
 
@@ -185,21 +212,86 @@ def test_materialize_deterministic_in_seed():
     b = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=11)
     c = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=12)
     assert np.array_equal(a.data, b.data)
-    for mask in range(16):
-        assert np.array_equal(a.piece(2, mask), b.piece(2, mask))
-    assert any(not np.array_equal(a.piece(2, mask), c.piece(2, mask)) for mask in range(16))
+    assert np.array_equal(a.holder, b.holder)
+    assert any(not np.array_equal(x, y) for x, y in zip(a.pieces(2), c.pieces(2)))
+
+
+def test_pieces_match_eager_dicts():
+    for K in range(1, 8):
+        for F in sorted({1, 2**K - 1, 500}):
+            for maker in PLACEMENTS:
+                for m in (0.0, 0.3, 1.0):
+                    cfg = SystemConfig(K=K, N=K, m_ratio=m, F=F)
+                    profile = maker(K, m)
+                    pm = materialize_partition(cfg, profile, seed=K * F)
+                    ref = eager_pieces(cfg, profile, seed=K * F)
+                    for file in range(1, K + 1):
+                        got = pm.pieces(file)
+                        assert len(got) == 2**K
+                        for mask, idx in enumerate(got):
+                            expect = ref[file - 1].get(mask, _EMPTY)
+                            assert np.array_equal(idx, expect), (K, F, maker.__name__, m, mask)
+
+
+def test_shared_holder_is_one_read_only_row():
+    cfg = SystemConfig(K=4, N=50, m_ratio=0.3, F=2000)
+    for maker in (centralized_profile, solve_placement_lp):
+        pm = materialize_partition(cfg, maker(4, 0.3), seed=1)
+        assert pm.holder.shape == (50, 2000) and pm.holder.dtype == np.uint16
+        assert not pm.holder.flags.writeable
+        assert pm.holder.strides[0] == 0  # every file shares the same row
+    pm = materialize_partition(cfg, decentralized_profile(4, 0.3), seed=1)
+    assert pm.holder.flags.writeable and pm.holder.flags.owndata
 
 
 def test_cache_view_consistent_with_pieces():
     cfg = SystemConfig(K=3, N=3, m_ratio=0.4, F=200)
-    pm = materialize_partition(cfg, decentralized_profile(3, 0.4), seed=2)
-    view = pm.cache_view(2)
-    for file in (1, 2, 3):
-        held, vals = view[file]
-        expect = np.zeros(200, dtype=bool)
-        for mask, idx in pm.pieces[file - 1].items():
-            if mask & 0b010:
-                expect[idx] = True
-        assert np.array_equal(held, expect)
-        assert np.array_equal(vals[held], pm.data[file - 1][held])
-        assert np.all(vals[~held] == 0)
+    for maker in PLACEMENTS:
+        profile = maker(3, 0.4)
+        pm = materialize_partition(cfg, profile, seed=2)
+        ref = eager_pieces(cfg, profile, seed=2)
+        for cache in (1, 2, 3):
+            bit = 1 << (cache - 1)
+            view = pm.cache_view(cache, {1, 3})
+            assert set(view) == {1, 3}  # only the files asked for
+            stored = 0
+            for file in (1, 2, 3):
+                expect = np.zeros(200, dtype=bool)
+                for mask, idx in ref[file - 1].items():
+                    if mask & bit:
+                        expect[idx] = True
+                stored += int(expect.sum())
+                held, vals = pm.cache_view(cache, [file])[file]
+                assert held.dtype == bool and vals.dtype == np.uint8
+                assert np.array_equal(held, expect)
+                assert np.array_equal(vals[held], pm.data[file - 1][held])
+                assert np.all(vals[~held] == 0)
+            assert pm.stored_symbols(cache) == stored
+
+
+_weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_weights.filter(any), st.integers(0, 5000))
+def test_apportion_uncapped_within_one_of_target(weights, total):
+    targets = np.array(weights) / sum(weights) * total
+    caps = np.floor(targets).astype(np.int64) + 1  # room for one more above every floor
+    got = apportion(targets, total, caps)
+    assert int(got.sum()) == total
+    assert np.all(np.abs(got - targets) <= 1.0 + 1e-9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_weights.filter(any), st.integers(0, 5000), st.data())
+def test_apportion_capped_sums_exactly(weights, total, data):
+    targets = np.array(weights) / sum(weights) * total
+    caps = np.array(data.draw(st.lists(st.integers(0, total), min_size=len(weights),
+                                       max_size=len(weights))), dtype=np.int64)
+    if int(caps.sum()) < total:
+        with pytest.raises(ValueError):
+            apportion(targets, total, caps)
+        return
+    got = apportion(targets, total, caps)
+    assert int(got.sum()) == total
+    assert np.all(got >= 0) and np.all(got <= caps)
