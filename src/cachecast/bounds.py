@@ -47,14 +47,18 @@ def cutset_bound(K: int, L: int, N: int, M: float) -> BoundReport:
 
 
 def average_bound(demands: list[DemandVector], N: int, M: float, K: int) -> float:
-    """Mean cut-set bound over sampled demand vectors."""
+    """Mean cut-set bound over sampled demand vectors, one cut-set per distinct L."""
     if not demands:
         raise ValueError("need at least one demand vector")
+    by_L = {}
     total = 0.0
     for d in demands:
         if d.K != K:
             raise ValueError("demand length disagrees with K")
-        total += cutset_bound(K, len(set(d.requests)), N, M).value
+        L = len(set(d.requests))
+        if L not in by_L:
+            by_L[L] = cutset_bound(K, L, N, M).value
+        total += by_L[L]
     return total / len(demands)
 
 

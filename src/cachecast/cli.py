@@ -368,7 +368,8 @@ def _run_simulate(cfg: ScenarioConfig):
                              distinct, cfg.jobs)
             cache[scheme] = dict(zip(distinct, vals))
         bound = average_bound(samples, cfg.N, m * cfg.N, cfg.K)
-        r_na_avg = float(np.mean([rate_nonadaptive(profile, p.L, cfg.K) for p in patterns]))
+        r_na = {p.L: rate_nonadaptive(profile, p.L, cfg.K) for p in distinct}
+        r_na_avg = float(np.mean([r_na[p.L] for p in patterns]))
         L_avg = float(np.mean([p.L for p in patterns]))
         for scheme in SCHEMES:
             if scheme not in cfg.delivery:
@@ -439,15 +440,16 @@ def _run_verify(cfg: ScenarioConfig) -> list:
         # apportion rounds every coded message and every distinct file's
         # uncoded part to within one symbol of its analytic length
         slack = (2**cfg.K - cfg.K - 1 + L) / cfg.F
+        views = [partition.cache_view(k, set(d.requests)) for k in range(1, cfg.K + 1)]
         for scheme in cfg.delivery:
             plan, analytic = _scheme_plan(profile, scheme, d, L)
             schedule = build_messages(partition, plan, d)
             achieved = rate_of_schedule(schedule, cfg.F)
             failures += _message_failures(f"{scheme} demand {d.requests}", schedule,
                                           _plan_accessor(plan, d, cfg.K), d, cfg.F)
-            for k in range(1, cfg.K + 1):
+            for k, view in enumerate(views, start=1):
                 try:
-                    got = decode(k, partition.cache_view(k, set(d.requests)), schedule, d)
+                    got = decode(k, view, schedule, d)
                 except DecodeError as exc:
                     failures.append(f"{scheme} demand {d.requests}: cache {k} decode error: {exc}")
                     continue
@@ -457,6 +459,11 @@ def _run_verify(cfg: ScenarioConfig) -> list:
                 failures.append(f"{scheme} demand {d.requests}: schedule rate {achieved:.6g} "
                                 f"vs analytic {analytic:.6g} exceeds slack {slack:.6g}")
             lines.append(f"{scheme} demand {d.requests}: rate {achieved:.6g} analytic {analytic:.6g}")
+            # the demand's K views stay alive across schemes, so free each
+            # schedule before the next is built, and the views before the
+            # next demand's, or the overlap sets the peak memory
+            del schedule
+        del views
 
     report = "\n".join(lines + (["FAIL:"] + failures if failures else ["PASS"])) + "\n"
     path = _emit(cfg.out, report)

@@ -11,6 +11,16 @@ the caches in ascending order with this conditional is Gibbs sampling;
 after a burn-in the sweeps give (dependent) draws from the joint
 stationary law.
 
+conditional_pmf is the specification of one draw: invert the cdf of the
+conditional pmf at one uniform. The sampler does not build that pmf. Its
+cdf is (1 - r) times the base cdf, which the model keeps, plus r / s for
+each of the s copy-set files at or below the index, so a bisection of the
+base cdf per run of indices between copy-set files finds the draw in
+O(K log N). The answer is kept only when the uniform lies farther than a
+rounding guard of order N * 2**-53 from the cdf on both sides of it;
+otherwise the draw is redone on the exact path with the same uniform. The
+samples are therefore those of the plain inverse-cdf sampler, bit for bit.
+
 The base popularity is Zipf with exponent theta (theta = 0 is uniform).
 Convergence of the chains is monitored with the estimated potential scale
 reduction (R-hat) computed over several independently seeded chains, and
@@ -27,6 +37,7 @@ reproducible bit for bit from one integer seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,11 +95,16 @@ class CorrelationModel:
     adjacency is a K x K boolean matrix, symmetric with a zero diagonal.
     r is the probability that a cache copies one of its neighbours'
     distinct current files instead of sampling from the base popularity.
+    The sampler's tables are built once here: the base cdf as a list,
+    each cache's neighbours, and the rounding guard of the fast draw.
     """
 
     adjacency: np.ndarray
     r: float
     popularity: PopularityDist
+    _cdf: list = field(init=False, repr=False, compare=False)
+    _neighbours: tuple = field(init=False, repr=False, compare=False)
+    _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -103,6 +119,10 @@ class CorrelationModel:
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("copy probability r must lie in [0, 1]")
         object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "_cdf", np.cumsum(self.popularity.pmf).tolist())
+        object.__setattr__(self, "_neighbours",
+                           tuple(tuple(np.flatnonzero(row).tolist()) for row in adj))
+        object.__setattr__(self, "_guard", 10 * (self.popularity.N + 3) * 2.0**-53)
 
     @property
     def K(self) -> int:
@@ -192,17 +212,72 @@ class ChainState:
     history: list = field(default_factory=list)
 
 
-def _draw_index(pmf: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of a 1-based file index."""
+def _draw_index(pmf: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw of a 1-based file index from the uniform u in [0, 1)."""
     cdf = np.cumsum(pmf)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(pmf) - 1)) + 1
+    return int(min(np.searchsorted(cdf, u * cdf[-1], side="right"), len(pmf) - 1)) + 1
+
+
+def _base_index(cdf: list, u: float) -> int:
+    """_draw_index(pmf, u) given cdf = np.cumsum(pmf).tolist(): the same bits."""
+    return min(bisect_right(cdf, u * cdf[-1]), len(cdf) - 1) + 1
+
+
+# Guard of the fast conditional draw.  With a = 1 - r and rho = r / s both
+# paths use the same two floats, and the exact cdf of the mixture is
+# M(i) = a * sum_{j<=i} base_j + rho * c(i), c(i) the copy-set files at
+# indices <= i; M(N-1) <= 1.01, since the base law sums to 1 within
+# PMF_TOL.  With eps = 2**-53 and gamma_n = n eps / (1 - n eps):
+#   - the exact path rounds each pmf entry twice (gamma_2) and sums
+#     sequentially in np.cumsum (gamma_i), so |cdf[i] - M(i)| <= gamma_{N+2} M(i);
+#   - the fast path C(i) = a * B[i] + rho * c(i), B the base cumsum,
+#     rounds the same number of times, so |C(i) - M(i)| <= gamma_{N+2} M(i);
+#   - the scaled uniforms u * cdf[N-1] and u * C(N-1) then differ by at
+#     most the sum of both bounds plus two roundings.
+# The first two are below 1.02 (N + 2) eps each, so the error the guard
+# must absorb, |cdf[i] - M(i)| + |C(i) - M(i)| + the uniforms' difference,
+# is below 4.1 (N + 3) eps.  The guard, 10 (N + 3) eps, is more than twice
+# that; the margin also covers the rounding of the guard comparisons, and
+# underflow adds at most 2**-1074 per operation.  If the fast threshold
+# lies more than the guard above C(i - 1) and below C(i), the exact path's
+# cdf, which is non-decreasing, crosses its threshold between i - 1 and i
+# as well, so both paths return i; the exact path's clamp to N - 1 never
+# applies, since its cdf at i <= N - 1 exceeds its threshold.
+
+
+def _conditional_index(k: int, requests: list, model: CorrelationModel, u: float) -> int:
+    """_draw_index(conditional_pmf(k, DemandVector(requests), model), u).
+
+    The fast path bisects the base cdf once per run of indices between
+    copy-set files, O(K log N) in place of the O(N) pmf and cumsum, and
+    keeps its answer only when the uniform clears the rounding guard on
+    both sides; otherwise, and at r = 1, it takes the exact path.
+    """
+    cdf = model._cdf
+    if model.r == 0.0 or not model._neighbours[k - 1]:
+        return _base_index(cdf, u)
+    if model.r < 1.0:
+        files = {requests[j] for j in model._neighbours[k - 1]}
+        files.add(requests[k - 1])
+        a, rho, guard = 1.0 - model.r, model.r / len(files), model._guard
+        x = u * (a * cdf[-1] + rho * len(files))
+        lo = 0
+        # indices lo .. hi - 1 see t copy-set files; file f sits at index f - 1
+        for t, hi in enumerate(sorted(files) + [len(cdf) + 1]):
+            hi -= 1
+            if lo < hi and a * cdf[hi - 1] + rho * t > x:
+                i = bisect_right(cdf, (x - rho * t) / a, lo, hi - 1)
+                if a * cdf[i] + rho * t - x > guard and (
+                        i == 0 or x - (a * cdf[i - 1] + rho * (t - (i == lo))) > guard):
+                    return i + 1
+                break
+            lo = hi
+    return _draw_index(conditional_pmf(k, DemandVector(tuple(requests)), model), u)
 
 
 def init_chain(model: CorrelationModel, rng: np.random.Generator) -> ChainState:
     """Start a chain with independent draws from the base popularity."""
-    requests = tuple(_draw_index(model.popularity.pmf, rng) for _ in range(model.K))
-    start = DemandVector(requests)
+    start = DemandVector(tuple(_base_index(model._cdf, u) for u in rng.random(model.K).tolist()))
     return ChainState(current=start, rng=rng, history=[start])
 
 
@@ -212,11 +287,19 @@ def gibbs_sweep(state: ChainState, model: CorrelationModel) -> ChainState:
     Each cache draws from its conditional given the latest values of all
     other coordinates, so updates within a sweep see the sweep's earlier
     redraws. The new demand vector is appended to the history.
+
+    The sweep takes its K uniforms in one rng.random(K) call, which on
+    PCG64 yields the same numbers as K scalar calls, one per cache in
+    order. Each draw inverts the mixture cdf by bisection on the model's
+    base cdf and keeps the index only if the uniform is farther than a
+    rounding guard of order N * 2**-53 from the cdf on both sides of it
+    (see _conditional_index); the rare draw within the guard is redone on
+    the exact path, conditional_pmf plus np.cumsum, with the same uniform.
+    So every sampled request equals the exact path's, bit for bit.
     """
     requests = list(state.current.requests)
-    for k in range(1, model.K + 1):
-        pmf = conditional_pmf(k, DemandVector(tuple(requests)), model)
-        requests[k - 1] = _draw_index(pmf, state.rng)
+    for k, u in enumerate(state.rng.random(model.K).tolist(), start=1):
+        requests[k - 1] = _conditional_index(k, requests, model, u)
     state.current = DemandVector(tuple(requests))
     state.history.append(state.current)
     return state

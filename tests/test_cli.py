@@ -337,6 +337,24 @@ def test_simulate_writes_three_artifacts(tmp_path, capsys):
     assert (tmp_path / "again_samples.csv").read_bytes() == samples_path.read_bytes()
 
 
+def test_simulate_bytes_are_pinned(tmp_path, capsys):
+    # The digests were recorded at commit c9fde36, where every draw still
+    # built its conditional pmf and cumsum, so a sampler or post-processing
+    # change that moves one request or one last ulp fails here.
+    prefix = tmp_path / "pin"
+    assert main(["simulate", "--K", "6", "--N", "200", "--chains", "3", "--burn-in", "20",
+                 "--samples", "300", "--m-ratio", "0.1:0.2:0.5", "--r", "0.9",
+                 "--theta", "0.75", "--seed", "3", "--out", str(prefix)]) == 0
+    assert capsys.readouterr().err == "epsr: 1.06962\n"
+    digests = {part: hashlib.sha256((tmp_path / f"pin_{part}.csv").read_bytes()).hexdigest()
+               for part in ("samples", "stats", "rates")}
+    assert digests == {
+        "samples": "aa65943984e815a8b9bd8623ba54528ad18ad10e65ec3eeaf8ac9311abeffe66",
+        "stats": "639130caa6c5389561624dbca652d4177f66b11fdce330c07cb708d77bf987a2",
+        "rates": "7b96fee78eec857047a62bf691ebf6af322d83cfa2f8e6fbc9b2b961d655a07a",
+    }
+
+
 def test_simulate_accepts_edge_list_graph(tmp_path):
     graph = tmp_path / "line.txt"
     graph.write_text("1 2\n2 3\n")

@@ -1,15 +1,20 @@
 """Correlated demand sampling: conditionals, chains, and diagnostics."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cachecast import demand
 from cachecast.core import DemandVector
 from cachecast.demand import (
     CorrelationModel,
     DemandStats,
     PopularityDist,
+    _conditional_index,
+    _draw_index,
     complete_graph,
     conditional_pmf,
     empirical_stats,
@@ -239,6 +244,102 @@ def test_chain_bookkeeping():
         sample_demands(model, count=5, burn_in=-1, seed=1)
     with pytest.raises(ValueError):
         sample_chains(model, chains=0, count=5, burn_in=1, seed=1)
+
+
+def test_batched_uniforms_equal_scalar_draws():
+    # gibbs_sweep takes a sweep's K uniforms in one call; the stream must
+    # be the one K scalar calls would see, also after scalar draws
+    for seed in (0, 1, 2024):
+        for size in (1, 2, 6, 8):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert batched.random(size).tolist() == [scalar.random() for _ in range(size)]
+                assert batched.random() == scalar.random()
+    child = np.random.SeedSequence(7).spawn(3)[2]
+    batched, scalar = np.random.default_rng(child), np.random.default_rng(child)
+    assert batched.random(1000).tolist() == [scalar.random() for _ in range(1000)]
+
+
+def reference_sample(model, count, burn_in, seed):
+    """The sampler as specified: one scalar uniform per cache, inverted on
+    np.cumsum(conditional_pmf(...)), and a DemandVector per draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    current = DemandVector(tuple(_draw_index(model.popularity.pmf, rng.random())
+                                 for _ in range(model.K)))
+    history = [current]
+    for _ in range(burn_in + count):
+        requests = list(current.requests)
+        for k in range(1, model.K + 1):
+            pmf = conditional_pmf(k, DemandVector(tuple(requests)), model)
+            requests[k - 1] = _draw_index(pmf, rng.random())
+        current = DemandVector(tuple(requests))
+        history.append(current)
+    return history[-count:]
+
+
+def test_sampler_matches_reference_sweep():
+    star = np.zeros((6, 6), dtype=bool)
+    star[0, 1:4] = star[1:4, 0] = True  # caches 5 and 6 are isolated
+    cases = [(complete_graph(8), 1000, r, theta)
+             for r, theta in ((0.7, 0.0), (0.9, 0.0), (0.9, 0.75), (0.5, 1.2),
+                              (0.0, 0.0), (1.0, 0.5), (0.99, 0.3))]
+    cases += [(star, 40, 0.8, 2.0), (complete_graph(3), 3, 0.6, 0.0), (complete_graph(4), 1, 0.5, 0.0)]
+    for adj, N, r, theta in cases:
+        model = CorrelationModel(adjacency=adj, r=r, popularity=zipf_pmf(N, theta))
+        got = sample_demands(model, count=150, burn_in=30, seed=31)
+        assert got == reference_sample(model, count=150, burn_in=30, seed=31), (N, r, theta)
+
+
+@st.composite
+def draw_cases(draw):
+    K = draw(st.integers(1, 6))
+    N = draw(st.sampled_from(sorted({1, 2, K, 1000})))
+    adj = np.zeros((K, K), dtype=bool)
+    for a, b in itertools.combinations(range(K), 2):
+        adj[a, b] = adj[b, a] = draw(st.booleans())
+    lonely = draw(st.integers(0, K))  # cut every edge of this cache (0: none)
+    if lonely:
+        adj[lonely - 1, :] = adj[:, lonely - 1] = False
+    r = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1 - 1e-9)))
+    theta = draw(st.sampled_from([0.0, 0.75, 2.0]))
+    requests = draw(st.lists(st.integers(1, N), min_size=K, max_size=K))
+    uniforms = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4))
+    spots = draw(st.lists(st.integers(0, N - 1), max_size=4))
+    model = CorrelationModel(adjacency=adj, r=r, popularity=zipf_pmf(N, theta))
+    return model, requests, uniforms, spots
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(draw_cases())
+def test_fast_draw_matches_exact_path(case):
+    model, requests, uniforms, spots = case
+    for k in range(1, model.K + 1):
+        pmf = conditional_pmf(k, DemandVector(tuple(requests)), model)
+        cdf = np.cumsum(pmf)
+        # uniforms that put the exact path's threshold on (or next to) a
+        # cdf step: near the copy-set files, the ends, and random spots
+        steps = {0, model.popularity.N - 2} | set(spots)
+        for f in set(requests):
+            steps |= {f - 2, f - 1, f}
+        edge = set()
+        for i in steps:
+            if 0 <= i < model.popularity.N - 1:
+                U = float(cdf[i] / cdf[-1])
+                edge |= {U, float(np.nextafter(U, 0.0)), float(np.nextafter(U, 1.0))}
+        edge = sorted(u for u in edge if u < 1.0)
+        isolated = not model.adjacency[k - 1].any()
+        for U in uniforms + edge:
+            with mock.patch.object(demand, "conditional_pmf", wraps=conditional_pmf) as spy:
+                got = _conditional_index(k, list(requests), model, U)
+            assert got == _draw_index(pmf, U), (k, U)
+            if model.r == 0.0 or isolated:
+                assert spy.call_count == 0  # the base cdf itself, no fallback
+            elif model.r == 1.0:
+                assert spy.call_count == 1  # r = 1 stays on the exact path
+            elif U in edge:
+                # within the rounding guard of a cdf step: the fallback must
+                # decide, or the check above proves nothing there
+                assert spy.call_count == 1, (k, U)
 
 
 def test_mean_request_index():
