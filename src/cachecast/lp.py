@@ -132,17 +132,17 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
     z = tab.reduced_costs(c)
     degen_run = 0
     iters = 0
-    movable = (tab.hi - tab.lo) > 0  # fixed variables never enter
+    enterable = allowed & ((tab.hi - tab.lo) > 0)  # fixed variables never enter
+    basic_mask = np.zeros(tab.ncol, dtype=bool)
+    basic_mask[tab.basis] = True
     while iters < max_iter:
         iters += 1
         stat = tab.status
-        # eligibility in the improving direction
-        can_inc = allowed & movable & ((stat == _AT_LO) | (stat == _FREE)) & (z < -OPT_TOL)
-        can_dec = allowed & movable & ((stat == _AT_UP) | (stat == _FREE)) & (z > OPT_TOL)
-        basic_mask = np.zeros(tab.ncol, dtype=bool)
-        basic_mask[tab.basis] = True
-        can_inc &= ~basic_mask
-        can_dec &= ~basic_mask
+        # eligibility in the improving direction; a nonbasic column is at
+        # its lower bound, at its upper bound or free
+        nonbasic = enterable & ~basic_mask
+        can_inc = nonbasic & (stat != _AT_UP) & (z < -OPT_TOL)
+        can_dec = nonbasic & (stat != _AT_LO) & (z > OPT_TOL)
         cand = np.flatnonzero(can_inc | can_dec)
         if cand.size == 0:
             return "optimal", iters
@@ -196,6 +196,8 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
             tab.status[out_var] = _AT_UP
             tab.val[out_var] = tab.hi[out_var]
         tab.basis[leave_row] = j
+        basic_mask[out_var] = False
+        basic_mask[j] = True
         tab.xB[leave_row] = entering_val
         tab.pivot(leave_row, j)
         z = z - z[j] * tab.M[leave_row]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cachecast.cli as cli
+from cachecast import delivery
 from cachecast.bounds import cutset_bound, gap_reduction
 from cachecast.cli import (
     ConfigError,
@@ -16,7 +17,7 @@ from cachecast.cli import (
     main,
     parse_m_ratio,
 )
-from cachecast.lp import LpNumericalError
+from cachecast.lp import LpNumericalError, solve
 
 
 def read_csv(path):
@@ -152,6 +153,24 @@ def test_sweep_bytes_are_pinned(tmp_path):
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "9d389f6d3a618d9c7ca9cfb2ba1e96f5d95c8c818e21477ed9ba93630f90ce24")
+
+
+def test_sweep_pivot_count_is_pinned(tmp_path, monkeypatch):
+    # The CSV bytes can survive a change of simplex path; the pivot count
+    # over the same sweep's 44 adaptive LPs, recorded at commit 41317ce,
+    # pins the path itself.
+    iterations = []
+
+    def counting(lp):
+        sol = solve(lp)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(delivery, "solve", counting)
+    assert main(["sweep", "--K", "8", "--N", "1000", "--m-ratio", "0.1:0.3:0.4",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(iterations) == 44
+    assert sum(iterations) == 1236
 
 
 def test_sweep_with_pattern_column(tmp_path):

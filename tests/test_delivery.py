@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cachecast import delivery
 from cachecast.cli import SCHEMES, _message_failures, _scheme_plan
 from cachecast.core import (
     DemandVector,
@@ -29,6 +30,7 @@ from cachecast.delivery import (
     simplified_plan,
     transfer_cutoff,
     _demand_groups,
+    _orbit_key,
     _plan_accessor,
 )
 from cachecast.lp import LinearProgram, LpNumericalError, solve
@@ -97,22 +99,129 @@ def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
     return float(sol.value)
 
 
+def full_adaptive_lp(p: PlacementProfile, d: DemandVector):
+    """The symmetry-reduced adaptive LP built one composition at a time.
+
+    Returns (LinearProgram, orbit key -> column).  This is the builder
+    ``adaptive_plan`` used before its layout was cached per demand shape;
+    it walks every composition of every class row and epigraph orbit and
+    registers columns in first-seen order, so it pins the cached layout's
+    column order, coefficients and bounds.
+    """
+    K = d.K
+    x = np.maximum(np.asarray(p.fractions, dtype=float), 0.0)
+
+    _, ks, _ = _demand_groups(d)
+    L = len(ks)
+
+    var_index: dict[tuple, int] = {}
+    var_hi: list[float] = []
+
+    def var_id(i, a, size):
+        key = _orbit_key(ks, i, a)
+        idx = var_index.get(key)
+        if idx is None:
+            idx = len(var_index)
+            var_index[key] = idx
+            var_hi.append(1.0 if size == 0 else float(x[size]))
+        return idx
+
+    all_types = list(itertools.product(*[range(k + 1) for k in ks]))
+    type_weight = {a: _composition_weight(ks, a) for a in all_types}
+
+    # one partition row per distinct group size; groups of equal size are
+    # interchangeable so their rows coincide
+    class_rep: dict[int, int] = {}
+    class_mult: dict[int, int] = {}
+    for i, k in enumerate(ks):
+        class_rep.setdefault(k, i)
+        class_mult[k] = class_mult.get(k, 0) + 1
+
+    rows = []
+    for k, rep in sorted(class_rep.items()):
+        coeffs: dict[int, float] = {}
+        for a in all_types:
+            idx = var_id(rep, a, sum(a))
+            coeffs[idx] = coeffs.get(idx, 0.0) + type_weight[a]
+        rows.append(coeffs)
+
+    # message-cost epigraph: one z per orbit of compositions with |a| >= 2
+    orbit_weight: dict[tuple, float] = {}
+    orbit_members: dict[tuple, list[int]] = {}
+    for a in all_types:
+        size = sum(a)
+        if size < 2:
+            continue
+        okey = tuple(sorted(zip(ks, a)))
+        w = type_weight[a]
+        if okey in orbit_weight:
+            orbit_weight[okey] += w
+            continue
+        orbit_weight[okey] = w
+        members = set()
+        for i in range(L):
+            if a[i] >= 1:
+                reduced = tuple(a[j] - (j == i) for j in range(L))
+                members.add(var_id(i, reduced, size - 1))
+        orbit_members[okey] = sorted(members)
+
+    n_y = len(var_index)
+    orbits = sorted(orbit_members)
+    n = n_y + len(orbits)
+    c = np.zeros(n)
+    for k, rep in class_rep.items():
+        zero = tuple(0 for _ in ks)
+        c[var_id(rep, zero, 0)] += class_mult[k]
+    lo = np.zeros(n)
+    hi = np.empty(n)
+    hi[:n_y] = var_hi
+    E = np.zeros((len(rows), n))
+    f = np.ones(len(rows))
+    for r, coeffs in enumerate(rows):
+        for idx, w in coeffs.items():
+            E[r, idx] = w
+    ineq_rows = []
+    for zi, okey in enumerate(orbits):
+        c[n_y + zi] = orbit_weight[okey]
+        members = orbit_members[okey]
+        hi[n_y + zi] = max(var_hi[m] for m in members)
+        for midx in members:
+            row = np.zeros(n)
+            row[midx] = 1.0
+            row[n_y + zi] = -1.0
+            ineq_rows.append(row)
+    A = np.array(ineq_rows) if ineq_rows else np.zeros((0, n))
+    b = np.zeros(A.shape[0])
+    return LinearProgram(c=c, E=E, f=f, A=A, b=b, lo=lo, hi=hi), var_index
+
+
+def _composition_weight(ks, a) -> float:
+    w = 1
+    for k, ai in zip(ks, a):
+        w *= binomial(k, ai)
+    return float(w)
+
+
+def reference_orbit_key(ks, i, a) -> tuple:
+    """Orbit of group i's kept fraction at composition a, written out here
+    rather than taken from ``delivery._orbit_key``."""
+    others = sorted((ks[j], a[j]) for j in range(len(ks)) if j != i)
+    return (ks[i], a[i], tuple(others))
+
+
 def eager_fractions(plan: TransferPlan) -> dict:
     """Every (file, mask) kept fraction of an adaptive plan, expanded eagerly.
 
     The reference for the lazy ``kept``, written out pair by pair: the
-    mask's composition over the requester groups, its orbit key (computed
-    here, not by ``delivery._orbit_key``), and the orbit value clipped to
-    the pair's cap.
+    mask's composition over the requester groups, its orbit key (by
+    ``reference_orbit_key``), and the orbit value clipped to
+    the pair's cap.  An orbit absent from the plan reads as 0, and only
+    after asserting that its cap is 0.
     """
     d = plan.demand
     files, ks, gmasks = _demand_groups(d)
     L = len(files)
     x = np.maximum(np.asarray(plan.profile.fractions, dtype=float), 0.0)
-
-    def var_key(i, a):
-        others = sorted((ks[j], a[j]) for j in range(L) if j != i)
-        return (ks[i], a[i], tuple(others))
 
     fractions = {}
     for gi, file in enumerate(files):
@@ -120,7 +229,12 @@ def eager_fractions(plan: TransferPlan) -> dict:
             a = tuple((mask & gmasks[j]).bit_count() for j in range(L))
             size = mask.bit_count()
             cap = 1.0 if size == 0 else float(x[size])
-            fractions[(file, mask)] = min(max(plan.values[var_key(gi, a)], 0.0), cap)
+            key = reference_orbit_key(ks, gi, a)
+            if key not in plan.values:
+                # only an orbit that can keep nothing may be left out
+                assert cap == 0.0, (file, mask, key)
+            y = plan.values.get(key, 0.0)
+            fractions[(file, mask)] = min(max(y, 0.0), cap)
     return fractions
 
 
@@ -316,6 +430,108 @@ def test_lazy_plan_matches_eager_expansion():
                                 cost += max(eager[(d.requests[k - 1], mask & ~(1 << (k - 1)))]
                                             for k in range(1, K + 1) if mask >> (k - 1) & 1)
                         assert cost == pytest.approx(rate, abs=1e-9), where
+
+
+def _capture_solves(monkeypatch):
+    """Record every (LinearProgram, LpSolution) that delivery hands to solve."""
+    seen = []
+
+    def recording(lp):
+        sol = solve(lp)
+        seen.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(delivery, "solve", recording)
+    return seen
+
+
+def check_against_full_lp(seen, prof, d):
+    """adaptive_plan's LP, value and plan equal those of the full builder."""
+    seen.clear()
+    plan, rate = adaptive_plan(prof, d)
+    assert len(seen) == 1  # one solve per plan
+    lp, sol = seen[0]
+    ref, var_index = full_adaptive_lp(prof, d)
+    for name in ("c", "E", "f", "A", "b", "lo", "hi"):
+        assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
+    ref_sol = solve(ref)
+    assert rate == ref_sol.value  # bit-equal
+    assert np.array_equal(sol.assignment, ref_sol.assignment)
+    y = ref_sol.assignment
+    assert plan.values == {key: min(max(float(y[j]), 0.0), float(ref.hi[j]))
+                           for key, j in var_index.items() if ref.hi[j] > 0}
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_adaptive_lp_equals_full_build(K, monkeypatch):
+    seen = _capture_solves(monkeypatch)
+    makers = (centralized_profile, decentralized_profile, solve_placement_lp)
+    for m in sorted({0.0, 0.1, 0.3, min(2 / K, 1.0), 1.0}):
+        for maker in makers:
+            prof = maker(K, m)
+            for L in range(1, K + 1):
+                for pattern in partitions_into_parts(K, L):
+                    check_against_full_lp(seen, prof, canonical_demand(pattern))
+
+
+def test_adaptive_lp_equals_full_build_at_the_cap(monkeypatch):
+    seen = _capture_solves(monkeypatch)
+    prof = centralized_profile(12, 0.1)
+    patterns = [pattern for L in range(1, 13) for pattern in partitions_into_parts(12, L)]
+    assert len(patterns) == 77
+    for pattern in patterns:
+        check_against_full_lp(seen, prof, canonical_demand(pattern))
+
+
+def test_plan_keeps_exactly_the_orbits_with_positive_cap():
+    rng = np.random.default_rng(11)
+    for K in range(1, 8):
+        for m in (0.0, 0.3, 1.0):
+            for maker in (centralized_profile, decentralized_profile):
+                prof = maker(K, m)
+                x = np.maximum(prof.fractions, 0.0)
+                for L in range(1, K + 1):
+                    for pattern in partitions_into_parts(K, L):
+                        reqs = canonical_demand(pattern).requests
+                        d = DemandVector(tuple(reqs[i] for i in rng.permutation(K)))
+                        plan, _ = adaptive_plan(prof, d)
+                        _, ks, gmasks = _demand_groups(d)
+                        positive = {reference_orbit_key(ks, i, [(mask & g).bit_count()
+                                                                for g in gmasks])
+                                    for i in range(L) for mask in range(1 << K)
+                                    if mask == 0 or x[mask.bit_count()] > 0}
+                        assert set(plan.values) == positive, (K, m, maker.__name__, d)
+
+
+def _random_symmetric_profile(K, weights):
+    """Any symmetric profile that partitions the file: x_s in proportion to
+    the weights, scaled so that sum_s C(K, s) x_s = 1."""
+    w = np.array(weights[: K + 1])
+    if not w.any():
+        w[0] = 1.0
+    sizes = np.array([float(binomial(K, s)) for s in range(K + 1)])
+    return PlacementProfile(w / (sizes @ w), "random")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_adaptive_rate_equals_direct_lp_property(data):
+    K = data.draw(st.integers(1, 5), label="K")
+    kind = data.draw(st.sampled_from(["centralized", "decentralized", "random"]), label="kind")
+    if kind == "random":
+        weight = st.one_of(st.just(0.0), st.floats(1e-2, 1.0))
+        prof = _random_symmetric_profile(
+            K, data.draw(st.lists(weight, min_size=K + 1, max_size=K + 1), label="weights"))
+    else:
+        m = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), label="m")
+        prof = (centralized_profile if kind == "centralized" else decentralized_profile)(K, m)
+    # scattered file labels, not 1..L in request order
+    labels = data.draw(st.lists(st.integers(1, 10**6), min_size=K, max_size=K, unique=True),
+                       label="labels")
+    picks = data.draw(st.lists(st.integers(0, K - 1), min_size=K, max_size=K), label="demand")
+    d = DemandVector(tuple(labels[i] for i in picks))
+    _, rate = adaptive_plan(prof, d)
+    assert abs(rate - adaptive_rate_direct(prof, d)) <= 1e-8, (prof.fractions, d.requests)
 
 
 def test_transfer_plan_validation():

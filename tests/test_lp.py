@@ -81,7 +81,9 @@ def with_fixed_bounds(lp, rng):
     return LinearProgram(c=lp.c, E=lp.E, f=lp.f, A=lp.A, b=lp.b, lo=lo, hi=hi)
 
 
-def test_solver_matches_vertex_enumeration():
+def random_trials():
+    """RNG_TRIALS seeded random LPs, then the same again with some
+    variables fixed, for the presolve."""
     rng = np.random.default_rng(1234)
     fix_rng = np.random.default_rng(4321)
     trials = []
@@ -90,10 +92,12 @@ def test_solver_matches_vertex_enumeration():
         me = int(rng.integers(0, min(n, 2) + 1))
         ma = int(rng.integers(0, 4))
         trials.append(random_bounded_lp(rng, n, me, ma))
-    # the same problems again with some variables fixed, for the presolve
-    trials += [with_fixed_bounds(lp, fix_rng) for lp in trials]
+    return trials + [with_fixed_bounds(lp, fix_rng) for lp in trials]
+
+
+def test_solver_matches_vertex_enumeration():
     solved = 0
-    for lp in trials:
+    for lp in random_trials():
         sol = solve(lp)
         oracle = brute_force_min(lp.c, lp.E, lp.f, lp.A, lp.b, lp.lo, lp.hi)
         if oracle is None:
@@ -111,6 +115,24 @@ def test_solver_matches_vertex_enumeration():
         assert np.all(x >= lp.lo - 1e-9) and np.all(x <= lp.hi + 1e-9)
         solved += 1
     assert solved > RNG_TRIALS  # most random instances are feasible
+
+
+def test_solver_matches_highs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    solved = 0
+    for lp in random_trials():
+        sol = solve(lp)
+        ref = scipy_optimize.linprog(
+            lp.c, A_ub=lp.A if lp.A.size else None, b_ub=lp.b if lp.A.size else None,
+            A_eq=lp.E if lp.E.size else None, b_eq=lp.f if lp.E.size else None,
+            bounds=list(zip(lp.lo, lp.hi)), method="highs")
+        if ref.status == 2:
+            assert sol.status == "infeasible"
+            continue
+        assert ref.status == 0 and sol.status == "optimal"
+        assert abs(sol.value - ref.fun) <= 1e-9
+        solved += 1
+    assert solved > RNG_TRIALS
 
 
 def test_infeasible_detected():
