@@ -43,7 +43,6 @@ from .delivery import (
     transfer_cutoff,
 )
 from .demand import (
-    ChainState,
     CorrelationModel,
     DemandStats,
     PopularityDist,
@@ -52,7 +51,6 @@ from .demand import (
     empirical_stats,
     epsr,
     gibbs_sweep,
-    init_chain,
     load_edge_list,
     mean_request_index,
     sample_chains,
@@ -63,20 +61,17 @@ from .lp import LinearProgram, LpNumericalError, LpSolution, solve
 from .placement import (
     PartitionMap,
     PlacementProfile,
-    ProfileCheck,
     apportion,
     centralized_profile,
     decentralized_profile,
     materialize_partition,
     solve_placement_lp,
-    validate_profile,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ChainState",
     "CorrelationModel",
     "DecodeError",
     "DemandStats",
@@ -89,7 +84,6 @@ __all__ = [
     "PartitionMap",
     "PlacementProfile",
     "PopularityDist",
-    "ProfileCheck",
     "RedundancyPattern",
     "SimplifiedPlan",
     "SystemConfig",
@@ -110,7 +104,6 @@ __all__ = [
     "epsr",
     "gap_reduction",
     "gibbs_sweep",
-    "init_chain",
     "load_edge_list",
     "materialize_partition",
     "mean_request_index",
@@ -126,6 +119,5 @@ __all__ = [
     "solve",
     "solve_placement_lp",
     "transfer_cutoff",
-    "validate_profile",
     "zipf_pmf",
 ]

@@ -129,6 +129,9 @@ class ScenarioConfig:
             errors.append(f"delivery: unknown scheme {bad[0]}")
         if not self.delivery:
             errors.append("delivery: need at least one scheme")
+        twice = [s for i, s in enumerate(self.delivery) if s in self.delivery[:i]]
+        if twice:
+            errors.append(f"delivery: scheme {twice[0]} listed twice")
         if "adaptive" in self.delivery and self.K > SUBSET_ENUM_CAP:
             errors.append(f"K: adaptive delivery requires K <= {SUBSET_ENUM_CAP}")
         if self.demands is not None:
@@ -136,6 +139,8 @@ class ScenarioConfig:
                 errors.append(f"demands: expected {self.K} entries, got {len(self.demands)}")
             elif any(not 1 <= d <= self.N for d in self.demands):
                 errors.append(f"demands: file indices must lie in 1..{self.N}")
+        if self.demands is not None and self.pattern is not None:
+            errors.append("pattern: give demands or pattern, not both")
         if self.pattern is not None:
             if sum(self.pattern) != self.K:
                 errors.append(f"pattern: counts must sum to K={self.K}")
@@ -335,6 +340,13 @@ def _out_prefix(out: str | None, fallback: str) -> str:
 
 
 def _run_simulate(cfg: ScenarioConfig):
+    errors = []
+    if cfg.K < 2:
+        errors.append("K: simulate correlates pairs of caches, so needs at least 2")
+    if cfg.samples < 2:
+        errors.append("samples: simulate needs at least 2 per chain for its statistics")
+    if errors:
+        raise ConfigError("; ".join(errors))
     model = CorrelationModel(adjacency=_graph_for(cfg), r=cfg.r,
                              popularity=zipf_pmf(cfg.N, cfg.theta))
     chain_samples = sample_chains(model, cfg.chains, cfg.samples, cfg.burn_in, cfg.seed)
@@ -382,7 +394,7 @@ def _run_simulate(cfg: ScenarioConfig):
 
 
 # Per-message rounding bound.  apportion starts each kept count at
-# floor(t + 1e-9), t = F * kept(file, mask), and hands out the deficit
+# floor(t + 1e-9), t = F * kept(file)[mask], and hands out the deficit
 # (the sum of the remainders t - floor) one symbol per entry in
 # largest-remainder order.  A plan keeps at most x_s of a size-s piece,
 # which holds at least floor(x_s F + 1e-9) symbols, so no cap binds below
@@ -397,20 +409,27 @@ MESSAGE_SLACK = 1.0 + 1e-6
 
 def _message_failures(label: str, schedule, kept, d: DemandVector, F: int) -> list:
     """Coded messages and uncoded parts further than MESSAGE_SLACK symbols
-    from F times the plan's kept fraction."""
+    from F times the plan's kept fraction; ``kept(file)`` gives a file's
+    fractions over all masks."""
     failures = []
-    members = [(1 << (k - 1), n) for k, n in enumerate(d.requests, start=1)]
+    masks = np.arange(1 << d.K)
+    fractions = {n: kept(n) for n in set(d.requests)}
+    # each coded message is as long as its longest member
+    longest = np.full(masks.shape[0], -np.inf)
+    for k, n in enumerate(d.requests):
+        has = masks[masks >> k & 1 == 1]
+        longest[has] = np.maximum(longest[has], fractions[n][has ^ (1 << k)])
     for mask in range(1 << d.K):
         if mask.bit_count() < 2:
             continue
-        want = F * max(kept(n, mask ^ bit) for bit, n in members if mask & bit)
+        want = F * longest[mask]
         msg = schedule.coded.get(mask)
         got = 0 if msg is None else msg.payload.shape[0]
         if abs(got - want) > MESSAGE_SLACK:
             failures.append(f"{label}: coded message {mask} has {got} symbols "
                             f"vs analytic {want:.6g}")
-    for n in sorted(set(d.requests)):
-        want = F * kept(n, 0)
+    for n in sorted(fractions):
+        want = F * fractions[n][0]
         got = schedule.uncoded[n][1].shape[0] if n in schedule.uncoded else 0
         if abs(got - want) > MESSAGE_SLACK:
             failures.append(f"{label}: uncoded part of file {n} has {got} symbols "

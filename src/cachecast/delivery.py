@@ -27,7 +27,7 @@ Two planners implement that idea:
   interchangeable, as are files requested equally often), which keeps
   the problem tiny even at the K = 12 enumeration cap.  Its
   ``TransferPlan`` stores one value per orbit of (file, subset) pairs
-  and resolves a pair's kept fraction only when asked, so a caller that
+  and expands a file's kept fractions only when asked, so a caller that
   needs just the rate never pays for the L * 2^K expansion.
 
 The adaptive LP's columns and their order, its objective, class rows and
@@ -77,89 +77,68 @@ class SimplifiedPlan:
     cutoff: int
 
 
-def _orbit_key(ks, i, a) -> tuple:
-    """Orbit of the kept fraction of group i's file at composition a.
-
-    a[j] counts the subset's members among group j's requesters, so
-    (file, mask) pairs with equal keys are interchangeable under the
-    demand's symmetries: (own group size, own count, sorted multiset of
-    the other groups' (size, count) pairs).
-    """
-    others = sorted((ks[j], a[j]) for j in range(len(ks)) if j != i)
-    return (ks[i], a[i], tuple(others))
-
-
-def _orbit_weight(key) -> int:
-    """Number of subset masks whose pair with one file falls in this orbit
-    (0 if a count exceeds its group's size, ValueError if one is negative).
-
-    That is C(k, a) times C(k_j, a_j) over the other groups, times the
-    ways to hand the other (size, count) pairs to the labelled groups of
-    each size: runs of one size, and of equal pairs, are adjacent in the
-    sorted key, so that multinomial builds up one pair at a time.
-    """
-    k, a, others = key
-    w = comb(k, a)
-    size = pair = None
-    run = same = 0
-    for p in others:
-        w *= comb(*p)
-        run = run + 1 if p[0] == size else 1
-        same = same + 1 if p == pair else 1
-        size, pair = p[0], p
-        w = w * run // same
-    return w
-
-
 @dataclass
 class TransferPlan:
     """Kept fraction y for every (distinct file, subset mask) pair,
-    stored per orbit and resolved on demand.
+    stored per orbit and resolved one file at a time.
 
-    ``values`` maps orbit keys (see ``_orbit_key``) to kept fractions;
-    ``kept(file, mask)`` finds the pair's orbit from the demand's
-    requester groups, and missing orbits keep nothing.  The uncoded
-    entry is the mask-0 fraction; per file the fractions sum to one, and
-    no kept fraction exceeds the placed fraction of its subset size.
-    Both are checked over the orbits when the plan is built.
+    ``y`` holds one kept fraction per y column of the demand shape's
+    ``_layout``, in column order: the pairs of one orbit are
+    interchangeable under the demand's symmetries and keep the same
+    fraction.  ``kept(file)`` expands one file's orbits over every mask.
+    The uncoded entry is the mask-0 fraction; per file the fractions sum
+    to one, and no kept fraction exceeds the placed fraction of its subset
+    size.  Both are checked over the orbits when the plan is built.
     """
 
     demand: DemandVector
     profile: PlacementProfile
-    values: dict[tuple, float]
+    y: np.ndarray
 
     def __post_init__(self):
-        files, ks, gmasks = _demand_groups(self.demand)
-        self._group = {n: i for i, n in enumerate(files)}
-        self._ks, self._gmasks = ks, gmasks
-        x = self.profile.fractions
-        # sorted sizes of the groups other than one of size k
-        rest = {k: tuple(sorted(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks)}
-        sums = dict.fromkeys(ks, 0.0)
-        for key, y in self.values.items():
-            k, a, others = key
-            try:
-                w = _orbit_weight(key) if rest.get(k) == tuple(kj for kj, _ in others) else 0
-            except ValueError:  # a negative count
-                w = 0
-            if not w:
-                raise ValueError(f"{key} is not an orbit of demand {self.demand.requests}")
-            s = a + sum(aj for _, aj in others)
-            cap = 1.0 if s == 0 else float(x[s])
-            if y < -PLAN_TOL or y > cap + 1e-7:
-                raise ValueError(f"kept fraction out of range for file {files[ks.index(k)]}, "
-                                 f"orbit {key}")
-            sums[k] += w * y
-        for k, total in sums.items():
+        files, ks = _demand_groups(self.demand)
+        lay = _layout(tuple(ks))
+        self.y = y = np.asarray(self.y, dtype=float)
+        if y.shape != lay.e_w.shape:
+            raise ValueError(f"demand {self.demand.requests} needs {lay.e_w.shape[0]} "
+                             f"kept fractions, got shape {y.shape}")
+        classes = sorted(set(ks))
+        owner = [files[ks.index(k)] for k in classes]  # a file of each class row
+        row = lay.e_at // lay.c.shape[0]  # class row of each y column
+        cap = np.array(self.profile.fractions, dtype=float)
+        cap[0] = 1.0
+        bad = np.flatnonzero((y < -PLAN_TOL) | (y > cap[lay.size[:y.shape[0]]] + 1e-7))
+        if bad.size:
+            raise ValueError(f"kept fraction out of range for file {owner[row[bad[0]]]}, "
+                             f"column {bad[0]}")
+        for n, total in zip(owner, np.bincount(row, lay.e_w * y).tolist()):
             if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"kept fractions for file {files[ks.index(k)]} sum to {total}, not 1")
+                raise ValueError(f"kept fractions for file {n} sum to {total}, not 1")
+        self._lay, self._ks = lay, ks
+        self._row = [classes.index(k) for k in ks]
+        self._group = {n: i for i, n in enumerate(files)}
+        self._bit_group = np.array([self._group[n] for n in self.demand.requests])
 
-    def kept(self, file: int, mask: int) -> float:
+    def kept(self, file: int) -> np.ndarray:
+        """The file's kept fractions over masks 0..2^K - 1 (zeros if unrequested),
+        read at its class representative's columns: swapping two groups of
+        equal size maps the orbits of one onto those of the other."""
         i = self._group.get(file)
         if i is None:
-            return 0.0
-        a = [(mask & g).bit_count() for g in self._gmasks]
-        return self.values.get(_orbit_key(self._ks, i, a), 0.0)
+            return np.zeros(1 << self.demand.K)
+        rep = self._ks.index(self._ks[i])
+        strides = self._lay.strides.copy()
+        strides[[i, rep]] = strides[[rep, i]]
+        comp = _mask_sums(strides[self._bit_group])
+        return self.y[self._lay.column[self._row[i], comp]]
+
+
+def _mask_sums(steps) -> np.ndarray:
+    """For every mask 0..2^len(steps) - 1, the sum of steps[b] over its set bits b."""
+    out = np.zeros(1 << len(steps), dtype=np.int64)
+    for b, step in enumerate(steps):
+        out[1 << b:2 << b] = out[:1 << b] + step
+    return out
 
 
 def rate_nonadaptive(p: PlacementProfile, L: int, K: int) -> float:
@@ -228,17 +207,10 @@ def _check_L_K(p: PlacementProfile, L: int, K: int):
 
 
 def _demand_groups(d: DemandVector):
-    """Distinct files with their requester masks, most-requested first."""
+    """Distinct files with their requester counts, most-requested first."""
     counts = Counter(d.requests)
     files = sorted(counts, key=lambda n: (-counts[n], n))
-    masks = []
-    for n in files:
-        m = 0
-        for k, r in enumerate(d.requests, start=1):
-            if r == n:
-                m |= 1 << (k - 1)
-        masks.append(m)
-    return files, [counts[n] for n in files], masks
+    return files, [counts[n] for n in files]
 
 
 @dataclass(frozen=True)
@@ -250,8 +222,9 @@ class _Layout:
     sorted orbit order.  Each y column has one nonzero in E, in its own
     group-size class row; epigraph row r reads y[a_y[r]] - z[a_z[r]] <= 0.
     Column j is capped at x[size[j]], with x[0] read as 1 (a z column
-    takes its members' cap).  A y column's orbit is that of requester
-    group ``group`` at composition ``comp``.  All arrays are read-only.
+    takes its members' cap).  ``column[r, i]`` is the y column of class
+    row r's first group at composition i, which is sum(a * strides) for
+    counts a.  All arrays are read-only.
     """
 
     c: np.ndarray
@@ -261,8 +234,8 @@ class _Layout:
     e_w: np.ndarray
     a_y: np.ndarray
     a_z: np.ndarray
-    group: np.ndarray
-    comp: np.ndarray
+    column: np.ndarray
+    strides: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,11 +244,11 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
 
     A composition a counts a subset's members in each group; compositions
     run in lexicographic order.  Group i's kept fraction at a lies in the
-    orbit keyed by (k_i, a_i, sorted pairs of a), which is ``_orbit_key``
-    with (k_i, a_i) put back among the others; a message orbit is keyed by
-    the sorted pairs alone.  A pair (k, a) is coded as k * (K + 1) + a, so
-    sorting codes sorts pairs.  The cache holds at most one layout per
-    partition of each K up to the enumeration cap (271 in all).
+    orbit keyed by (k_i, a_i) and the sorted pairs of a; a message orbit
+    is keyed by the sorted pairs alone.  A pair (k, a) is coded as
+    k * (K + 1) + a, so sorting codes sorts pairs.  The cache holds at
+    most one layout per partition of each K up to the enumeration cap
+    (271 in all).
     """
     L, K = len(ks), sum(ks)
     k_arr = np.array(ks)
@@ -329,8 +302,8 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
         e_w=np.bincount(column, weights=np.tile(weight, len(classes)), minlength=n_y),
         a_y=members[keep],
         a_z=n_y + np.repeat(np.arange(zs.shape[0]), keep.sum(axis=1)),
-        group=reps[row].astype(np.int8),
-        comp=comps[comp].astype(np.int8),
+        column=column.reshape(len(classes), ncomp),
+        strides=strides,
     )
     for arr in vars(layout).values():
         if isinstance(arr, np.ndarray):
@@ -376,13 +349,10 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
     if sol.status != "optimal":
         raise LpNumericalError(f"adaptive plan LP ended with status {sol.status}")
 
-    # orbits capped at 0 keep nothing, which ``kept`` reads from their absence
-    y = sol.assignment
-    live = np.flatnonzero(hi[:lay.group.shape[0]] > 0)
-    values = {_orbit_key(ks, i, a): min(max(float(y[j]), 0.0), float(hi[j]))
-              for j, i, a in zip(live.tolist(), lay.group[live].tolist(),
-                                 lay.comp[live].tolist())}
-    return TransferPlan(demand=d, profile=p, values=values), float(sol.value)
+    # clipped into [0, cap]: orbits capped at 0 keep exactly nothing
+    n_y = lay.e_w.shape[0]
+    y = np.minimum(np.maximum(sol.assignment[:n_y], 0.0), hi[:n_y])
+    return TransferPlan(demand=d, profile=p, y=y), float(sol.value)
 
 
 # --- bit-level realization -------------------------------------------------
@@ -408,8 +378,9 @@ class MessageSchedule:
 
 
 def _plan_accessor(plan, d: DemandVector, K: int):
-    """kept(file, mask) of a TransferPlan, or of a per-size plan such as a
-    SimplifiedPlan or PlacementProfile (one fraction per subset size)."""
+    """kept(file) of a TransferPlan, or of a per-size plan such as a
+    SimplifiedPlan or PlacementProfile (one fraction per subset size):
+    the file's kept fractions over masks 0..2^K - 1."""
     if isinstance(plan, TransferPlan):
         if plan.demand.requests != d.requests:
             raise ValueError("transfer plan was built for a different demand vector")
@@ -417,11 +388,8 @@ def _plan_accessor(plan, d: DemandVector, K: int):
     y = np.asarray(plan.fractions, dtype=float)
     if y.shape[0] != K + 1:
         raise ValueError("per-size plan needs one fraction per subset size 0..K")
-
-    def kept(file: int, mask: int) -> float:
-        return float(y[mask.bit_count()])
-
-    return kept
+    by_mask = y[_mask_sums([1] * K)]
+    return lambda file: by_mask
 
 
 def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
@@ -445,7 +413,7 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     kept_idx: dict[tuple[int, int], np.ndarray] = {}
     uncoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for n in files:
-        plan_targets = np.array([kept_of(n, m) * F for m in masks])
+        plan_targets = kept_of(n) * F
         pieces = pm.pieces(n)
         caps = np.array([F if m == 0 else p.shape[0] for m, p in zip(masks, pieces)],
                         dtype=np.int64)

@@ -203,15 +203,6 @@ def conditional_pmf(k: int, current: DemandVector, model: CorrelationModel) -> n
     return out
 
 
-@dataclass
-class ChainState:
-    """One Gibbs chain: the current demand vector, its rng, and the trace."""
-
-    current: DemandVector
-    rng: np.random.Generator
-    history: list = field(default_factory=list)
-
-
 def _draw_index(pmf: np.ndarray, u: float) -> int:
     """Inverse-CDF draw of a 1-based file index from the uniform u in [0, 1)."""
     cdf = np.cumsum(pmf)
@@ -275,18 +266,13 @@ def _conditional_index(k: int, requests: list, model: CorrelationModel, u: float
     return _draw_index(conditional_pmf(k, DemandVector(tuple(requests)), model), u)
 
 
-def init_chain(model: CorrelationModel, rng: np.random.Generator) -> ChainState:
-    """Start a chain with independent draws from the base popularity."""
-    start = DemandVector(tuple(_base_index(model._cdf, u) for u in rng.random(model.K).tolist()))
-    return ChainState(current=start, rng=rng, history=[start])
-
-
-def gibbs_sweep(state: ChainState, model: CorrelationModel) -> ChainState:
+def gibbs_sweep(current: DemandVector, model: CorrelationModel,
+                rng: np.random.Generator) -> DemandVector:
     """Resample every cache once, in ascending index order.
 
     Each cache draws from its conditional given the latest values of all
     other coordinates, so updates within a sweep see the sweep's earlier
-    redraws. The new demand vector is appended to the history.
+    redraws. Returns the new demand vector.
 
     The sweep takes its K uniforms in one rng.random(K) call, which on
     PCG64 yields the same numbers as K scalar calls, one per cache in
@@ -297,12 +283,10 @@ def gibbs_sweep(state: ChainState, model: CorrelationModel) -> ChainState:
     the exact path, conditional_pmf plus np.cumsum, with the same uniform.
     So every sampled request equals the exact path's, bit for bit.
     """
-    requests = list(state.current.requests)
-    for k, u in enumerate(state.rng.random(model.K).tolist(), start=1):
+    requests = list(current.requests)
+    for k, u in enumerate(rng.random(model.K).tolist(), start=1):
         requests[k - 1] = _conditional_index(k, requests, model, u)
-    state.current = DemandVector(tuple(requests))
-    state.history.append(state.current)
-    return state
+    return DemandVector(tuple(requests))
 
 
 def sample_demands(model: CorrelationModel, count: int, burn_in: int, seed) -> list:
@@ -320,10 +304,15 @@ def sample_demands(model: CorrelationModel, count: int, burn_in: int, seed) -> l
         raise ValueError("burn_in must be nonnegative")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    state = init_chain(model, np.random.default_rng(seed))
-    for _ in range(burn_in + count):
-        gibbs_sweep(state, model)
-    return state.history[-count:]
+    rng = np.random.default_rng(seed)
+    current = DemandVector(tuple(_base_index(model._cdf, u) for u in rng.random(model.K).tolist()))
+    for _ in range(burn_in):
+        current = gibbs_sweep(current, model, rng)
+    samples = []
+    for _ in range(count):
+        current = gibbs_sweep(current, model, rng)
+        samples.append(current)
+    return samples
 
 
 def sample_chains(model: CorrelationModel, chains: int, count: int, burn_in: int, seed) -> list:

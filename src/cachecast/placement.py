@@ -30,7 +30,6 @@ import numpy as np
 from .core import SystemConfig, binomial
 from .lp import LinearProgram, LpNumericalError, solve
 
-PROFILE_TOL = 1e-9
 SUBSET_ENUM_CAP = 12  # bit-level work enumerates all 2^K subsets; masks fit uint16
 
 
@@ -51,23 +50,6 @@ class PlacementProfile:
     @property
     def K(self) -> int:
         return self.fractions.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class ProfileCheck:
-    """Residuals of the three placement constraints, plus verdicts."""
-
-    partition_residual: float
-    capacity_used: float
-    capacity_excess: float
-    min_fraction: float
-    partition_ok: bool
-    capacity_ok: bool
-    nonnegative_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.partition_ok and self.capacity_ok and self.nonnegative_ok
 
 
 def centralized_profile(K: int, m_ratio: float) -> PlacementProfile:
@@ -127,28 +109,6 @@ def solve_placement_lp(K: int, m_ratio: float) -> PlacementProfile:
     if sol.status != "optimal":
         raise LpNumericalError(f"placement LP ended with status {sol.status}")
     return PlacementProfile(sol.assignment, "lp")
-
-
-def validate_profile(p: PlacementProfile, K: int, m_ratio: float) -> ProfileCheck:
-    """Check partition, capacity and nonnegativity; returns residuals."""
-    if p.K != K:
-        raise ValueError("profile length disagrees with K")
-    x = p.fractions
-    weights = np.array([float(binomial(K, s)) for s in range(K + 1)])
-    cap_w = np.array([float(binomial(K - 1, s - 1)) if s >= 1 else 0.0 for s in range(K + 1)])
-    partition_residual = abs(float(weights @ x) - 1.0)
-    capacity_used = float(cap_w @ x)
-    capacity_excess = max(0.0, capacity_used - m_ratio)
-    min_fraction = float(np.min(x))
-    return ProfileCheck(
-        partition_residual=partition_residual,
-        capacity_used=capacity_used,
-        capacity_excess=capacity_excess,
-        min_fraction=min_fraction,
-        partition_ok=partition_residual <= PROFILE_TOL,
-        capacity_ok=capacity_excess <= PROFILE_TOL,
-        nonnegative_ok=min_fraction >= -PROFILE_TOL,
-    )
 
 
 def apportion(targets: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:

@@ -239,6 +239,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(["rate", "--config", str(conf)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(w in err for w in where), err
+    # a scheme listed twice, and demands given together with a pattern
+    assert main(["verify", "--K", "2", "--N", "4", "--m-ratio", "0.5", "--F", "100",
+                 "--delivery", "adaptive,adaptive"]) == 1
+    assert "delivery: scheme adaptive listed twice" in capsys.readouterr().err
+    for command in ("rate", "bound"):
+        assert main([command, "--K", "3", "--m-ratio", "0.2", "--demands", "1,1,2",
+                     "--pattern", "1,1,1"]) == 1
+        assert "pattern: give demands or pattern, not both" in capsys.readouterr().err
+
+
+def test_simulate_rejects_too_few_caches_or_samples(tmp_path, capsys):
+    prefix = str(tmp_path / "sim")
+    for flags, field in ((["--K", "1", "--N", "5"], "K: simulate"),
+                         (["--K", "3", "--chains", "2", "--samples", "1"], "samples: simulate")):
+        assert main(["simulate", *flags, "--m-ratio", "0.2", "--out", prefix]) == 1
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exits_two(tmp_path, monkeypatch):
@@ -269,6 +286,25 @@ def test_verify_defaults_to_twenty_spot_checks(tmp_path):
     lines = report.read_text().strip().split("\n")
     assert lines[-1] == "PASS"
     assert len(lines) == 20 * 3 + 1  # 20 demands x 3 schemes, then the verdict
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--K", "6", "--N", "10", "--m-ratio", "0.35", "--F", "500",
+      "--placement", "centralized", "--seed", "0"],
+     "754eb68c11fe7c56ea8401c6553e1677f46ef735b79aefbf81620cf80951f425"),
+    (["--K", "5", "--N", "8", "--m-ratio", "0.3", "--F", "20", "--placement", "lp", "--seed", "1"],
+     "9e9e55a5401580b948b7d2c5ae0ac6830c02b52506fe14988cc9e40fea3e4e4d"),
+    (["--K", "4", "--N", "6", "--m-ratio", "0.3", "--F", "3",
+      "--placement", "decentralized", "--seed", "2"],
+     "cf7c2fc9cd3eea0464d905cb62311b790d5168e4c90a9a44e7ab169ca4d48268"),
+], ids=["centralized", "lp", "decentralized"])
+def test_verify_bytes_are_pinned(tmp_path, flags, digest):
+    # Twenty demands under all three schemes per placement, with F from
+    # well above 2^K down to F < 2^K. The digests were recorded at commit
+    # 8f8e186, so a plan or schedule change that moves one symbol fails here.
+    report = tmp_path / "verify.txt"
+    assert main(["verify", *flags, "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_verify_requires_symbol_count(capsys):

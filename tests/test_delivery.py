@@ -30,7 +30,6 @@ from cachecast.delivery import (
     simplified_plan,
     transfer_cutoff,
     _demand_groups,
-    _orbit_key,
     _plan_accessor,
 )
 from cachecast.lp import LinearProgram, LpNumericalError, solve
@@ -52,7 +51,7 @@ def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
     if p.K != K:
         raise ValueError("profile length disagrees with demand length")
     x = np.maximum(np.asarray(p.fractions, dtype=float), 0.0)
-    files, _, _ = _demand_groups(d)
+    files, _ = _demand_groups(d)
     L = len(files)
     file_of = {n: i for i, n in enumerate(files)}
     nmask = 1 << K
@@ -111,14 +110,14 @@ def full_adaptive_lp(p: PlacementProfile, d: DemandVector):
     K = d.K
     x = np.maximum(np.asarray(p.fractions, dtype=float), 0.0)
 
-    _, ks, _ = _demand_groups(d)
+    _, ks = _demand_groups(d)
     L = len(ks)
 
     var_index: dict[tuple, int] = {}
     var_hi: list[float] = []
 
     def var_id(i, a, size):
-        key = _orbit_key(ks, i, a)
+        key = reference_orbit_key(ks, i, a)
         idx = var_index.get(key)
         if idx is None:
             idx = len(var_index)
@@ -203,38 +202,36 @@ def _composition_weight(ks, a) -> float:
 
 
 def reference_orbit_key(ks, i, a) -> tuple:
-    """Orbit of group i's kept fraction at composition a, written out here
-    rather than taken from ``delivery._orbit_key``."""
+    """Orbit of group i's kept fraction at composition a: (own group size,
+    own count, sorted multiset of the other groups' (size, count) pairs)."""
     others = sorted((ks[j], a[j]) for j in range(len(ks)) if j != i)
     return (ks[i], a[i], tuple(others))
 
 
-def eager_fractions(plan: TransferPlan) -> dict:
-    """Every (file, mask) kept fraction of an adaptive plan, expanded eagerly.
+def eager_fractions(prof: PlacementProfile, d: DemandVector) -> dict:
+    """Every (file, mask) kept fraction of the adaptive plan, expanded eagerly.
 
-    The reference for the lazy ``kept``, written out pair by pair: the
-    mask's composition over the requester groups, its orbit key (by
-    ``reference_orbit_key``), and the orbit value clipped to
-    the pair's cap.  An orbit absent from the plan reads as 0, and only
-    after asserting that its cap is 0.
+    The reference for the lazy ``kept``, written out pair by pair from the
+    full builder's solution: the mask's composition over the requester
+    groups, its orbit key (by ``reference_orbit_key``), and the value of
+    that orbit's column clipped to the pair's cap.  A pair capped at 0
+    keeps exactly nothing.
     """
-    d = plan.demand
-    files, ks, gmasks = _demand_groups(d)
-    L = len(files)
-    x = np.maximum(np.asarray(plan.profile.fractions, dtype=float), 0.0)
+    ref, var_index = full_adaptive_lp(prof, d)
+    y = solve(ref).assignment
+    files, ks = _demand_groups(d)
+    gmasks = [sum(1 << k for k, r in enumerate(d.requests) if r == n) for n in files]
+    x = np.maximum(np.asarray(prof.fractions, dtype=float), 0.0)
 
     fractions = {}
     for gi, file in enumerate(files):
         for mask in range(1 << d.K):
-            a = tuple((mask & gmasks[j]).bit_count() for j in range(L))
+            a = tuple((mask & g).bit_count() for g in gmasks)
             size = mask.bit_count()
             cap = 1.0 if size == 0 else float(x[size])
-            key = reference_orbit_key(ks, gi, a)
-            if key not in plan.values:
-                # only an orbit that can keep nothing may be left out
-                assert cap == 0.0, (file, mask, key)
-            y = plan.values.get(key, 0.0)
-            fractions[(file, mask)] = min(max(y, 0.0), cap)
+            kept = min(max(float(y[var_index[reference_orbit_key(ks, gi, a)]]), 0.0), cap)
+            assert cap > 0.0 or kept == 0.0, (file, mask)
+            fractions[(file, mask)] = kept
     return fractions
 
 
@@ -414,10 +411,11 @@ def test_lazy_plan_matches_eager_expansion():
                         reqs = [f + 10 for f in canonical_demand(pattern).requests]
                         d = DemandVector(tuple(reqs[i] for i in rng.permutation(K)))
                         plan, rate = adaptive_plan(prof, d)
-                        eager = eager_fractions(plan)
+                        eager = eager_fractions(prof, d)
                         where = (K, m, maker.__name__, pattern.counts)
+                        kept = {file: plan.kept(file) for file in set(d.requests)}
                         for (file, mask), y in eager.items():
-                            assert plan.kept(file, mask) == y, (where, file, mask)
+                            assert kept[file][mask] == y, (where, file, mask)  # bit for bit
                             cap = 1.0 if mask == 0 else float(x[mask.bit_count()])
                             assert -1e-9 <= y <= cap + 1e-7, (where, file, mask)
                         for file in set(d.requests):
@@ -458,8 +456,8 @@ def check_against_full_lp(seen, prof, d):
     assert rate == ref_sol.value  # bit-equal
     assert np.array_equal(sol.assignment, ref_sol.assignment)
     y = ref_sol.assignment
-    assert plan.values == {key: min(max(float(y[j]), 0.0), float(ref.hi[j]))
-                           for key, j in var_index.items() if ref.hi[j] > 0}
+    clipped = [min(max(float(y[j]), 0.0), float(ref.hi[j])) for j in range(len(var_index))]
+    assert plan.y.tolist() == clipped
 
 
 @pytest.mark.parametrize("K", range(1, 9))
@@ -481,26 +479,6 @@ def test_adaptive_lp_equals_full_build_at_the_cap(monkeypatch):
     assert len(patterns) == 77
     for pattern in patterns:
         check_against_full_lp(seen, prof, canonical_demand(pattern))
-
-
-def test_plan_keeps_exactly_the_orbits_with_positive_cap():
-    rng = np.random.default_rng(11)
-    for K in range(1, 8):
-        for m in (0.0, 0.3, 1.0):
-            for maker in (centralized_profile, decentralized_profile):
-                prof = maker(K, m)
-                x = np.maximum(prof.fractions, 0.0)
-                for L in range(1, K + 1):
-                    for pattern in partitions_into_parts(K, L):
-                        reqs = canonical_demand(pattern).requests
-                        d = DemandVector(tuple(reqs[i] for i in rng.permutation(K)))
-                        plan, _ = adaptive_plan(prof, d)
-                        _, ks, gmasks = _demand_groups(d)
-                        positive = {reference_orbit_key(ks, i, [(mask & g).bit_count()
-                                                                for g in gmasks])
-                                    for i in range(L) for mask in range(1 << K)
-                                    if mask == 0 or x[mask.bit_count()] > 0}
-                        assert set(plan.values) == positive, (K, m, maker.__name__, d)
 
 
 def _random_symmetric_profile(K, weights):
@@ -538,34 +516,33 @@ def test_transfer_plan_validation():
     prof = centralized_profile(3, 1 / 3)
     d = DemandVector((1, 1, 2))  # file 1 by a group of two, file 2 by one cache
     x1 = float(prof.fractions[1])
-    # orbit keys: (own group size, own count, other groups' (size, count) pairs);
-    # each file keeps its three singleton subsets whole and nothing else
-    good = {
-        (2, 0, ((1, 0),)): 0.0, (2, 1, ((1, 0),)): x1, (2, 0, ((1, 1),)): x1,
-        (1, 0, ((2, 0),)): 0.0, (1, 1, ((2, 0),)): x1, (1, 0, ((2, 1),)): x1,
-    }
-    plan = TransferPlan(demand=d, profile=prof, values=dict(good))
-    assert plan.kept(1, 0b001) == plan.kept(1, 0b010) == plan.kept(1, 0b100) == x1
-    assert plan.kept(2, 0b001) == plan.kept(2, 0b010) == plan.kept(2, 0b100) == x1
-    assert plan.kept(1, 0) == 0.0
-    assert plan.kept(2, 0b011) == 0.0  # orbit absent from values
-    assert plan.kept(3, 0b001) == 0.0  # file nobody requested
+    # each file keeps its three singleton subsets whole and nothing else;
+    # orbit keys: (own group size, own count, other groups' (size, count) pairs)
+    col = full_adaptive_lp(prof, d)[1]
+    good = np.zeros(len(col))
+    for key in ((2, 1, ((1, 0),)), (2, 0, ((1, 1),)), (1, 1, ((2, 0),)), (1, 0, ((2, 1),))):
+        good[col[key]] = x1
+    plan = TransferPlan(demand=d, profile=prof, y=good)
+    kept1, kept2 = plan.kept(1), plan.kept(2)
+    assert kept1[0b001] == kept1[0b010] == kept1[0b100] == x1
+    assert kept2[0b001] == kept2[0b010] == kept2[0b100] == x1
+    assert kept1[0] == 0.0
+    assert kept2[0b011] == 0.0
+    assert not plan.kept(3).any() and plan.kept(3).shape == (8,)  # file nobody requested
 
-    bad_sum = dict(good)
-    bad_sum[(2, 1, ((1, 0),))] = 0.0  # file 1 no longer sums to 1
-    with pytest.raises(ValueError, match="sum to"):
-        TransferPlan(demand=d, profile=prof, values=bad_sum)
+    with pytest.raises(ValueError, match=f"needs {len(col)} kept fractions"):
+        TransferPlan(demand=d, profile=prof, y=good[:-1])
 
-    over_cap = dict(good)
-    over_cap[(1, 1, ((2, 0),))] = x1 + 0.5  # mask 0b100 of file 2
-    over_cap[(1, 0, ((2, 1),))] = x1 - 0.25  # masks 0b001 and 0b010 of file 2
-    with pytest.raises(ValueError, match="out of range"):
-        TransferPlan(demand=d, profile=prof, values=over_cap)
+    bad_sum = good.copy()
+    bad_sum[col[(2, 1, ((1, 0),))]] = 0.0  # file 1 no longer sums to 1
+    with pytest.raises(ValueError, match="file 1 sum to"):
+        TransferPlan(demand=d, profile=prof, y=bad_sum)
 
-    foreign = dict(good)
-    foreign[(3, 1, ((1, 0),))] = 0.0  # no group of three requesters
-    with pytest.raises(ValueError, match="not an orbit"):
-        TransferPlan(demand=d, profile=prof, values=foreign)
+    over_cap = good.copy()
+    over_cap[col[(1, 1, ((2, 0),))]] = x1 + 0.5  # mask 0b100 of file 2
+    over_cap[col[(1, 0, ((2, 1),))]] = x1 - 0.25  # masks 0b001 and 0b010 of file 2
+    with pytest.raises(ValueError, match="out of range for file 2"):
+        TransferPlan(demand=d, profile=prof, y=over_cap)
 
 
 def roundtrip(pm, plan, d):

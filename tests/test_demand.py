@@ -20,7 +20,6 @@ from cachecast.demand import (
     empirical_stats,
     epsr,
     gibbs_sweep,
-    init_chain,
     load_edge_list,
     mean_request_index,
     sample_chains,
@@ -230,13 +229,16 @@ def test_redundancy_grows_with_copy_probability():
 
 def test_chain_bookkeeping():
     model = uniform_model(3, 10, 0.5)
-    state = init_chain(model, np.random.default_rng(0))
-    assert len(state.history) == 1
-    gibbs_sweep(state, model)
-    gibbs_sweep(state, model)
-    assert len(state.history) == 3
-    assert state.history[-1] == state.current
-    assert all(1 <= f <= 10 for d in state.history for f in d.requests)
+    start = DemandVector((1, 2, 3))
+    after = gibbs_sweep(start, model, np.random.default_rng(0))
+    assert start.requests == (1, 2, 3) and after.K == 3
+    assert all(1 <= f <= 10 for f in after.requests)
+    # one sweep per sample after the burn-in: a shorter burn-in returns
+    # the same chain's earlier sweeps, and the count is exact
+    chain = sample_demands(model, count=7, burn_in=0, seed=1)
+    assert len(chain) == 7
+    assert sample_demands(model, count=5, burn_in=2, seed=1) == chain[2:]
+    assert sample_demands(model, count=1, burn_in=6, seed=1) == chain[6:]
 
     with pytest.raises(ValueError):
         sample_demands(model, count=0, burn_in=5, seed=1)

@@ -1,5 +1,7 @@
 """Placement profiles, the placement LP, and bit-level materialization."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +13,46 @@ from cachecast.placement import (
     decentralized_profile,
     materialize_partition,
     solve_placement_lp,
-    validate_profile,
 )
 
 PLACEMENTS = (centralized_profile, decentralized_profile, solve_placement_lp)
+PROFILE_TOL = 1e-9
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class ProfileCheck:
+    """Residuals of the three placement constraints, plus verdicts."""
+
+    partition_residual: float
+    capacity_used: float
+    capacity_excess: float
+    min_fraction: float
+    partition_ok: bool
+    capacity_ok: bool
+    nonnegative_ok: bool
+
+
+def validate_profile(p, K: int, m_ratio: float) -> ProfileCheck:
+    """Check partition, capacity and nonnegativity; returns residuals."""
+    if p.K != K:
+        raise ValueError("profile length disagrees with K")
+    x = p.fractions
+    weights = np.array([float(binomial(K, s)) for s in range(K + 1)])
+    cap_w = np.array([float(binomial(K - 1, s - 1)) if s >= 1 else 0.0 for s in range(K + 1)])
+    partition_residual = abs(float(weights @ x) - 1.0)
+    capacity_used = float(cap_w @ x)
+    capacity_excess = max(0.0, capacity_used - m_ratio)
+    min_fraction = float(np.min(x))
+    return ProfileCheck(
+        partition_residual=partition_residual,
+        capacity_used=capacity_used,
+        capacity_excess=capacity_excess,
+        min_fraction=min_fraction,
+        partition_ok=partition_residual <= PROFILE_TOL,
+        capacity_ok=capacity_excess <= PROFILE_TOL,
+        nonnegative_ok=min_fraction >= -PROFILE_TOL,
+    )
 
 
 def eager_pieces(config: SystemConfig, p, seed: int) -> list[dict]:
