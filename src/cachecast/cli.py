@@ -360,7 +360,9 @@ def _run_simulate(cfg: ScenarioConfig):
 
     stats = empirical_stats(samples)
     if cfg.chains >= 2:
-        rhat = epsr(np.array([mean_request_index(chain) for chain in chain_samples]))
+        stat = np.array([mean_request_index(chain) for chain in chain_samples])
+        # chains that each hold one value (e.g. at consensus) leave R-hat undefined
+        rhat = epsr(stat) if np.ptp(stat, axis=1).any() else float("nan")
         print(f"epsr: {rhat:.6g}", file=sys.stderr)
     stats_path = _emit_csv(f"{prefix}_stats.csv",
                            ("r", "theta", "rho_max", "rho_avg", "L_avg"),

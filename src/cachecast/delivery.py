@@ -51,6 +51,7 @@ displaced symbols join the uncoded part.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -398,7 +399,11 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     Kept counts are the plan fractions times F, rounded by largest
     remainder across each file's subsets (capped by the piece sizes) so
     the per-file totals stay exactly F; displaced symbols append to the
-    uncoded part, which ships once per distinct file.
+    uncoded part, which ships once per distinct file.  The payloads are
+    views into one buffer, laid out widest message first: member position
+    s of the messages that have one then covers a prefix of the buffer,
+    so each position is one XOR of its members' values, zero-padded to
+    their messages' lengths.
     """
     cfg = pm.config
     K, F = cfg.K, cfg.F
@@ -407,46 +412,40 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     if any(r > cfg.N for r in d.requests):
         raise ValueError("demand requests a file beyond the library")
     kept_of = _plan_accessor(plan, d, K)
-    files = _demand_groups(d)[0]
 
-    masks = list(range(1 << K))
-    kept_idx: dict[tuple[int, int], np.ndarray] = {}
+    kept: dict[int, list] = {}  # file -> per mask, (kept symbol indices, their values)
     uncoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for n in files:
-        plan_targets = kept_of(n) * F
+    for n in _demand_groups(d)[0]:
         pieces = pm.pieces(n)
-        caps = np.array([F if m == 0 else p.shape[0] for m, p in zip(masks, pieces)],
-                        dtype=np.int64)
-        counts = apportion(plan_targets, F, caps)
-        tails = [pieces[0]]
-        for m in masks[1:]:
-            cnt = int(counts[m])
-            kept_idx[(n, m)] = pieces[m][:cnt]
-            if cnt < pieces[m].shape[0]:
-                tails.append(pieces[m][cnt:])
-        idx = np.concatenate(tails)
+        sizes = [len(p) for p in pieces]
+        counts = apportion(kept_of(n) * F, F, np.array([F] + sizes[1:])).tolist()
+        values = pm.data[n - 1][np.concatenate(pieces)]
+        kept[n] = [(p[:c], values[s:s + c]) for p, c, s in
+                   zip(pieces, counts, itertools.accumulate(sizes, initial=0))]
+        idx = np.concatenate([pieces[0]] + [p[c:] for p, c in zip(pieces[1:], counts[1:])])
         uncoded[n] = (pm.data[n - 1][idx], idx)
 
-    coded: dict[int, Message] = {}
-    for mask in masks:
-        if mask.bit_count() < 2:
+    members = [(1 << (k - 1), k, n) for k, n in enumerate(d.requests, start=1)]
+    zero = np.zeros(F, dtype=np.uint8)
+    positions = [[] for _ in range(K)]  # per member position: values and padding
+    layout = {}
+    at = 0
+    for mask in sorted(range(3, 1 << K), key=int.bit_count, reverse=True):
+        sub = [(k, n, kept[n][mask & ~bit]) for bit, k, n in members if mask & bit]
+        plen = max(len(v) for _, _, (_, v) in sub)
+        if len(sub) < 2 or plen == 0:
             continue
-        parts = []
-        plen = 0
-        for k in range(1, K + 1):
-            bit = 1 << (k - 1)
-            if not mask & bit:
-                continue
-            n = d.requests[k - 1]
-            idx = kept_idx[(n, mask & ~bit)]
-            parts.append((k, n, idx))
-            plen = max(plen, idx.shape[0])
-        if plen == 0:
-            continue
-        payload = np.zeros(plen, dtype=np.uint8)
-        for _, n, idx in parts:
-            payload[:idx.shape[0]] ^= pm.data[n - 1][idx]
-        coded[mask] = Message(mask=mask, payload=payload, parts=parts)
+        for position, (_, _, (_, v)) in zip(positions, sub):
+            position += (v, zero[:plen - len(v)])
+        layout[mask] = ([(k, n, idx) for k, n, (idx, _) in sub], at, plen)
+        at += plen
+    buf = np.concatenate(positions[0] or [zero[:0]])
+    for position in positions[1:]:
+        if position:
+            prefix = np.concatenate(position)
+            buf[:len(prefix)] ^= prefix
+    coded = {mask: Message(mask=mask, payload=buf[a:a + plen], parts=parts)
+             for mask, (parts, a, plen) in sorted(layout.items())}
     return MessageSchedule(demand=d, F=F, coded=coded, uncoded=uncoded)
 
 
@@ -461,58 +460,130 @@ def decode(cache: int, cached, schedule: MessageSchedule, d: DemandVector) -> np
     """Reconstruct cache's requested file from storage plus the schedule.
 
     ``cached`` is the PartitionMap.cache_view of this cache over at least
-    the demanded files.  Raises
-    DecodeError on missing side information, conflicting fills, or
-    coverage gaps.
+    the files the schedule names.  The cache starts from what it stores of
+    its file, fills in the file's uncoded part, then takes the coded
+    messages that include it in schedule order: every other part of a
+    message must be stored here, and XORing them out of the payload
+    recovers the cache's own part.  Raises DecodeError on the first
+    failure in that order, parts in list order within a message:
+
+    * "schedule part disagrees with the demand": the cache's own part
+      names a file it did not request;
+    * "cache k lacks side information for message m": another part names
+      a symbol the cache does not store;
+    * "conflicting reconstruction at symbol i": the uncoded part, or a
+      message's recovered part (checked after all of that message's
+      parts), disagrees with what is already known of symbol i, stored or
+      filled earlier; within one fill a repeated symbol takes its last
+      value;
+    * "coverage gap at symbol i": all else passed, and i is the lowest
+      symbol still unknown.
+
+    The parts are checked and XORed a few array operations per stored
+    file, and all fills are written and compared at once; the symbol of a
+    conflict is searched fill by fill only once some filled symbol
+    disagrees.  A part longer than its message's payload raises
+    ValueError before any of these checks.
     """
     if not 1 <= cache <= d.K:
         raise ValueError("cache index out of range")
     want = d.requests[cache - 1]
     F = schedule.F
-    recon = np.zeros(F, dtype=np.uint8)
-    have = np.zeros(F, dtype=bool)
+    held, known = cached[want]
 
-    def fill(indices, values):
-        seen = have[indices]
-        if np.any(seen):
-            clash = recon[indices[seen]] != values[seen]
-            if np.any(clash):
-                where = int(indices[seen][np.argmax(clash)])
-                raise DecodeError(f"conflicting reconstruction at symbol {where}")
-        recon[indices] = values
-        have[indices] = True
+    # the parts of this cache's messages in (message, part) order: a failed
+    # check is placed at its part's index there, a fill after its message
+    msgs = [(mask, msg) for mask, msg in schedule.coded.items() if mask >> (cache - 1) & 1]
+    parts = [part for _, msg in msgs for part in msg.parts]
+    count = np.array([len(msg.parts) for _, msg in msgs], dtype=np.int64)
+    plen = np.array([len(msg.payload) for _, msg in msgs], dtype=np.int64)
+    member = np.array([k for k, _, _ in parts], dtype=np.int64)
+    files = [f for _, f, _ in parts]
+    file = np.array(files, dtype=np.int64)
+    n = np.array([len(idx) for _, _, idx in parts], dtype=np.int64)
+    of = np.repeat(np.arange(len(msgs)), count)  # message of each part
+    at = np.cumsum(plen) - plen  # payload offsets in buf
+    if np.any(n > plen[of]):
+        raise ValueError("a message part is longer than its payload")
 
-    held, vals = cached[want]
-    recon[held] = vals[held]
-    have |= held
+    errors = []  # (place in the order, text)
+    own = member == cache
+    bad = np.flatnonzero(own & (file != want))
+    if bad.size:
+        errors.append((bad[0], "schedule part disagrees with the demand"))
 
+    buf = np.concatenate([msg.payload for _, msg in msgs] + [np.zeros(0, np.uint8)])
+    side = ~own & (n > 0)
+    if side.any():
+        # a part's slot is its ordinal among its message's other parts, so
+        # each part XORs into cells of its own in a slot-by-payload grid;
+        # the parts are gathered one stored file at a time
+        before = np.cumsum(side) - side
+        slot = before - before[(np.cumsum(count) - count)[of]]
+        width = len(buf)
+        cell = slot * width + at[of]
+        grid = np.zeros((slot[side].max() + 1) * width, dtype=np.uint8)
+        other = np.flatnonzero(side)
+        lacking = []
+        for name in sorted({files[i] for i in other.tolist()}):
+            sel = other[file[other] == name]
+            fheld, fknown = cached[name]
+            ln = n[sel]
+            src = np.concatenate([parts[i][2] for i in sel.tolist()])
+            ok = fheld[src]
+            if not ok.all():
+                lacking.append(sel[np.searchsorted(np.cumsum(ln), np.argmin(ok), side="right")])
+            dest = np.repeat(cell[sel] - (np.cumsum(ln) - ln), ln)
+            dest += np.arange(len(src))
+            grid[dest] = fknown[src]
+        buf ^= np.bitwise_xor.reduce(grid.reshape(-1, width), axis=0)
+        if lacking:
+            i = min(lacking)
+            errors.append((i, f"cache {cache} lacks side information for message {msgs[of[i]][0]}"))
+
+    fills = []  # (place in the order, indices, values)
     if want in schedule.uncoded:
         payload, idx = schedule.uncoded[want]
-        fill(idx, payload)
-
-    bit = 1 << (cache - 1)
-    for mask, msg in schedule.coded.items():
-        if not mask & bit:
-            continue
-        mine = None
-        interference = np.zeros(msg.payload.shape[0], dtype=np.uint8)
-        for k, file, idx in msg.parts:
-            if k == cache:
-                if file != want:
-                    raise DecodeError("schedule part disagrees with the demand")
-                mine = idx
-                continue
-            fheld, fvals = cached[file]
-            if not np.all(fheld[idx]):
-                raise DecodeError(
-                    f"cache {cache} lacks side information for message {mask}")
-            interference[:idx.shape[0]] ^= fvals[idx]
-        if mine is None or mine.shape[0] == 0:
-            continue
-        recovered = (msg.payload ^ interference)[:mine.shape[0]]
-        fill(mine, recovered)
-
-    if not np.all(have):
-        missing = int(np.argmin(have))
-        raise DecodeError(f"coverage gap at symbol {missing}")
+        fills.append((-1, idx, payload))
+    mine = np.flatnonzero(own)
+    mine = mine[np.append(of[mine][1:], -1) != of[mine]]  # a message's last own part
+    mine = mine[n[mine] > 0]
+    after = (np.cumsum(count) - 0.5).tolist()  # just after a message's last part
+    fills += [(after[j], parts[i][2], buf[a:a + m]) for i, j, a, m in
+              zip(mine.tolist(), of[mine].tolist(), at[of[mine]].tolist(), n[mine].tolist())]
+    # a symbol left unknown ends in a coverage gap, so recon may start from
+    # the stored values as they are; a fill that disagrees with a stored
+    # symbol or with a later fill of the same symbol leaves a mismatch
+    recon = known.copy()
+    have = held.copy()
+    if fills:
+        idx = np.concatenate([idx for _, idx, _ in fills])
+        vals = np.concatenate([v for _, _, v in fills])
+        recon[idx] = vals
+        have[idx] = True
+        if np.any(recon[idx] != vals) or np.any((recon != known) & held):
+            clash = _first_conflict(held, known, fills)
+            if clash is not None:
+                errors.append((clash[0], f"conflicting reconstruction at symbol {clash[1]}"))
+    if errors:
+        raise DecodeError(min(errors)[1])
+    if not have.all():
+        raise DecodeError(f"coverage gap at symbol {int(np.argmin(have))}")
     return recon
+
+
+def _first_conflict(held, known, fills):
+    """Replay the fills one at a time on top of the stored symbols: the
+    place of the first fill that disagrees with a known symbol, and that
+    symbol; None if every mismatch came from a symbol repeated within one
+    fill."""
+    recon = np.where(held, known, np.uint8(0))
+    have = held.copy()
+    for place, idx, values in fills:
+        seen = have[idx]
+        clash = recon[idx[seen]] != values[seen]
+        if clash.any():
+            return place, int(idx[seen][np.argmax(clash)])
+        recon[idx] = values
+        have[idx] = True
+    return None

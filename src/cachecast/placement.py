@@ -164,8 +164,8 @@ class PartitionMap:
         """Per mask 0..2^K-1, the ascending symbol indices stored exactly there."""
         row = self.holder[file - 1]
         order = np.argsort(row, kind="stable")
-        counts = np.bincount(row, minlength=1 << self.config.K)
-        return np.split(order, np.cumsum(counts)[:-1])
+        ends = np.cumsum(np.bincount(row, minlength=1 << self.config.K)).tolist()
+        return [order[a:b] for a, b in zip([0] + ends, ends)]
 
     def cache_view(self, cache: int, files):
         """What one cache holds of each of ``files``: per file, (held flags,

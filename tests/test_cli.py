@@ -410,6 +410,22 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+def test_simulate_collapsed_chains_report_nan_epsr(tmp_path, capsys):
+    # r = 1 on the complete graph: both chains reach consensus on one file,
+    # so every chain is constant and R-hat is undefined, not an error
+    prefix = tmp_path / "c"
+    assert main(["simulate", "--K", "3", "--N", "5", "--r", "1", "--chains", "2",
+                 "--samples", "20", "--burn-in", "10", "--m-ratio", "0.2",
+                 "--out", str(prefix)]) == 0
+    assert capsys.readouterr().err == "epsr: nan\n"
+    _, rows = read_csv(tmp_path / "c_samples.csv")
+    assert len(rows) == 40 and len({tuple(r.values())[1:] for r in rows}) <= 2
+    _, rows = read_csv(tmp_path / "c_stats.csv")
+    assert all(np.isfinite(float(rows[0][k])) for k in ("rho_max", "rho_avg", "L_avg"))
+    _, rows = read_csv(tmp_path / "c_rates.csv")
+    assert len(rows) == 3 and all(np.isfinite(float(r["rate"])) for r in rows)
+
+
 def test_simulate_accepts_edge_list_graph(tmp_path):
     graph = tmp_path / "line.txt"
     graph.write_text("1 2\n2 3\n")

@@ -18,6 +18,7 @@ from cachecast.core import (
 )
 from cachecast.delivery import (
     DecodeError,
+    MessageSchedule,
     TransferPlan,
     adaptive_plan,
     build_messages,
@@ -545,6 +546,65 @@ def test_transfer_plan_validation():
         TransferPlan(demand=d, profile=prof, y=over_cap)
 
 
+def decode_reference(cache: int, cached, schedule: MessageSchedule, d: DemandVector) -> np.ndarray:
+    """Reference decoder: the per-part loop ``decode`` ran before it was
+    vectorized, one fill and one side-information check per message part.
+
+    Pins ``decode``'s output bytes and the text and order of its errors.
+    """
+    if not 1 <= cache <= d.K:
+        raise ValueError("cache index out of range")
+    want = d.requests[cache - 1]
+    F = schedule.F
+    recon = np.zeros(F, dtype=np.uint8)
+    have = np.zeros(F, dtype=bool)
+
+    def fill(indices, values):
+        seen = have[indices]
+        if np.any(seen):
+            clash = recon[indices[seen]] != values[seen]
+            if np.any(clash):
+                where = int(indices[seen][np.argmax(clash)])
+                raise DecodeError(f"conflicting reconstruction at symbol {where}")
+        recon[indices] = values
+        have[indices] = True
+
+    held, vals = cached[want]
+    recon[held] = vals[held]
+    have |= held
+
+    if want in schedule.uncoded:
+        payload, idx = schedule.uncoded[want]
+        fill(idx, payload)
+
+    bit = 1 << (cache - 1)
+    for mask, msg in schedule.coded.items():
+        if not mask & bit:
+            continue
+        mine = None
+        interference = np.zeros(msg.payload.shape[0], dtype=np.uint8)
+        for k, file, idx in msg.parts:
+            if k == cache:
+                if file != want:
+                    raise DecodeError("schedule part disagrees with the demand")
+                mine = idx
+                continue
+            fheld, fvals = cached[file]
+            if not np.all(fheld[idx]):
+                raise DecodeError(
+                    f"cache {cache} lacks side information for message {mask}")
+            interference[:idx.shape[0]] ^= fvals[idx]
+        if mine is None or mine.shape[0] == 0:
+            continue
+        recovered = (msg.payload ^ interference)[:mine.shape[0]]
+        fill(mine, recovered)
+
+    if not np.all(have):
+        missing = int(np.argmin(have))
+        raise DecodeError(f"coverage gap at symbol {missing}")
+    return recon
+
+
 def roundtrip(pm, plan, d):
     schedule = build_messages(pm, plan, d)
     for k in range(1, pm.config.K + 1):
@@ -648,9 +708,149 @@ def test_decode_missing_message_reports_gap():
     assert schedule.coded  # precondition for the deletion below
     mask = next(iter(schedule.coded))
     del schedule.coded[mask]
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match=r"^coverage gap at symbol \d+$"):
         for k in range(1, K + 1):
             decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
+
+
+def _one_third_schedule():
+    """K = 3 caches at t = 1 requesting files 1, 2, 3: message 0b011
+    carries file 1 at cache 2's piece and file 2 at cache 1's."""
+    prof = centralized_profile(3, 1 / 3)
+    pm = materialize_partition(SystemConfig(K=3, N=4, m_ratio=1 / 3, F=600), prof, seed=8)
+    d = DemandVector((1, 2, 3))
+    return pm, d, build_messages(pm, prof, d)
+
+
+def assert_decode_error(pm, d, schedule, cache, text):
+    """Both decoders raise DecodeError with exactly this text."""
+    view = pm.cache_view(cache, set(d.requests))
+    for decoder in (decode, decode_reference):
+        with pytest.raises(DecodeError) as info:
+            decoder(cache, view, schedule, d)
+        assert str(info.value) == text, decoder.__name__
+
+
+def test_decode_error_texts():
+    pm, d, schedule = _one_third_schedule()
+    msg = schedule.coded[0b011]
+    (k1, n1, own), (k2, n2, other) = msg.parts
+    assert (k1, n1, k2, n2) == (1, 1, 2, 2)
+
+    # the part at cache 1 gone: every symbol of file 1 at cache 2's piece
+    del schedule.coded[0b011]
+    assert_decode_error(pm, d, schedule, 1, f"coverage gap at symbol {int(own.min())}")
+    schedule.coded[0b011] = msg
+
+    msg.parts[0] = (1, 3, own)  # cache 1's part names file 3
+    assert_decode_error(pm, d, schedule, 1, "schedule part disagrees with the demand")
+    msg.parts[0] = (1, 1, own)
+
+    # cache 2's part pointed at file 2's symbols stored only at cache 3
+    msg.parts[1] = (2, 2, pm.pieces(2)[0b100][:other.shape[0]])
+    assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
+    msg.parts[1] = (2, 2, other)
+
+    # cache 1's part pointed at symbols it stores: the recovered values
+    # differ from the stored ones at the first symbol whose data differs
+    stored = pm.pieces(1)[0b001][:own.shape[0]]
+    first = int(stored[np.argmax(pm.data[0][stored] != pm.data[0][own])])
+    msg.parts[0] = (1, 1, stored)
+    assert_decode_error(pm, d, schedule, 1, f"conflicting reconstruction at symbol {first}")
+
+
+def test_decode_error_order():
+    # a conflict counts after all parts of its message, so a missing piece of
+    # side information in the same message comes first; an error in an
+    # earlier message beats one in a later message
+    pm, d, schedule = _one_third_schedule()
+    msg = schedule.coded[0b011]
+    (_, _, own), (_, _, other) = msg.parts
+    msg.parts[0] = (1, 1, pm.pieces(1)[0b001][:own.shape[0]])
+    msg.parts[1] = (2, 2, pm.pieces(2)[0b100][:other.shape[0]])
+    assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
+    later = schedule.coded[0b101]
+    assert [k for k, _, _ in later.parts] == [1, 3]
+    later.parts[0] = (1, 2, later.parts[0][2])
+    assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
+    msg.parts[1] = (2, 2, other)
+    stored = msg.parts[0][2]
+    first = int(stored[np.argmax(pm.data[0][stored] != pm.data[0][own])])
+    assert_decode_error(pm, d, schedule, 1, f"conflicting reconstruction at symbol {first}")
+    msg.parts[0] = (1, 1, own)
+    assert_decode_error(pm, d, schedule, 1, "schedule part disagrees with the demand")
+
+
+def test_decode_rejects_a_part_longer_than_its_payload():
+    pm, d, schedule = _one_third_schedule()
+    msg = schedule.coded[0b011]
+    k, n, other = msg.parts[1]
+    msg.parts[1] = (k, n, np.arange(len(msg.payload) + 1))
+    with pytest.raises(ValueError, match="longer than its payload"):
+        decode(1, pm.cache_view(1, set(d.requests)), schedule, d)
+
+
+def _outcome(decoder, cache, view, schedule, d):
+    try:
+        return "ok", decoder(cache, view, schedule, d).tobytes()
+    except Exception as exc:  # any difference in kind or text fails the comparison
+        return type(exc).__name__, str(exc)
+
+
+def _tamper(schedule, d, F, kind, rng):
+    """Flip a payload byte, delete a message, swap a part's file for another
+    requested one, or re-point a part or an uncoded part at other symbols."""
+    if kind == "repoint-uncoded":
+        files = sorted(schedule.uncoded)
+        n = files[rng.integers(len(files))]
+        payload, idx = schedule.uncoded[n]
+        schedule.uncoded[n] = (payload, rng.integers(0, F, idx.shape[0]))
+        return
+    if not schedule.coded:
+        return
+    masks = sorted(schedule.coded)
+    mask = masks[rng.integers(len(masks))]
+    msg = schedule.coded[mask]
+    if kind == "flip":
+        msg.payload[rng.integers(msg.payload.shape[0])] ^= rng.integers(1, 256, dtype=np.uint8)
+    elif kind == "delete":
+        del schedule.coded[mask]
+    else:
+        p = rng.integers(len(msg.parts))
+        k, n, idx = msg.parts[p]
+        if kind == "swap":
+            others = sorted(set(d.requests) - {n}) or [n]
+            msg.parts[p] = (k, others[rng.integers(len(others))], idx)
+        else:
+            msg.parts[p] = (k, n, rng.integers(0, F, idx.shape[0]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_decode_matches_reference_on_tampered_schedules(data):
+    K = data.draw(st.integers(1, 5), label="K")
+    N = data.draw(st.integers(K, K + 2), label="N")
+    F = data.draw(st.integers(1, 300), label="F")
+    m = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), label="m")
+    maker = data.draw(st.sampled_from([centralized_profile, decentralized_profile,
+                                       solve_placement_lp]), label="placement")
+    d = DemandVector(tuple(data.draw(st.lists(st.integers(1, N), min_size=K, max_size=K),
+                                     label="demand")))
+    scheme = data.draw(st.sampled_from(SCHEMES), label="scheme")
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["flip", "delete", "swap", "repoint", "repoint-uncoded"]), min_size=1, max_size=3),
+        label="tamper")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    prof = maker(K, m)
+    pm = materialize_partition(SystemConfig(K=K, N=N, m_ratio=m, F=F), prof, seed=K + F)
+    plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
+    schedule = build_messages(pm, plan, d)
+    for kind in kinds:
+        _tamper(schedule, d, F, kind, rng)
+    for k in range(1, K + 1):
+        view = pm.cache_view(k, set(d.requests))
+        assert (_outcome(decode, k, view, schedule, d)
+                == _outcome(decode_reference, k, view, schedule, d)), (k, kinds)
 
 
 def test_schedule_rate_accounts_uncoded_once_per_file():
