@@ -1,4 +1,4 @@
-"""Dense linear-program solver used by the placement and delivery planners.
+"""Linear-program solver used by the placement and delivery planners.
 
 Minimizes c.v subject to E v = f, A v <= b and per-variable bounds
 lo <= v <= hi.  The solver is a two-phase primal simplex on a dense
@@ -9,13 +9,17 @@ while a degenerate plateau persists, so repeated calls on identical
 input walk the identical path.
 
 The problems this package produces are small (a few thousand variables
-at the configured subset-enumeration cap), well scaled, and always
-box-bounded, so a dense tableau with a post-solve residual check is the
-simplest thing that is both fast enough and auditable.
+at the configured subset-enumeration cap), well scaled, always
+box-bounded and very sparse: in the K=12 adaptive delivery LPs a pivot's
+entering column has about 2 nonzeros in 73 rows and its pivot row about
+8 in 267 columns.  So the tableau is a plain dense array, and each
+iteration reads and writes only the nonzeros of the entering column and
+the pivot row; a post-solve residual check audits the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +118,33 @@ class _Tableau:
         return c - self.M.T @ c[self.basis]
 
     def pivot(self, row, col):
-        piv = self.M[row, col]
-        self.M[row] /= piv
-        colvals = self.M[:, col].copy()
-        colvals[row] = 0.0
-        self.M -= np.outer(colvals, self.M[row])
-        self.M[:, col] = 0.0
-        self.M[row, col] = 1.0
+        """Make col basic in row and return row's nonzero columns.
+
+        Only the block of col's nonzero rows and row's nonzero columns
+        changes.  Each of its cells gets the product-then-subtract of a
+        full dense update, so the floats are those of one; a cell outside
+        it would only have had a zero subtracted, which can flip the sign
+        of a zero and nothing else.
+        """
+        M = self.M
+        rows = M[:, col].nonzero()[0]
+        rows = rows[rows != row]
+        cols = M[row].nonzero()[0]
+        M[row, cols] /= M[row, col]
+        if rows.size:
+            M[rows[:, None], cols] -= np.outer(M[rows, col], M[row, cols])
+            M[rows, col] = 0.0
+        M[row, col] = 1.0
+        return cols
+
+
+def _scores(z, status, open_):
+    """Pricing score per column: |z| where the column can enter in its
+    improving direction, -1 where it cannot.  open_ marks nonbasic columns
+    that may enter at all; a nonbasic column is at its lower bound, at its
+    upper bound or free."""
+    can = open_ & (((status != _AT_UP) & (z < -OPT_TOL)) | ((status != _AT_LO) & (z > OPT_TOL)))
+    return np.where(can, np.abs(z), -1.0)
 
 
 def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
@@ -128,82 +152,93 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
 
     allowed marks columns eligible to enter.  Returns (status, iters):
     status 'optimal' or 'unbounded'.
+
+    An iteration touches only the nonzeros of the entering column (ratio
+    test, basic values) and of the pivot row (pivot, reduced costs,
+    scores).  Dantzig's rule is argmax of the scores, which breaks ties
+    toward the lowest index; Bland's rule takes the first column that
+    scores >= 0.
     """
+    M, xB, lo, hi, basis, status, val = tab.M, tab.xB, tab.lo, tab.hi, tab.basis, tab.status, tab.val
     z = tab.reduced_costs(c)
+    enterable = allowed & ((hi - lo) > 0)  # fixed variables never enter
+    open_ = enterable.copy()
+    open_[basis] = False
+    score = _scores(z, status, open_)
     degen_run = 0
     iters = 0
-    enterable = allowed & ((tab.hi - tab.lo) > 0)  # fixed variables never enter
-    basic_mask = np.zeros(tab.ncol, dtype=bool)
-    basic_mask[tab.basis] = True
     while iters < max_iter:
         iters += 1
-        stat = tab.status
-        # eligibility in the improving direction; a nonbasic column is at
-        # its lower bound, at its upper bound or free
-        nonbasic = enterable & ~basic_mask
-        can_inc = nonbasic & (stat != _AT_UP) & (z < -OPT_TOL)
-        can_dec = nonbasic & (stat != _AT_LO) & (z > OPT_TOL)
-        cand = np.flatnonzero(can_inc | can_dec)
-        if cand.size == 0:
-            return "optimal", iters
         if degen_run >= _DEGEN_LIMIT:
-            j = int(cand[0])  # Bland: lowest index
+            j = int((score >= 0.0).argmax())  # Bland: lowest index
         else:
-            j = int(cand[np.argmax(np.abs(z[cand]))])
-        sigma = 1.0 if can_inc[j] else -1.0
+            j = int(score.argmax())
+        if score[j] < 0.0:
+            return "optimal", iters
+        sigma = 1.0 if z[j] < 0.0 else -1.0
 
-        d = tab.M[:, j]
-        move = sigma * d  # basic values change by -move * t
-        t_best = np.inf
-        if tab.status[j] != _FREE:
-            span = tab.hi[j] - tab.lo[j]
-            if np.isfinite(span):
+        rows = M[:, j].nonzero()[0]
+        move = sigma * M[rows, j]  # basic values change by -move * t
+        t_best = math.inf
+        if status[j] != _FREE:
+            span = float(hi[j] - lo[j])
+            if math.isfinite(span):
                 t_best = span  # bound flip
         leave_row = -1
-        dec_rows = np.flatnonzero(move > PIVOT_TOL)
-        inc_rows = np.flatnonzero(move < -PIVOT_TOL)
-        ratios_dec = (tab.xB[dec_rows] - tab.lo[tab.basis[dec_rows]]) / move[dec_rows]
-        ratios_inc = (tab.hi[tab.basis[inc_rows]] - tab.xB[inc_rows]) / (-move[inc_rows])
-        rows = np.concatenate([dec_rows, inc_rows])
-        ratios = np.concatenate([ratios_dec, ratios_inc])
-        finite = np.isfinite(ratios)
-        rows, ratios = rows[finite], ratios[finite]
-        ratios = np.maximum(ratios, 0.0)
-        if rows.size:
-            rmin = ratios.min()
+        out = basis[rows]
+        ratios = []
+        for i, mv, xb, lo_i, hi_i, var in zip(rows.tolist(), move.tolist(), xB[rows].tolist(),
+                                             lo[out].tolist(), hi[out].tolist(), out.tolist()):
+            if mv > PIVOT_TOL:
+                r = (xb - lo_i) / mv
+            elif mv < -PIVOT_TOL:
+                r = (hi_i - xb) / -mv
+            else:
+                continue
+            if math.isfinite(r):  # drift below 0, and -0.0, clamp to 0.0
+                ratios.append((r if r > 0.0 else 0.0, var, i, mv))
+        if ratios:
+            rmin = min(ratios)[0]
             if rmin < t_best:
                 t_best = rmin
-                tied = rows[ratios <= rmin + 1e-12]
-                leave_row = int(tied[np.argmin(tab.basis[tied])])  # lowest var index
-        if not np.isfinite(t_best):
+                # ties go to the lowest variable index
+                tied = [(var, i, mv) for r, var, i, mv in ratios if r <= rmin + 1e-12]
+                out_var, leave_row, leave_move = min(tied)
+        if t_best == math.inf:
             return "unbounded", iters
 
         degen_run = degen_run + 1 if t_best <= 1e-12 else 0
 
-        tab.xB -= move * t_best
+        xB[rows] -= move * t_best
         if leave_row < 0:
-            # bound flip, no basis change
-            tab.status[j] = _AT_UP if sigma > 0 else _AT_LO
-            tab.val[j] = tab.hi[j] if sigma > 0 else tab.lo[j]
+            # bound flip, no basis change; j now sits at the bound it moved
+            # toward, where it cannot improve
+            status[j] = _AT_UP if sigma > 0 else _AT_LO
+            val[j] = hi[j] if sigma > 0 else lo[j]
+            score[j] = -1.0
             continue
-        entering_val = tab.val[j] + sigma * t_best
-        out_var = tab.basis[leave_row]
+        entering_val = val[j] + sigma * t_best
         # leaving variable parks at whichever of its bounds it reached
-        if move[leave_row] > 0:
-            tab.status[out_var] = _AT_LO
-            tab.val[out_var] = tab.lo[out_var]
+        if leave_move > 0:
+            status[out_var] = _AT_LO
+            val[out_var] = lo[out_var]
         else:
-            tab.status[out_var] = _AT_UP
-            tab.val[out_var] = tab.hi[out_var]
-        tab.basis[leave_row] = j
-        basic_mask[out_var] = False
-        basic_mask[j] = True
-        tab.xB[leave_row] = entering_val
-        tab.pivot(leave_row, j)
-        z = z - z[j] * tab.M[leave_row]
+            status[out_var] = _AT_UP
+            val[out_var] = hi[out_var]
+        basis[leave_row] = j
+        open_[out_var] = enterable[out_var]
+        open_[j] = False
+        xB[leave_row] = entering_val
+        # cols holds j and out_var: the leaving column was the unit
+        # column of leave_row, so the pivot row is 1 / pivot there
+        cols = tab.pivot(leave_row, j)
+        z[cols] -= z[j] * M[leave_row, cols]
         z[j] = 0.0
         if iters % 512 == 0:
             z = tab.reduced_costs(c)  # refresh against drift
+            score = _scores(z, status, open_)
+        else:
+            score[cols] = _scores(z[cols], status[cols], open_[cols])
     raise LpNumericalError("simplex exceeded the iteration budget")
 
 

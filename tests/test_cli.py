@@ -173,6 +173,29 @@ def test_sweep_pivot_count_is_pinned(tmp_path, monkeypatch):
     assert sum(iterations) == 1236
 
 
+def test_decentralized_sweep_bytes_and_pivots_are_pinned(tmp_path, monkeypatch):
+    # Decentralized placement keeps every size class, so the LPs are larger:
+    # two of their simplex phases run 536 iterations, where no phase of the
+    # centralized sweep above runs more than 82. The digest and the
+    # iteration count were recorded at commit d3263bb, before the simplex
+    # loop went sparse.
+    iterations = []
+
+    def counting(lp):
+        sol = solve(lp)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(delivery, "solve", counting)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--K", "10", "--N", "1000", "--m-ratio", "0.1:0.3:0.4",
+                 "--placement", "decentralized", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "520b2d6d83d72e10960e8a135e262714c673bcba3ec3cc47abaa89889cd40c58")
+    assert len(iterations) == 84
+    assert sum(iterations) == 18246
+
+
 def test_sweep_with_pattern_column(tmp_path):
     out = tmp_path / "pat.csv"
     assert main(["sweep", "--K", "4", "--N", "40", "--pattern", "2,2",

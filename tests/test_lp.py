@@ -5,8 +5,13 @@ a bounded problem: every basic feasible point is defined by picking n
 active constraints (rows at equality or variables at a bound) and solving
 the square system. That is exponential but fine at the sizes used here,
 and it is a completely independent check on the simplex path.
+
+The dense simplex loop that the sparse-aware one replaced is kept at the
+end of this file as a second oracle: on every input the two must walk the
+same pivot path to the same bytes.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -14,7 +19,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cachecast.lp as lp_mod
-from cachecast.lp import FEAS_TOL, LinearProgram, LpNumericalError, solve
+from cachecast import delivery
+from cachecast.core import partitions_into_parts
+from cachecast.delivery import adaptive_plan, canonical_demand
+from cachecast.lp import (
+    _AT_LO,
+    _AT_UP,
+    _DEGEN_LIMIT,
+    _FREE,
+    FEAS_TOL,
+    OPT_TOL,
+    PIVOT_TOL,
+    LinearProgram,
+    LpNumericalError,
+    solve,
+)
+from cachecast.placement import centralized_profile, decentralized_profile, solve_placement_lp
 
 RNG_TRIALS = 120
 
@@ -194,8 +214,7 @@ def test_equality_only_square_system():
 
 
 def test_degenerate_problem_terminates():
-    # many redundant constraints through the same vertex; Bland's rule
-    # must prevent cycling
+    # many redundant constraints through the same vertex
     n = 6
     E = np.zeros((0, n))
     A = -np.eye(n)
@@ -212,6 +231,17 @@ def test_degenerate_problem_terminates():
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(0.0, abs=1e-9)
+    # 60 random rows through the origin in 30 dimensions: x = 0 is the
+    # only feasible point, and the walk to it stalls long enough for
+    # Bland's rule to take over and end it
+    lp = cone_lp(np.random.default_rng(0))
+    events = set()
+    ref = solve_reference(lp, events)
+    assert "bland" in events
+    sol = solve(lp)
+    assert sol.status == ref.status == "optimal"
+    assert sol.iterations == ref.iterations == 321
+    assert sol.value == 0.0 and not sol.assignment.any()
 
 
 def test_negative_rhs_rows():
@@ -370,3 +400,199 @@ def test_presolve_matches_hand_reduced_solve(lp):
     assert np.array_equal(full.assignment, x)
     assert full.value == float(lp.c @ x)
     assert full.iterations == part.iterations
+
+
+# --- the dense loop that the sparse one replaced, as an oracle --------------
+
+def pivot_reference(self, row, col):
+    """``_Tableau.pivot`` before it went sparse: a full m x ncol update."""
+    piv = self.M[row, col]
+    self.M[row] /= piv
+    colvals = self.M[:, col].copy()
+    colvals[row] = 0.0
+    self.M -= np.outer(colvals, self.M[row])
+    self.M[:, col] = 0.0
+    self.M[row, col] = 1.0
+
+
+def simplex_phase_reference(tab, c, allowed, max_iter, events):
+    """``_simplex_phase`` before it went sparse: dense eligibility and
+    ratio tests at every iteration.  Adds to events "bland" when Bland's
+    rule picks a column and "refresh" when the reduced costs are
+    recomputed; nothing else differs from the old loop.
+    """
+    z = tab.reduced_costs(c)
+    degen_run = 0
+    iters = 0
+    enterable = allowed & ((tab.hi - tab.lo) > 0)  # fixed variables never enter
+    basic_mask = np.zeros(tab.ncol, dtype=bool)
+    basic_mask[tab.basis] = True
+    while iters < max_iter:
+        iters += 1
+        stat = tab.status
+        # eligibility in the improving direction; a nonbasic column is at
+        # its lower bound, at its upper bound or free
+        nonbasic = enterable & ~basic_mask
+        can_inc = nonbasic & (stat != _AT_UP) & (z < -OPT_TOL)
+        can_dec = nonbasic & (stat != _AT_LO) & (z > OPT_TOL)
+        cand = np.flatnonzero(can_inc | can_dec)
+        if cand.size == 0:
+            return "optimal", iters
+        if degen_run >= _DEGEN_LIMIT:
+            events.add("bland")
+            j = int(cand[0])  # Bland: lowest index
+        else:
+            j = int(cand[np.argmax(np.abs(z[cand]))])
+        sigma = 1.0 if can_inc[j] else -1.0
+
+        d = tab.M[:, j]
+        move = sigma * d  # basic values change by -move * t
+        t_best = np.inf
+        if tab.status[j] != _FREE:
+            span = tab.hi[j] - tab.lo[j]
+            if np.isfinite(span):
+                t_best = span  # bound flip
+        leave_row = -1
+        dec_rows = np.flatnonzero(move > PIVOT_TOL)
+        inc_rows = np.flatnonzero(move < -PIVOT_TOL)
+        ratios_dec = (tab.xB[dec_rows] - tab.lo[tab.basis[dec_rows]]) / move[dec_rows]
+        ratios_inc = (tab.hi[tab.basis[inc_rows]] - tab.xB[inc_rows]) / (-move[inc_rows])
+        rows = np.concatenate([dec_rows, inc_rows])
+        ratios = np.concatenate([ratios_dec, ratios_inc])
+        finite = np.isfinite(ratios)
+        rows, ratios = rows[finite], ratios[finite]
+        ratios = np.maximum(ratios, 0.0)
+        if rows.size:
+            rmin = ratios.min()
+            if rmin < t_best:
+                t_best = rmin
+                tied = rows[ratios <= rmin + 1e-12]
+                leave_row = int(tied[np.argmin(tab.basis[tied])])  # lowest var index
+        if not np.isfinite(t_best):
+            return "unbounded", iters
+
+        degen_run = degen_run + 1 if t_best <= 1e-12 else 0
+
+        tab.xB -= move * t_best
+        if leave_row < 0:
+            # bound flip, no basis change
+            tab.status[j] = _AT_UP if sigma > 0 else _AT_LO
+            tab.val[j] = tab.hi[j] if sigma > 0 else tab.lo[j]
+            continue
+        entering_val = tab.val[j] + sigma * t_best
+        out_var = tab.basis[leave_row]
+        # leaving variable parks at whichever of its bounds it reached
+        if move[leave_row] > 0:
+            tab.status[out_var] = _AT_LO
+            tab.val[out_var] = tab.lo[out_var]
+        else:
+            tab.status[out_var] = _AT_UP
+            tab.val[out_var] = tab.hi[out_var]
+        tab.basis[leave_row] = j
+        basic_mask[out_var] = False
+        basic_mask[j] = True
+        tab.xB[leave_row] = entering_val
+        tab.pivot(leave_row, j)
+        z = z - z[j] * tab.M[leave_row]
+        z[j] = 0.0
+        if iters % 512 == 0:
+            events.add("refresh")
+            z = tab.reduced_costs(c)  # refresh against drift
+    raise LpNumericalError("simplex exceeded the iteration budget")
+
+
+def solve_reference(lp, events):
+    """solve(lp) through the dense reference loop, adding its events to
+    the set events."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_mod, "_simplex_phase", functools.partial(simplex_phase_reference, events=events))
+        mp.setattr(lp_mod._Tableau, "pivot", pivot_reference)
+        return solve(lp)
+
+
+def cone_lp(rng, n=30, m=60):
+    """min c.x over {A x <= 0} and the unit box, with dense normal A: with
+    m = 2n rows the cone meets the box only at 0, a degenerate vertex."""
+    A = rng.normal(size=(m, n))
+    return LinearProgram(c=rng.normal(size=n), E=np.zeros((0, n)), f=np.zeros(0),
+                         A=A, b=np.zeros(m), lo=np.zeros(n), hi=np.ones(n))
+
+
+def random_sparse_lp(rng, n, m):
+    """A boxed LP whose m rows have two to four small-integer entries, up
+    to three of them equalities, anchored at an interior point."""
+    me = int(rng.integers(0, 4))
+    M = np.zeros((m, n))
+    for row in M:
+        at = rng.choice(n, size=int(rng.integers(2, 5)), replace=False)
+        row[at] = rng.integers(-3, 4, size=at.size)
+    hi = rng.integers(1, 4, size=n).astype(float)
+    x0 = rng.uniform(0.0, hi)
+    E, A = M[:me], M[me:]
+    return LinearProgram(c=rng.normal(size=n), E=E, f=E @ x0, A=A,
+                         b=A @ x0 + rng.uniform(0.0, 1.0, size=m - me), lo=np.zeros(n), hi=hi)
+
+
+def klee_minty(n):
+    """The Klee-Minty cube, on which Dantzig's rule visits all 2^n vertices."""
+    A = np.tril(2.0 ** (np.arange(n)[:, None] - np.arange(n)[None, :] + 1), -1) + np.eye(n)
+    return LinearProgram(c=-(2.0 ** np.arange(n - 1, -1, -1)), E=np.zeros((0, n)), f=np.zeros(0),
+                         A=A, b=5.0 ** np.arange(1, n + 1), lo=np.zeros(n), hi=np.full(n, np.inf))
+
+
+def adaptive_lps():
+    """Every adaptive delivery LP for K <= 8 at m in {0.1, 0.4} under
+    centralized, decentralized and LP placement."""
+    lps = []
+
+    def recording(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delivery, "solve", recording)
+        for K in range(1, 9):
+            for m in (0.1, 0.4):
+                for maker in (centralized_profile, decentralized_profile, solve_placement_lp):
+                    prof = maker(K, m)
+                    for L in range(1, K + 1):
+                        for pattern in partitions_into_parts(K, L):
+                            adaptive_plan(prof, canonical_demand(pattern))
+    return lps
+
+
+def _outcome(solver, lp):
+    """What a solve reports: (status, iterations, assignment bytes, value
+    bytes), or the text of the error it raised."""
+    try:
+        sol = solver(lp)
+    except LpNumericalError as err:
+        return str(err)
+    x = None if sol.assignment is None else sol.assignment.tobytes()
+    return sol.status, sol.iterations, x, np.float64(sol.value).tobytes()
+
+
+def test_sparse_loop_matches_dense_reference():
+    # Same pivot path, same bytes: the sparse loop performs the dense
+    # loop's float operations on every cell that can change.
+    rng = np.random.default_rng(7)
+    sparse = [random_sparse_lp(rng, n, int(rng.integers(n // 2, 2 * n)))
+              for n in rng.integers(10, 120, size=20)]
+    # few rows, many columns: second phases of 613-680 iterations, two of
+    # them pivoting at iteration 512 and so refreshing the reduced costs
+    large_rng = np.random.default_rng(4)
+    sparse += [random_sparse_lp(large_rng, n, n // 6) for n in large_rng.integers(900, 1400, size=3)]
+    cone_rng = np.random.default_rng(0)
+    trials = (random_trials() + sparse + [klee_minty(10)]
+              + [cone_lp(cone_rng) for _ in range(20)] + adaptive_lps())
+    entered = {"bland": 0, "refresh": 0}
+    optimal = 0
+    for lp in trials:
+        events = set()
+        ref = _outcome(functools.partial(solve_reference, events=events), lp)
+        assert _outcome(solve, lp) == ref
+        for name in events:
+            entered[name] += 1
+        optimal += isinstance(ref, tuple) and ref[0] == "optimal"
+    assert entered["bland"] > 0 and entered["refresh"] > 0
+    assert optimal > len(trials) // 2
