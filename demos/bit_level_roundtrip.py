@@ -38,14 +38,14 @@ print(f"cache 1 stores {stored} symbols = {stored / F:.3f} file units "
 
 plan, analytic = adaptive_plan(profile, DEMAND)
 schedule = build_messages(partition, plan, DEMAND)
-achieved = rate_of_schedule(schedule, F)
+achieved = rate_of_schedule(schedule)
 print(f"schedule: {len(schedule.coded)} coded messages, "
       f"{len(schedule.uncoded)} uncoded file remainders")
 print(f"rate: achieved {achieved:.4f} vs analytic {analytic:.4f} "
       f"(rounding bound {(2**K - K - 1 + L) / F:.4f})")
 
 for k in range(1, K + 1):
-    got = decode(k, partition.cache_view(k, set(DEMAND.requests)), schedule, DEMAND)
+    got = decode(k, partition.cache_view(k, set(DEMAND.requests)), schedule)
     want = partition.data[DEMAND.requests[k - 1] - 1]
     status = "ok" if np.array_equal(got, want) else "MISMATCH"
     print(f"cache {k} reconstructs file {DEMAND.requests[k - 1]}: {status}")

@@ -465,12 +465,12 @@ def _run_verify(cfg: ScenarioConfig) -> list:
         for scheme in cfg.delivery:
             plan, analytic = _scheme_plan(profile, scheme, d, L)
             schedule = build_messages(partition, plan, d)
-            achieved = rate_of_schedule(schedule, cfg.F)
+            achieved = rate_of_schedule(schedule)
             failures += _message_failures(f"{scheme} demand {d.requests}", schedule,
                                           _plan_accessor(plan, d, cfg.K), d, cfg.F)
             for k, view in enumerate(views, start=1):
                 try:
-                    got = decode(k, view, schedule, d)
+                    got = decode(k, view, schedule)
                 except DecodeError as exc:
                     failures.append(f"{scheme} demand {d.requests}: cache {k} decode error: {exc}")
                     continue

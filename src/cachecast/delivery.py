@@ -45,13 +45,15 @@ the last bit.
 ``build_messages`` / ``decode`` realize a plan at symbol level: kept
 pieces are the first round(y*F) symbols of each subset piece (largest
 remainder across subsets, so per-file totals stay exactly F) and the
-displaced symbols join the uncoded part.
+displaced symbols join the uncoded part.  A schedule stores each
+requested file's kept symbols once, with a kept count per mask; a coded
+message is its mask and payload, and its parts follow from the mask
+bits, the demand and that table.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -75,7 +77,6 @@ class SimplifiedPlan:
 
     fractions: np.ndarray  # y_0..y_K
     rate: float
-    cutoff: int
 
 
 @dataclass
@@ -189,7 +190,7 @@ def simplified_plan(p: PlacementProfile, L: int, K: int) -> SimplifiedPlan:
     for s in range(1, shat + 1):
         y[s] = 0.0
     rate = L * y[0] + sum(binomial(K, s + 1) * y[s] for s in range(1, K))
-    return SimplifiedPlan(fractions=y, rate=float(rate), cutoff=shat)
+    return SimplifiedPlan(fractions=y, rate=float(rate))
 
 
 def canonical_demand(pattern: RedundancyPattern) -> DemandVector:
@@ -365,17 +366,43 @@ class Message:
 
     mask: int
     payload: np.ndarray
-    parts: list[tuple[int, int, np.ndarray]]  # (cache, file, symbol indices)
 
 
 @dataclass
 class MessageSchedule:
-    """Everything the server sends for one demand vector."""
+    """Everything the server sends for one demand vector.
+
+    ``kept[file]`` holds the file's kept symbol indices, the partition's
+    pieces cut at their kept counts and laid out in mask order, and the
+    kept count of every mask (0 at mask 0, which ships uncoded).  Member k
+    of the message at mask S carries the kept symbols of its requested
+    file at S without k's bit, so a message stores only its payload.
+    """
 
     demand: DemandVector
     F: int
     coded: dict[int, Message]
     uncoded: dict[int, tuple[np.ndarray, np.ndarray]]  # file -> (payload, indices)
+    kept: dict[int, tuple[np.ndarray, np.ndarray]]  # file -> (indices, count per mask)
+
+
+def _parts(d: DemandVector, kept, masks: np.ndarray):
+    """The parts of the messages at masks, in (message, member) order: per
+    part, its message's position in masks, its member's bit, and where its
+    symbols start in its file's kept indices and how many there are."""
+    row = {n: i for i, n in enumerate(kept)}
+    counts = np.stack([c for _, c in kept.values()])
+    starts = np.cumsum(counts, axis=1) - counts
+    of, bit = np.nonzero(masks[:, None] >> np.arange(d.K) & 1)
+    file = np.array([row[n] for n in d.requests])[bit]
+    piece = masks[of] ^ (1 << bit)
+    return of, bit, starts[file, piece], counts[file, piece]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, concatenated."""
+    ends = lengths.cumsum()
+    return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _plan_accessor(plan, d: DemandVector, K: int):
@@ -400,10 +427,9 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     remainder across each file's subsets (capped by the piece sizes) so
     the per-file totals stay exactly F; displaced symbols append to the
     uncoded part, which ships once per distinct file.  The payloads are
-    views into one buffer, laid out widest message first: member position
-    s of the messages that have one then covers a prefix of the buffer,
-    so each position is one XOR of its members' values, zero-padded to
-    their messages' lengths.
+    views into one buffer, in mask order; a cache's parts fill distinct
+    cells of it, so the buffer is one XOR per cache of its parts' values,
+    each zero-padded to its message's length.
     """
     cfg = pm.config
     K, F = cfg.K, cfg.F
@@ -413,62 +439,49 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
         raise ValueError("demand requests a file beyond the library")
     kept_of = _plan_accessor(plan, d, K)
 
-    kept: dict[int, list] = {}  # file -> per mask, (kept symbol indices, their values)
+    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     uncoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for n in _demand_groups(d)[0]:
         pieces = pm.pieces(n)
-        sizes = [len(p) for p in pieces]
-        counts = apportion(kept_of(n) * F, F, np.array([F] + sizes[1:])).tolist()
-        values = pm.data[n - 1][np.concatenate(pieces)]
-        kept[n] = [(p[:c], values[s:s + c]) for p, c, s in
-                   zip(pieces, counts, itertools.accumulate(sizes, initial=0))]
-        idx = np.concatenate([pieces[0]] + [p[c:] for p, c in zip(pieces[1:], counts[1:])])
+        counts = apportion(kept_of(n) * F, F, np.array([F] + [len(p) for p in pieces[1:]]))
+        counts[0] = 0  # the mask-0 piece ships whole in the uncoded part
+        cut = counts.tolist()
+        kept[n] = (np.concatenate([p[:c] for p, c in zip(pieces, cut)]), counts)
+        idx = np.concatenate([p[c:] for p, c in zip(pieces, cut)])
         uncoded[n] = (pm.data[n - 1][idx], idx)
 
-    members = [(1 << (k - 1), k, n) for k, n in enumerate(d.requests, start=1)]
-    zero = np.zeros(F, dtype=np.uint8)
-    positions = [[] for _ in range(K)]  # per member position: values and padding
-    layout = {}
-    at = 0
-    for mask in sorted(range(3, 1 << K), key=int.bit_count, reverse=True):
-        sub = [(k, n, kept[n][mask & ~bit]) for bit, k, n in members if mask & bit]
-        plen = max(len(v) for _, _, (_, v) in sub)
-        if len(sub) < 2 or plen == 0:
-            continue
-        for position, (_, _, (_, v)) in zip(positions, sub):
-            position += (v, zero[:plen - len(v)])
-        layout[mask] = ([(k, n, idx) for k, n, (idx, _) in sub], at, plen)
-        at += plen
-    buf = np.concatenate(positions[0] or [zero[:0]])
-    for position in positions[1:]:
-        if position:
-            prefix = np.concatenate(position)
-            buf[:len(prefix)] ^= prefix
-    coded = {mask: Message(mask=mask, payload=buf[a:a + plen], parts=parts)
-             for mask, (parts, a, plen) in sorted(layout.items())}
-    return MessageSchedule(demand=d, F=F, coded=coded, uncoded=uncoded)
+    masks = np.flatnonzero(_mask_sums([1] * K) >= 2)
+    of, bit, start, n = _parts(d, kept, masks)
+    plen = np.zeros(masks.shape[0], dtype=np.int64)
+    np.maximum.at(plen, of, n)
+    at = np.cumsum(plen) - plen
+    buf = np.zeros(int(plen.sum()), dtype=np.uint8)
+    for k, f in enumerate(d.requests):
+        sel = bit == k
+        buf[_ranges(at[of[sel]], n[sel])] ^= pm.data[f - 1][kept[f][0][_ranges(start[sel], n[sel])]]
+    coded = {mask: Message(mask=mask, payload=buf[a:a + m])
+             for mask, a, m in zip(masks.tolist(), at.tolist(), plen.tolist()) if m}
+    return MessageSchedule(demand=d, F=F, coded=coded, uncoded=uncoded, kept=kept)
 
 
-def rate_of_schedule(schedule: MessageSchedule, F: int) -> float:
+def rate_of_schedule(schedule: MessageSchedule) -> float:
     """Total transmitted symbols over F."""
     total = sum(m.payload.shape[0] for m in schedule.coded.values())
     total += sum(p.shape[0] for p, _ in schedule.uncoded.values())
-    return total / F
+    return total / schedule.F
 
 
-def decode(cache: int, cached, schedule: MessageSchedule, d: DemandVector) -> np.ndarray:
+def decode(cache: int, cached, schedule: MessageSchedule) -> np.ndarray:
     """Reconstruct cache's requested file from storage plus the schedule.
 
     ``cached`` is the PartitionMap.cache_view of this cache over at least
-    the files the schedule names.  The cache starts from what it stores of
-    its file, fills in the file's uncoded part, then takes the coded
-    messages that include it in schedule order: every other part of a
-    message must be stored here, and XORing them out of the payload
+    the files the schedule's demand names.  The cache starts from what it
+    stores of its file, fills in the file's uncoded part, then takes the
+    coded messages that include it in schedule order: every other part of
+    a message must be stored here, and XORing them out of the payload
     recovers the cache's own part.  Raises DecodeError on the first
-    failure in that order, parts in list order within a message:
+    failure in that order, parts in member order within a message:
 
-    * "schedule part disagrees with the demand": the cache's own part
-      names a file it did not request;
     * "cache k lacks side information for message m": another part names
       a symbol the cache does not store;
     * "conflicting reconstruction at symbol i": the uncoded part, or a
@@ -479,92 +492,76 @@ def decode(cache: int, cached, schedule: MessageSchedule, d: DemandVector) -> np
     * "coverage gap at symbol i": all else passed, and i is the lowest
       symbol still unknown.
 
-    The parts are checked and XORed a few array operations per stored
-    file, and all fills are written and compared at once; the symbol of a
-    conflict is searched fill by fill only once some filled symbol
+    The parts come from the message masks, the demand and the kept
+    table; they are checked and XORed a few array operations per other
+    cache, and all fills are written and compared at once; the symbol of
+    a conflict is searched fill by fill only once some filled symbol
     disagrees.  A part longer than its message's payload raises
     ValueError before any of these checks.
     """
+    d = schedule.demand
     if not 1 <= cache <= d.K:
         raise ValueError("cache index out of range")
     want = d.requests[cache - 1]
-    F = schedule.F
     held, known = cached[want]
 
-    # the parts of this cache's messages in (message, part) order: a failed
-    # check is placed at its part's index there, a fill after its message
+    # the parts of this cache's messages in (message, member) order: a
+    # failed check is placed at its part's index there, a fill after its
+    # message
     msgs = [(mask, msg) for mask, msg in schedule.coded.items() if mask >> (cache - 1) & 1]
-    parts = [part for _, msg in msgs for part in msg.parts]
-    count = np.array([len(msg.parts) for _, msg in msgs], dtype=np.int64)
+    masks = np.array([mask for mask, _ in msgs], dtype=np.int64)
     plen = np.array([len(msg.payload) for _, msg in msgs], dtype=np.int64)
-    member = np.array([k for k, _, _ in parts], dtype=np.int64)
-    files = [f for _, f, _ in parts]
-    file = np.array(files, dtype=np.int64)
-    n = np.array([len(idx) for _, _, idx in parts], dtype=np.int64)
-    of = np.repeat(np.arange(len(msgs)), count)  # message of each part
+    of, member, start, n = _parts(d, schedule.kept, masks)
     at = np.cumsum(plen) - plen  # payload offsets in buf
     if np.any(n > plen[of]):
         raise ValueError("a message part is longer than its payload")
+    count = np.bincount(of, minlength=len(msgs))  # parts per message
+    shift = at[of] - start  # from a part's kept indices to its payload cells
 
     errors = []  # (place in the order, text)
-    own = member == cache
-    bad = np.flatnonzero(own & (file != want))
-    if bad.size:
-        errors.append((bad[0], "schedule part disagrees with the demand"))
-
+    own = member == cache - 1
     buf = np.concatenate([msg.payload for _, msg in msgs] + [np.zeros(0, np.uint8)])
-    side = ~own & (n > 0)
-    if side.any():
-        # a part's slot is its ordinal among its message's other parts, so
-        # each part XORs into cells of its own in a slot-by-payload grid;
-        # the parts are gathered one stored file at a time
-        before = np.cumsum(side) - side
-        slot = before - before[(np.cumsum(count) - count)[of]]
-        width = len(buf)
-        cell = slot * width + at[of]
-        grid = np.zeros((slot[side].max() + 1) * width, dtype=np.uint8)
-        other = np.flatnonzero(side)
-        lacking = []
-        for name in sorted({files[i] for i in other.tolist()}):
-            sel = other[file[other] == name]
-            fheld, fknown = cached[name]
-            ln = n[sel]
-            src = np.concatenate([parts[i][2] for i in sel.tolist()])
-            ok = fheld[src]
-            if not ok.all():
-                lacking.append(sel[np.searchsorted(np.cumsum(ln), np.argmin(ok), side="right")])
-            dest = np.repeat(cell[sel] - (np.cumsum(ln) - ln), ln)
-            dest += np.arange(len(src))
-            grid[dest] = fknown[src]
-        buf ^= np.bitwise_xor.reduce(grid.reshape(-1, width), axis=0)
-        if lacking:
-            i = min(lacking)
-            errors.append((i, f"cache {cache} lacks side information for message {msgs[of[i]][0]}"))
+    # sorted by member, the other caches' parts; each cache adds one part
+    # to each of its messages, so its parts XOR into distinct cells of buf
+    other = np.flatnonzero(~own & (n > 0))
+    other = other[np.argsort(member[other], kind="stable")]
+    ln = n[other]
+    pos = _ranges(start[other], ln)  # in the kept indices of the part's file
+    dest = pos + shift[other].repeat(ln)
+    ends = ln.cumsum()
+    cuts = np.append(0, ends)[np.searchsorted(member[other], np.arange(d.K + 1))].tolist()
+    ok = np.ones(pos.shape[0], dtype=bool)
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if a < b:
+            fheld, fknown = cached[d.requests[k]]
+            src = schedule.kept[d.requests[k]][0][pos[a:b]]
+            ok[a:b] = fheld[src]
+            buf[dest[a:b]] ^= fknown[src]
+    if not ok.all():
+        i = other[np.searchsorted(ends, np.flatnonzero(~ok), side="right")].min()
+        errors.append((i, f"cache {cache} lacks side information for message {msgs[of[i]][0]}"))
 
-    fills = []  # (place in the order, indices, values)
-    if want in schedule.uncoded:
-        payload, idx = schedule.uncoded[want]
-        fills.append((-1, idx, payload))
-    mine = np.flatnonzero(own)
-    mine = mine[np.append(of[mine][1:], -1) != of[mine]]  # a message's last own part
-    mine = mine[n[mine] > 0]
-    after = (np.cumsum(count) - 0.5).tolist()  # just after a message's last part
-    fills += [(after[j], parts[i][2], buf[a:a + m]) for i, j, a, m in
-              zip(mine.tolist(), of[mine].tolist(), at[of[mine]].tolist(), n[mine].tolist())]
+    # the fills: the uncoded part, then each message's recovered own part
+    mine = np.flatnonzero(own & (n > 0))
+    pos = _ranges(start[mine], n[mine])
+    payload, uidx = schedule.uncoded.get(want, (buf[:0], np.zeros(0, dtype=np.int64)))
+    idx = np.concatenate([uidx, schedule.kept[want][0][pos]])
+    vals = np.concatenate([payload, buf[pos + shift[mine].repeat(n[mine])]])
+    places = [-1] + (np.cumsum(count) - 0.5)[of[mine]].tolist()  # after a message's parts
+    lengths = [len(uidx)] + n[mine].tolist()
     # a symbol left unknown ends in a coverage gap, so recon may start from
     # the stored values as they are; a fill that disagrees with a stored
     # symbol or with a later fill of the same symbol leaves a mismatch
     recon = known.copy()
     have = held.copy()
-    if fills:
-        idx = np.concatenate([idx for _, idx, _ in fills])
-        vals = np.concatenate([v for _, _, v in fills])
-        recon[idx] = vals
-        have[idx] = True
-        if np.any(recon[idx] != vals) or np.any((recon != known) & held):
-            clash = _first_conflict(held, known, fills)
-            if clash is not None:
-                errors.append((clash[0], f"conflicting reconstruction at symbol {clash[1]}"))
+    recon[idx] = vals
+    have[idx] = True
+    if np.any(recon[idx] != vals) or np.any((recon != known) & held):
+        bounds = np.cumsum(lengths)[:-1]
+        fills = zip(places, np.split(idx, bounds), np.split(vals, bounds))
+        clash = _first_conflict(held, known, fills)
+        if clash is not None:
+            errors.append((clash[0], f"conflicting reconstruction at symbol {clash[1]}"))
     if errors:
         raise DecodeError(min(errors)[1])
     if not have.all():

@@ -90,7 +90,7 @@ _AT_LO, _AT_UP, _FREE = 0, 1, 2
 class _Tableau:
     """Working state: reduced rows, basic values, variable statuses."""
 
-    def __init__(self, M, rhs, lo, hi):
+    def __init__(self, M, lo, hi):
         self.M = M            # (m, ncol) current reduced coefficient rows
         self.m = M.shape[0]
         self.ncol = M.shape[1]
@@ -102,7 +102,6 @@ class _Tableau:
         self.val = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         self.status[~np.isfinite(lo) & np.isfinite(hi)] = _AT_UP
         self.status[~np.isfinite(lo) & ~np.isfinite(hi)] = _FREE
-        self.rhs = rhs
 
     def objective(self, c):
         vals = self.val.copy()
@@ -324,7 +323,7 @@ def _solve_dense(lp: LinearProgram) -> LpSolution:
     for i in range(mi):
         M[me + i, n + i] = 1.0
 
-    tab = _Tableau(M, rhs, lo, hi)
+    tab = _Tableau(M, lo, hi)
     start_vals = tab.val[:n].copy()
     resid = rhs - rows @ start_vals
 

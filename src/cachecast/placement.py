@@ -127,19 +127,14 @@ def apportion(targets: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
     if deficit < 0:
         raise ValueError("targets overshoot the total by more than rounding")
     if deficit:
-        rem = targets - base
-        order = np.lexsort((np.arange(targets.shape[0]), -rem))
+        order = np.lexsort((np.arange(targets.shape[0]), -(targets - base)))
         while deficit:
-            progressed = False
-            for idx in order:
-                if deficit == 0:
-                    break
-                if base[idx] < caps[idx]:
-                    base[idx] += 1
-                    deficit -= 1
-                    progressed = True
-            if not progressed:
+            # one pass: a unit each to the first entries in order with room
+            room = order[base[order] < caps[order]][:deficit]
+            if not room.size:
                 raise ValueError("caps cannot absorb the requested total")
+            base[room] += 1
+            deficit -= room.size
     return base
 
 

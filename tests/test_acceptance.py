@@ -217,10 +217,10 @@ def test_acceptance_7_bit_level_decodability():
                     _, L, _ = redundancy_pattern(d)
                     schedule = build_messages(pm, profile, d)
                     for k in range(1, K + 1):
-                        got = decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
+                        got = decode(k, pm.cache_view(k, set(d.requests)), schedule)
                         if not np.array_equal(got, pm.data[d.requests[k - 1] - 1]):
                             failures.append(f"K={K} {maker.__name__} m={m} {d.requests}: cache {k}")
-                    gap = abs(rate_of_schedule(schedule, F) - rate_nonadaptive(profile, L, K))
+                    gap = abs(rate_of_schedule(schedule) - rate_nonadaptive(profile, L, K))
                     # apportion rounds each coded message and uncoded part to one symbol
                     if gap > (2**K - K - 1 + L) / F:
                         failures.append(f"K={K} {maker.__name__} m={m} {d.requests}: rate gap {gap:.2e}")

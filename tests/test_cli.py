@@ -370,7 +370,7 @@ def test_verify_checks_each_message_length(tmp_path, monkeypatch):
 def test_verify_rate_slack_is_the_rounding_bound(tmp_path, monkeypatch):
     # five surplus symbols at F=1000 exceed (2^K - K - 1 + L) / F = 0.003
     exact = cli.rate_of_schedule
-    monkeypatch.setattr(cli, "rate_of_schedule", lambda s, F: exact(s, F) + 5 / F)
+    monkeypatch.setattr(cli, "rate_of_schedule", lambda s: exact(s) + 5 / s.F)
     report = tmp_path / "verify.txt"
     code = main(["verify", "--K", "2", "--N", "4", "--m-ratio", "0.5",
                  "--F", "1000", "--demands", "1,2", "--out", str(report)])

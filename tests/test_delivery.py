@@ -546,12 +546,37 @@ def test_transfer_plan_validation():
         TransferPlan(demand=d, profile=prof, y=over_cap)
 
 
-def decode_reference(cache: int, cached, schedule: MessageSchedule, d: DemandVector) -> np.ndarray:
+def schedule_parts(schedule: MessageSchedule, mask: int) -> list:
+    """The (cache, file, symbol indices) parts of the message at mask, in
+    member order: member k carries its requested file's kept symbols at
+    mask without k's bit, read from the kept table."""
+    parts = []
+    for k, file in enumerate(schedule.demand.requests, start=1):
+        bit = 1 << (k - 1)
+        if mask & bit:
+            indices, counts = schedule.kept[file]
+            start = int(sum(counts[:mask ^ bit]))
+            parts.append((k, file, indices[start:start + counts[mask ^ bit]]))
+    return parts
+
+
+def set_piece(schedule: MessageSchedule, file: int, mask: int, symbols) -> None:
+    """Make ``symbols`` the file's kept symbols at mask in the kept table."""
+    indices, counts = schedule.kept[file]
+    start = int(counts[:mask].sum())
+    indices = np.concatenate([indices[:start], symbols, indices[start + counts[mask]:]])
+    counts = counts.copy()
+    counts[mask] = len(symbols)
+    schedule.kept[file] = (indices, counts)
+
+
+def decode_reference(cache: int, cached, schedule: MessageSchedule) -> np.ndarray:
     """Reference decoder: the per-part loop ``decode`` ran before it was
     vectorized, one fill and one side-information check per message part.
 
     Pins ``decode``'s output bytes and the text and order of its errors.
     """
+    d = schedule.demand
     if not 1 <= cache <= d.K:
         raise ValueError("cache index out of range")
     want = d.requests[cache - 1]
@@ -583,10 +608,8 @@ def decode_reference(cache: int, cached, schedule: MessageSchedule, d: DemandVec
             continue
         mine = None
         interference = np.zeros(msg.payload.shape[0], dtype=np.uint8)
-        for k, file, idx in msg.parts:
+        for k, file, idx in schedule_parts(schedule, mask):
             if k == cache:
-                if file != want:
-                    raise DecodeError("schedule part disagrees with the demand")
                 mine = idx
                 continue
             fheld, fvals = cached[file]
@@ -608,7 +631,7 @@ def decode_reference(cache: int, cached, schedule: MessageSchedule, d: DemandVec
 def roundtrip(pm, plan, d):
     schedule = build_messages(pm, plan, d)
     for k in range(1, pm.config.K + 1):
-        got = decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
+        got = decode(k, pm.cache_view(k, set(d.requests)), schedule)
         want = pm.data[d.requests[k - 1] - 1]
         assert np.array_equal(got, want), f"cache {k} mismatch"
     return schedule
@@ -644,7 +667,7 @@ def test_roundtrip_identity_plan_matches_nonadaptive_rate():
         d = DemandVector((2, 1, 2, 5))
         schedule = roundtrip(pm, prof, d)
         analytic = rate_nonadaptive(prof, 3, K)
-        assert abs(rate_of_schedule(schedule, F) - analytic) <= rounding_bound(K, 3, F)
+        assert abs(rate_of_schedule(schedule) - analytic) <= rounding_bound(K, 3, F)
 
 
 def test_roundtrip_simplified_and_adaptive_plans():
@@ -657,11 +680,11 @@ def test_roundtrip_simplified_and_adaptive_plans():
 
     plan = simplified_plan(prof, L, K)
     schedule = roundtrip(pm, plan, d)
-    assert abs(rate_of_schedule(schedule, F) - plan.rate) <= rounding_bound(K, L, F)
+    assert abs(rate_of_schedule(schedule) - plan.rate) <= rounding_bound(K, L, F)
 
     full, rate = adaptive_plan(prof, d)
     schedule = roundtrip(pm, full, d)
-    assert abs(rate_of_schedule(schedule, F) - rate) <= rounding_bound(K, L, F)
+    assert abs(rate_of_schedule(schedule) - rate) <= rounding_bound(K, L, F)
 
 
 def test_roundtrip_balanced_split_adaptive():
@@ -673,8 +696,8 @@ def test_roundtrip_balanced_split_adaptive():
     d = canonical_demand(RedundancyPattern((4, 4)))
     plan, rate = adaptive_plan(prof, d)
     schedule = roundtrip(pm, plan, d)
-    assert abs(rate_of_schedule(schedule, F) - rate) <= rounding_bound(K, 2, F)
-    assert rate_of_schedule(schedule, F) < simplified_plan(prof, 2, K).rate
+    assert abs(rate_of_schedule(schedule) - rate) <= rounding_bound(K, 2, F)
+    assert rate_of_schedule(schedule) < simplified_plan(prof, 2, K).rate
 
 
 def test_decode_detects_corruption():
@@ -689,7 +712,7 @@ def test_decode_detects_corruption():
     corrupted = []
     for k in range(1, K + 1):
         try:
-            got = decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
+            got = decode(k, pm.cache_view(k, set(d.requests)), schedule)
         except DecodeError:
             corrupted.append(k)
             continue
@@ -710,7 +733,7 @@ def test_decode_missing_message_reports_gap():
     del schedule.coded[mask]
     with pytest.raises(DecodeError, match=r"^coverage gap at symbol \d+$"):
         for k in range(1, K + 1):
-            decode(k, pm.cache_view(k, set(d.requests)), schedule, d)
+            decode(k, pm.cache_view(k, set(d.requests)), schedule)
 
 
 def _one_third_schedule():
@@ -727,35 +750,31 @@ def assert_decode_error(pm, d, schedule, cache, text):
     view = pm.cache_view(cache, set(d.requests))
     for decoder in (decode, decode_reference):
         with pytest.raises(DecodeError) as info:
-            decoder(cache, view, schedule, d)
+            decoder(cache, view, schedule)
         assert str(info.value) == text, decoder.__name__
 
 
 def test_decode_error_texts():
     pm, d, schedule = _one_third_schedule()
-    msg = schedule.coded[0b011]
-    (k1, n1, own), (k2, n2, other) = msg.parts
+    (k1, n1, own), (k2, n2, other) = schedule_parts(schedule, 0b011)
     assert (k1, n1, k2, n2) == (1, 1, 2, 2)
+    kept = dict(schedule.kept)
 
     # the part at cache 1 gone: every symbol of file 1 at cache 2's piece
-    del schedule.coded[0b011]
+    msg = schedule.coded.pop(0b011)
     assert_decode_error(pm, d, schedule, 1, f"coverage gap at symbol {int(own.min())}")
     schedule.coded[0b011] = msg
 
-    msg.parts[0] = (1, 3, own)  # cache 1's part names file 3
-    assert_decode_error(pm, d, schedule, 1, "schedule part disagrees with the demand")
-    msg.parts[0] = (1, 1, own)
-
     # cache 2's part pointed at file 2's symbols stored only at cache 3
-    msg.parts[1] = (2, 2, pm.pieces(2)[0b100][:other.shape[0]])
+    set_piece(schedule, 2, 0b001, pm.pieces(2)[0b100][:other.shape[0]])
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
-    msg.parts[1] = (2, 2, other)
+    schedule.kept[2] = kept[2]
 
     # cache 1's part pointed at symbols it stores: the recovered values
     # differ from the stored ones at the first symbol whose data differs
     stored = pm.pieces(1)[0b001][:own.shape[0]]
     first = int(stored[np.argmax(pm.data[0][stored] != pm.data[0][own])])
-    msg.parts[0] = (1, 1, stored)
+    set_piece(schedule, 1, 0b010, stored)
     assert_decode_error(pm, d, schedule, 1, f"conflicting reconstruction at symbol {first}")
 
 
@@ -764,42 +783,81 @@ def test_decode_error_order():
     # side information in the same message comes first; an error in an
     # earlier message beats one in a later message
     pm, d, schedule = _one_third_schedule()
-    msg = schedule.coded[0b011]
-    (_, _, own), (_, _, other) = msg.parts
-    msg.parts[0] = (1, 1, pm.pieces(1)[0b001][:own.shape[0]])
-    msg.parts[1] = (2, 2, pm.pieces(2)[0b100][:other.shape[0]])
+    (_, _, own), (_, _, other) = schedule_parts(schedule, 0b011)
+    kept = dict(schedule.kept)
+    stored = pm.pieces(1)[0b001][:own.shape[0]]
+    set_piece(schedule, 1, 0b010, stored)
+    set_piece(schedule, 2, 0b001, pm.pieces(2)[0b100][:other.shape[0]])
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
-    later = schedule.coded[0b101]
-    assert [k for k, _, _ in later.parts] == [1, 3]
-    later.parts[0] = (1, 2, later.parts[0][2])
+    # message 5's part at cache 3 pointed at file 3's symbols stored only at cache 2
+    (k, _, _), (_, n3, later) = schedule_parts(schedule, 0b101)
+    assert (k, n3) == (1, 3)
+    set_piece(schedule, 3, 0b001, pm.pieces(3)[0b010][:later.shape[0]])
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
-    msg.parts[1] = (2, 2, other)
-    stored = msg.parts[0][2]
+    schedule.kept[2] = kept[2]
     first = int(stored[np.argmax(pm.data[0][stored] != pm.data[0][own])])
     assert_decode_error(pm, d, schedule, 1, f"conflicting reconstruction at symbol {first}")
-    msg.parts[0] = (1, 1, own)
-    assert_decode_error(pm, d, schedule, 1, "schedule part disagrees with the demand")
+    schedule.kept[1] = kept[1]
+    assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 5")
 
 
 def test_decode_rejects_a_part_longer_than_its_payload():
     pm, d, schedule = _one_third_schedule()
-    msg = schedule.coded[0b011]
-    k, n, other = msg.parts[1]
-    msg.parts[1] = (k, n, np.arange(len(msg.payload) + 1))
+    set_piece(schedule, 2, 0b001, np.arange(len(schedule.coded[0b011].payload) + 1))
     with pytest.raises(ValueError, match="longer than its payload"):
-        decode(1, pm.cache_view(1, set(d.requests)), schedule, d)
+        decode(1, pm.cache_view(1, set(d.requests)), schedule)
 
 
-def _outcome(decoder, cache, view, schedule, d):
+@pytest.mark.parametrize("K", range(1, 9))
+def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
+    # member k of message S carries pieces(d_k)[S ^ bit_k] cut at its kept
+    # count, as decode derives it and as the reference reads it
+    F = 300
+    rng = np.random.default_rng(K)
+    for maker in (centralized_profile, decentralized_profile, solve_placement_lp):
+        prof = maker(K, 0.3)
+        pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.3, F=F), prof, seed=K)
+        for _ in range(2):
+            d = DemandVector(tuple(int(r) for r in rng.integers(1, K + 2, size=K)))
+            pieces = {n: pm.pieces(n) for n in set(d.requests)}
+            for scheme in SCHEMES:
+                plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
+                schedule = build_messages(pm, plan, d)
+                for n, (indices, _) in schedule.kept.items():  # kept and uncoded partition F
+                    symbols = np.concatenate([indices, schedule.uncoded[n][1]])
+                    assert np.array_equal(np.sort(symbols), np.arange(F))
+                masks = np.array(sorted(schedule.coded), dtype=np.int64)
+                derived = delivery._parts(d, schedule.kept, masks)
+                at = 0
+                for mask in masks.tolist():
+                    parts = schedule_parts(schedule, mask)
+                    assert [k for k, _, _ in parts] == [k for k in range(1, K + 1)
+                                                        if mask >> (k - 1) & 1]
+                    for k, n, idx in parts:
+                        piece = mask ^ (1 << (k - 1))
+                        count = schedule.kept[n][1][piece]
+                        assert n == d.requests[k - 1] and idx.shape[0] == count
+                        assert np.array_equal(idx, pieces[n][piece][:count])
+                        _, bit, start, length = (a[at] for a in derived)
+                        assert bit == k - 1
+                        assert np.array_equal(schedule.kept[n][0][start:start + length], idx)
+                        at += 1
+                    assert schedule.coded[mask].payload.shape[0] == max(
+                        idx.shape[0] for _, _, idx in parts)
+                assert at == derived[0].shape[0]
+
+
+def _outcome(decoder, cache, view, schedule):
     try:
-        return "ok", decoder(cache, view, schedule, d).tobytes()
+        return "ok", decoder(cache, view, schedule).tobytes()
     except Exception as exc:  # any difference in kind or text fails the comparison
         return type(exc).__name__, str(exc)
 
 
-def _tamper(schedule, d, F, kind, rng):
-    """Flip a payload byte, delete a message, swap a part's file for another
-    requested one, or re-point a part or an uncoded part at other symbols."""
+def _tamper(schedule, F, kind, rng):
+    """Flip a payload byte, delete a message, or re-point the kept-table
+    entry behind one part of a message, or one file's uncoded part, at
+    other symbols."""
     if kind == "repoint-uncoded":
         files = sorted(schedule.uncoded)
         n = files[rng.integers(len(files))]
@@ -816,13 +874,9 @@ def _tamper(schedule, d, F, kind, rng):
     elif kind == "delete":
         del schedule.coded[mask]
     else:
-        p = rng.integers(len(msg.parts))
-        k, n, idx = msg.parts[p]
-        if kind == "swap":
-            others = sorted(set(d.requests) - {n}) or [n]
-            msg.parts[p] = (k, others[rng.integers(len(others))], idx)
-        else:
-            msg.parts[p] = (k, n, rng.integers(0, F, idx.shape[0]))
+        parts = schedule_parts(schedule, mask)
+        k, n, idx = parts[rng.integers(len(parts))]
+        set_piece(schedule, n, mask ^ (1 << (k - 1)), rng.integers(0, F, idx.shape[0]))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -838,7 +892,7 @@ def test_decode_matches_reference_on_tampered_schedules(data):
                                      label="demand")))
     scheme = data.draw(st.sampled_from(SCHEMES), label="scheme")
     kinds = data.draw(st.lists(st.sampled_from(
-        ["flip", "delete", "swap", "repoint", "repoint-uncoded"]), min_size=1, max_size=3),
+        ["flip", "delete", "repoint", "repoint-uncoded"]), min_size=1, max_size=3),
         label="tamper")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
     prof = maker(K, m)
@@ -846,11 +900,11 @@ def test_decode_matches_reference_on_tampered_schedules(data):
     plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
     schedule = build_messages(pm, plan, d)
     for kind in kinds:
-        _tamper(schedule, d, F, kind, rng)
+        _tamper(schedule, F, kind, rng)
     for k in range(1, K + 1):
         view = pm.cache_view(k, set(d.requests))
-        assert (_outcome(decode, k, view, schedule, d)
-                == _outcome(decode_reference, k, view, schedule, d)), (k, kinds)
+        assert (_outcome(decode, k, view, schedule)
+                == _outcome(decode_reference, k, view, schedule)), (k, kinds)
 
 
 def test_schedule_rate_accounts_uncoded_once_per_file():
@@ -861,4 +915,4 @@ def test_schedule_rate_accounts_uncoded_once_per_file():
     pm = materialize_partition(cfg, prof, seed=0)
     d = DemandVector((2, 2))
     schedule = roundtrip(pm, prof, d)
-    assert rate_of_schedule(schedule, F) == pytest.approx(1.0)
+    assert rate_of_schedule(schedule) == pytest.approx(1.0)

@@ -157,6 +157,57 @@ def test_apportion_exact_and_deterministic():
         apportion(np.array([1.0, 1.0]), 10, np.array([2, 2]))
 
 
+def apportion_reference(targets, total: int, caps) -> np.ndarray:
+    """Reference for ``apportion``: the per-entry loop it ran before each
+    pass of the deficit became one array operation."""
+    targets = np.asarray(targets, dtype=float)
+    caps = np.asarray(caps, dtype=np.int64)
+    if int(caps.sum()) < total:
+        raise ValueError("caps cannot absorb the requested total")
+    base = np.minimum(np.floor(targets + 1e-9).astype(np.int64), caps)
+    deficit = total - int(base.sum())
+    if deficit < 0:
+        raise ValueError("targets overshoot the total by more than rounding")
+    if deficit:
+        rem = targets - base
+        order = np.lexsort((np.arange(targets.shape[0]), -rem))
+        while deficit:
+            progressed = False
+            for idx in order:
+                if deficit == 0:
+                    break
+                if base[idx] < caps[idx]:
+                    base[idx] += 1
+                    deficit -= 1
+                    progressed = True
+            if not progressed:
+                raise ValueError("caps cannot absorb the requested total")
+    return base
+
+
+def _apportion_outcome(fn, targets, total, caps):
+    try:
+        return "ok", fn(targets, total, caps).tolist()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_apportion_matches_the_per_entry_loop(data):
+    # capped and uncapped entries, totals far above the targets (several
+    # passes of the deficit) and infeasible caps or overshooting targets
+    n = data.draw(st.integers(1, 8), label="n")
+    targets = data.draw(st.lists(st.one_of(st.floats(0.0, 20.0), st.integers(0, 20).map(float),
+                                           st.integers(0, 40).map(lambda v: v / 4)),
+                                 min_size=n, max_size=n), label="targets")
+    total = data.draw(st.one_of(st.just(round(sum(targets))), st.integers(0, 80)), label="total")
+    caps = data.draw(st.one_of(st.just([total] * n),
+                               st.lists(st.integers(0, 25), min_size=n, max_size=n)), label="caps")
+    assert (_apportion_outcome(apportion, targets, total, caps)
+            == _apportion_outcome(apportion_reference, targets, total, caps))
+
+
 def test_apportion_largest_remainder_tie_break():
     # equal remainders resolve by lowest index, so the outcome is stable
     got = apportion(np.array([1.5, 1.5]), 3, np.array([5, 5]))
