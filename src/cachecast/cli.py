@@ -409,11 +409,11 @@ def _run_simulate(cfg: ScenarioConfig):
 MESSAGE_SLACK = 1.0 + 1e-6
 
 
-def _message_failures(label: str, schedule, kept, d: DemandVector, F: int) -> list:
+def _message_failures(label: str, schedule, kept) -> list:
     """Coded messages and uncoded parts further than MESSAGE_SLACK symbols
     from F times the plan's kept fraction; ``kept(file)`` gives a file's
     fractions over all masks."""
-    failures = []
+    d, F = schedule.demand, schedule.F
     masks = np.arange(1 << d.K)
     fractions = {n: kept(n) for n in set(d.requests)}
     # each coded message is as long as its longest member
@@ -421,15 +421,13 @@ def _message_failures(label: str, schedule, kept, d: DemandVector, F: int) -> li
     for k, n in enumerate(d.requests):
         has = masks[masks >> k & 1 == 1]
         longest[has] = np.maximum(longest[has], fractions[n][has ^ (1 << k)])
-    for mask in range(1 << d.K):
-        if mask.bit_count() < 2:
-            continue
-        want = F * longest[mask]
-        msg = schedule.coded.get(mask)
-        got = 0 if msg is None else msg.payload.shape[0]
-        if abs(got - want) > MESSAGE_SLACK:
-            failures.append(f"{label}: coded message {mask} has {got} symbols "
-                            f"vs analytic {want:.6g}")
+    want = F * longest
+    got = np.zeros(masks.shape[0], dtype=np.int64)  # 0 where no message was sent
+    got[list(schedule.coded)] = [msg.payload.shape[0] for msg in schedule.coded.values()]
+    coded = (masks & (masks - 1)) != 0  # two or more members
+    failures = [f"{label}: coded message {mask} has {got[mask]} symbols "
+                f"vs analytic {want[mask]:.6g}"
+                for mask in np.flatnonzero(coded & (np.abs(got - want) > MESSAGE_SLACK)).tolist()]
     for n in sorted(fractions):
         want = F * fractions[n][0]
         got = schedule.uncoded[n][1].shape[0] if n in schedule.uncoded else 0
@@ -467,7 +465,7 @@ def _run_verify(cfg: ScenarioConfig) -> list:
             schedule = build_messages(partition, plan, d)
             achieved = rate_of_schedule(schedule)
             failures += _message_failures(f"{scheme} demand {d.requests}", schedule,
-                                          _plan_accessor(plan, d, cfg.K), d, cfg.F)
+                                          _plan_accessor(plan, d, cfg.K))
             for k, view in enumerate(views, start=1):
                 try:
                     got = decode(k, view, schedule)

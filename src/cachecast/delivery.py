@@ -34,11 +34,16 @@ The adaptive LP's columns and their order, its objective, class rows and
 epigraph pairs depend only on the requester group sizes, not on the
 placement.  They are built once per group-size tuple into a cached
 layout of numeric arrays; a call reads only the column caps from x,
-scatters the constraint matrices and solves.  The layout spans every
-composition, also those of subset sizes the placement leaves empty.
-Their columns are capped at 0 and the solver's presolve drops them, but
-the solver values the optimum as c @ x over the full vector, and a
-shorter vector regroups that floating-point sum: valued over the
+drops what the caps fix at 0 and densifies the rest.  The layout spans
+every composition, also those of subset sizes the placement leaves
+empty.  Their columns are capped at 0, and an epigraph row that reads
+one as its y has its z capped at 0 too, since both take the cap of one
+subset size.  ``adaptive_plan`` drops those columns and rows before
+anything is dense.  That is exactly what the solver's presolve would
+drop, so the solver gets an LP with nothing left to presolve and audits
+the residuals of that LP; the dropped part is exactly zero.  The optimum
+is still valued as c @ x over all columns, the dropped ones at 0: a
+shorter vector regroups that floating-point sum, and valued over the
 support's columns alone, 67 of the 154 values of a K = 12 sweep move in
 the last bit.
 
@@ -240,6 +245,21 @@ class _Layout:
     strides: np.ndarray
 
 
+def _row_numbers(rows: np.ndarray):
+    """Number the distinct rows of a 2-D integer array in lexicographic
+    order: (the index of each distinct row's first occurrence, the number
+    of every row).  One stable lexsort puts equal rows next to each other
+    in order of occurrence; a row that differs from its predecessor there
+    starts a new number."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    number = np.empty(rows.shape[0], dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
 @functools.lru_cache(maxsize=None)
 def _layout(ks: tuple[int, ...]) -> _Layout:
     """Build the layout for requester group sizes ks (most-requested first).
@@ -248,7 +268,9 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
     run in lexicographic order.  Group i's kept fraction at a lies in the
     orbit keyed by (k_i, a_i) and the sorted pairs of a; a message orbit
     is keyed by the sorted pairs alone.  A pair (k, a) is coded as
-    k * (K + 1) + a, so sorting codes sorts pairs.  The cache holds at
+    k * (K + 1) + a, so sorting codes sorts pairs.  Orbits are numbered
+    in the lexicographic order of their sorted codes, each represented by
+    its first composition (``_row_numbers``).  The cache holds at
     most one layout per partition of each K up to the enumeration cap
     (271 in all).
     """
@@ -260,9 +282,7 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
     binom = np.array([[comb(k, a) for a in range(K + 1)] for k in range(K + 1)])
     weight = binom[k_arr, comps].prod(axis=1).astype(float)  # subsets per composition
     codes = k_arr * (K + 1) + comps
-    _, o_first, orbit = np.unique(np.sort(codes, axis=1), axis=0,
-                                  return_index=True, return_inverse=True)
-    orbit = orbit.reshape(-1)
+    o_first, orbit = _row_numbers(np.sort(codes, axis=1))
     n_orb = o_first.shape[0]
     vkey = codes * n_orb + orbit[:, None]  # y orbit of (composition, group)
 
@@ -339,22 +359,30 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
     cap = x.copy()
     cap[0] = 1.0
     hi = cap[lay.size]
-    n, m = lay.c.shape[0], lay.a_y.shape[0]
-    E = np.zeros((lay.e_rows, n))
-    E.flat[lay.e_at] = lay.e_w
-    A = np.zeros((m, n))
-    A[np.arange(m), lay.a_y] = 1.0
-    A[np.arange(m), lay.a_z] = -1.0
+    # columns capped at 0 are fixed there; an epigraph row goes with its
+    # y column, whose cap its z column shares
+    live = hi > 0
+    at = np.cumsum(live) - 1  # each live column's index among the live ones
+    n, n_y = lay.c.shape[0], lay.e_w.shape[0]
+    ys = np.flatnonzero(live[:n_y])
+    E = np.zeros((lay.e_rows, int(at[-1]) + 1))
+    E[lay.e_at[ys] // n, at[ys]] = lay.e_w[ys]
+    rows = np.flatnonzero(live[lay.a_y])
+    m = rows.shape[0]
+    A = np.zeros((m, E.shape[1]))
+    A[np.arange(m), at[lay.a_y[rows]]] = 1.0
+    A[np.arange(m), at[lay.a_z[rows]]] = -1.0
 
-    sol = solve(LinearProgram(c=lay.c, E=E, f=np.ones(lay.e_rows), A=A, b=np.zeros(m),
-                              lo=np.zeros(n), hi=hi))
+    sol = solve(LinearProgram(c=lay.c[live], E=E, f=np.ones(lay.e_rows), A=A, b=np.zeros(m),
+                              lo=np.zeros(E.shape[1]), hi=hi[live]))
     if sol.status != "optimal":
         raise LpNumericalError(f"adaptive plan LP ended with status {sol.status}")
 
+    x_all = np.zeros(n)
+    x_all[live] = sol.assignment
     # clipped into [0, cap]: orbits capped at 0 keep exactly nothing
-    n_y = lay.e_w.shape[0]
-    y = np.minimum(np.maximum(sol.assignment[:n_y], 0.0), hi[:n_y])
-    return TransferPlan(demand=d, profile=p, y=y), float(sol.value)
+    y = np.minimum(np.maximum(x_all[:n_y], 0.0), hi[:n_y])
+    return TransferPlan(demand=d, profile=p, y=y), float(lay.c @ x_all)
 
 
 # --- bit-level realization -------------------------------------------------
@@ -442,12 +470,16 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     uncoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for n in _demand_groups(d)[0]:
-        pieces = pm.pieces(n)
-        counts = apportion(kept_of(n) * F, F, np.array([F] + [len(p) for p in pieces[1:]]))
+        # the file's symbols by mask, ascending within a mask: the
+        # partition's pieces back to back, each cut after its kept count
+        row = pm.holder[n - 1]
+        order = np.argsort(row, kind="stable")
+        sizes = np.bincount(row, minlength=1 << K)
+        counts = apportion(kept_of(n) * F, F, np.concatenate([[F], sizes[1:]]))
         counts[0] = 0  # the mask-0 piece ships whole in the uncoded part
-        cut = counts.tolist()
-        kept[n] = (np.concatenate([p[:c] for p, c in zip(pieces, cut)]), counts)
-        idx = np.concatenate([p[c:] for p, c in zip(pieces, cut)])
+        keep = np.arange(F) < (np.cumsum(sizes) - sizes + counts).repeat(sizes)
+        kept[n] = (order[keep], counts)
+        idx = order[~keep]
         uncoded[n] = (pm.data[n - 1][idx], idx)
 
     masks = np.flatnonzero(_mask_sums([1] * K) >= 2)

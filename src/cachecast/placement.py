@@ -168,7 +168,7 @@ class PartitionMap:
         out = {}
         for n in files:
             held = ((self.holder[n - 1] >> (cache - 1)) & 1).astype(bool)
-            out[n] = (held, np.where(held, self.data[n - 1], 0).astype(np.uint8))
+            out[n] = (held, self.data[n - 1] * held)
         return out
 
     def stored_symbols(self, cache: int) -> int:

@@ -1,11 +1,13 @@
 """Delivery rates: closed forms, transfer plans, and bit-level schedules."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cachecast.lp as lp_mod
 from cachecast import delivery
 from cachecast.cli import SCHEMES, _message_failures, _scheme_plan
 from cachecast.core import (
@@ -445,17 +447,21 @@ def _capture_solves(monkeypatch):
 
 
 def check_against_full_lp(seen, prof, d):
-    """adaptive_plan's LP, value and plan equal those of the full builder."""
+    """adaptive_plan hands solve the full builder's LP as the presolve
+    reduces it, with nothing left to reduce, and its value and plan equal
+    those of the full LP."""
     seen.clear()
     plan, rate = adaptive_plan(prof, d)
     assert len(seen) == 1  # one solve per plan
     lp, sol = seen[0]
     ref, var_index = full_adaptive_lp(prof, d)
+    reduced, cols = lp_mod._presolve(ref)
     for name in ("c", "E", "f", "A", "b", "lo", "hi"):
-        assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
+        assert np.array_equal(getattr(lp, name), getattr(reduced, name)), name
+    assert lp_mod._presolve(lp)[0] is lp
     ref_sol = solve(ref)
     assert rate == ref_sol.value  # bit-equal
-    assert np.array_equal(sol.assignment, ref_sol.assignment)
+    assert np.array_equal(sol.assignment, ref_sol.assignment[cols])
     y = ref_sol.assignment
     clipped = [min(max(float(y[j]), 0.0), float(ref.hi[j])) for j in range(len(var_index))]
     assert plan.y.tolist() == clipped
@@ -480,6 +486,31 @@ def test_adaptive_lp_equals_full_build_at_the_cap(monkeypatch):
     assert len(patterns) == 77
     for pattern in patterns:
         check_against_full_lp(seen, prof, canonical_demand(pattern))
+
+
+def unique_row_numbers(rows):
+    """The orbit numbering ``_layout`` used before its lexsort: np.unique
+    over whole rows sorts them lexicographically and returns each distinct
+    row's first occurrence and every row's number."""
+    _, first, number = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, number.reshape(-1)
+
+
+def test_layout_orbit_numbering_matches_unique(monkeypatch):
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1), (7, 1), (40, 3), (200, 5)):
+        rows = rng.integers(-2, 3, size=shape)
+        first, number = delivery._row_numbers(rows)
+        ref_first, ref_number = unique_row_numbers(rows)
+        assert np.array_equal(first, ref_first) and np.array_equal(number, ref_number)
+    shapes = [tuple(pattern.counts) for K in range(1, 13) for L in range(1, K + 1)
+              for pattern in partitions_into_parts(K, L)]
+    assert len(shapes) == 271
+    built = {ks: delivery._layout(ks) for ks in shapes}
+    monkeypatch.setattr(delivery, "_row_numbers", unique_row_numbers)
+    for ks in shapes:
+        for name, ref in vars(delivery._layout.__wrapped__(ks)).items():
+            assert np.array_equal(getattr(built[ks], name), ref), (ks, name)
 
 
 def _random_symmetric_profile(K, weights):
@@ -655,7 +686,7 @@ def test_bit_level_round_trip_property(K, data):
     for scheme in SCHEMES:
         plan, _ = _scheme_plan(prof, scheme, d, L)
         schedule = roundtrip(pm, plan, d)
-        assert _message_failures(scheme, schedule, _plan_accessor(plan, d, K), d, F) == []
+        assert _message_failures(scheme, schedule, _plan_accessor(plan, d, K)) == []
 
 
 def test_roundtrip_identity_plan_matches_nonadaptive_rate():
@@ -811,10 +842,13 @@ def test_decode_rejects_a_part_longer_than_its_payload():
 @pytest.mark.parametrize("K", range(1, 9))
 def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
     # member k of message S carries pieces(d_k)[S ^ bit_k] cut at its kept
-    # count, as decode derives it and as the reference reads it
-    F = 300
+    # count, as decode derives it and as the reference reads it; a file's
+    # kept symbols are its pieces' kept prefixes in mask order, and its
+    # uncoded part the rest of every piece in mask order
     rng = np.random.default_rng(K)
-    for maker in (centralized_profile, decentralized_profile, solve_placement_lp):
+    for F, maker in itertools.product((300, 3),  # F < 2^K leaves pieces empty
+                                      (centralized_profile, decentralized_profile,
+                                       solve_placement_lp)):
         prof = maker(K, 0.3)
         pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.3, F=F), prof, seed=K)
         for _ in range(2):
@@ -823,9 +857,14 @@ def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
             for scheme in SCHEMES:
                 plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
                 schedule = build_messages(pm, plan, d)
-                for n, (indices, _) in schedule.kept.items():  # kept and uncoded partition F
-                    symbols = np.concatenate([indices, schedule.uncoded[n][1]])
-                    assert np.array_equal(np.sort(symbols), np.arange(F))
+                for n, (indices, counts) in schedule.kept.items():
+                    cut = counts.tolist()
+                    assert np.array_equal(indices, np.concatenate(
+                        [p[:c] for p, c in zip(pieces[n], cut)]))
+                    payload, idx = schedule.uncoded[n]
+                    assert np.array_equal(idx, np.concatenate(
+                        [p[c:] for p, c in zip(pieces[n], cut)]))
+                    assert np.array_equal(payload, pm.data[n - 1][idx])
                 masks = np.array(sorted(schedule.coded), dtype=np.int64)
                 derived = delivery._parts(d, schedule.kept, masks)
                 at = 0
@@ -905,6 +944,41 @@ def test_decode_matches_reference_on_tampered_schedules(data):
         view = pm.cache_view(k, set(d.requests))
         assert (_outcome(decode, k, view, schedule)
                 == _outcome(decode_reference, k, view, schedule)), (k, kinds)
+
+
+def test_decode_matches_reference_on_missing_side_information():
+    # every coded message, every member cache k and every other member j
+    # with a nonempty part: j's first kept symbol re-pointed at the lowest
+    # symbol of j's file that cache k does not store.  Both decoders raise
+    # the side-information error, at this message or at an earlier one that
+    # reads the same kept entry (1,209 and 117 of 1,326 cases).
+    named = Counter()  # does the error name the tampered message?
+    for K in range(2, 6):
+        for maker in (centralized_profile, decentralized_profile, solve_placement_lp):
+            prof = maker(K, 0.4)
+            pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.4, F=90), prof, seed=K)
+            d = DemandVector(tuple(1 + k % (K - 1) for k in range(K)))  # one file twice
+            for scheme in SCHEMES:
+                plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
+                schedule = build_messages(pm, plan, d)
+                for mask in sorted(schedule.coded):
+                    parts = schedule_parts(schedule, mask)
+                    for k, _, _ in parts:
+                        view = pm.cache_view(k, set(d.requests))
+                        for j, n, idx in parts:
+                            missing = np.flatnonzero((pm.holder[n - 1] >> (k - 1) & 1) == 0)
+                            if j == k or not idx.size or not missing.size:
+                                continue
+                            saved = schedule.kept[n]
+                            set_piece(schedule, n, mask ^ (1 << (j - 1)),
+                                      np.concatenate([missing[:1], idx[1:]]))
+                            got = _outcome(decode, k, view, schedule)
+                            assert got == _outcome(decode_reference, k, view, schedule), (K, mask, k, j)
+                            assert got[0] == "DecodeError"
+                            assert got[1].startswith(f"cache {k} lacks side information for message ")
+                            named[int(got[1].rsplit(" ", 1)[1]) == mask] += 1
+                            schedule.kept[n] = saved
+    assert named[True] > 0 and named[False] > 0
 
 
 def test_schedule_rate_accounts_uncoded_once_per_file():

@@ -518,6 +518,23 @@ def cone_lp(rng, n=30, m=60):
                          A=A, b=np.zeros(m), lo=np.zeros(n), hi=np.ones(n))
 
 
+@pytest.mark.xfail(raises=LpNumericalError, strict=True,
+                   reason="no relative pivot threshold: any entry above PIVOT_TOL may pivot, "
+                          "so entries grow until the residual check fires")
+def test_degenerate_sparse_cone_lps_solve():
+    # cone_lp with each entry of A kept with probability 8/30: the box
+    # contains 0, so every draw is feasible and bounded, yet draws 5, 8
+    # and 17 end in "inequality residual ... beyond tolerance"
+    rng = np.random.default_rng(0)
+    n, m = 30, 60
+    for _ in range(20):
+        A = rng.normal(size=(m, n))
+        A *= rng.random((m, n)) < 8 / n
+        lp = LinearProgram(c=rng.normal(size=n), E=np.zeros((0, n)), f=np.zeros(0),
+                           A=A, b=np.zeros(m), lo=np.zeros(n), hi=np.ones(n))
+        assert solve(lp).status == "optimal"
+
+
 def random_sparse_lp(rng, n, m):
     """A boxed LP whose m rows have two to four small-integer entries, up
     to three of them equalities, anchored at an interior point."""
