@@ -39,13 +39,12 @@ every composition, also those of subset sizes the placement leaves
 empty.  Their columns are capped at 0, and an epigraph row that reads
 one as its y has its z capped at 0 too, since both take the cap of one
 subset size.  ``adaptive_plan`` drops those columns and rows before
-anything is dense.  That is exactly what the solver's presolve would
-drop, so the solver gets an LP with nothing left to presolve and audits
-the residuals of that LP; the dropped part is exactly zero.  The optimum
-is still valued as c @ x over all columns, the dropped ones at 0: a
-shorter vector regroups that floating-point sum, and valued over the
-support's columns alone, 67 of the 154 values of a K = 12 sweep move in
-the last bit.
+anything is dense; it is the one place the LP is reduced, and the
+solver audits the residuals of the LP it gets.  The dropped part is
+exactly zero.  The optimum is still valued as c @ x over all columns,
+the dropped ones at 0: a shorter vector regroups that floating-point
+sum, and valued over the support's columns alone, 67 of the 154 values
+of a K = 12 sweep move in the last bit.
 
 ``build_messages`` / ``decode`` realize a plan at symbol level: kept
 pieces are the first round(y*F) symbols of each subset piece (largest

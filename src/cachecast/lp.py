@@ -8,13 +8,14 @@ with lowest-index tie-breaks, switching to Bland's anti-cycling rule
 while a degenerate plateau persists, so repeated calls on identical
 input walk the identical path.
 
-The problems this package produces are small (a few thousand variables
-at the configured subset-enumeration cap), well scaled, always
-box-bounded and very sparse: in the K=12 adaptive delivery LPs a pivot's
-entering column has about 2 nonzeros in 73 rows and its pivot row about
-8 in 267 columns.  So the tableau is a plain dense array, and each
-iteration reads and writes only the nonzeros of the entering column and
-the pivot row; a post-solve residual check audits the result.
+The problems this package produces are small (the largest adaptive
+delivery LP at K=12 has 380 columns under centralized placement and
+1,315 under decentralized), well scaled, always box-bounded and very
+sparse: in the K=12 adaptive delivery LPs a pivot's entering column has
+about 2 nonzeros in 73 rows and its pivot row about 8 in 267 columns.
+So the tableau is a plain dense array, and each iteration reads and
+writes only the nonzeros of the entering column and the pivot row; a
+post-solve residual check audits the result.
 """
 
 from __future__ import annotations
@@ -242,63 +243,16 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve lp to optimality.  Deterministic for identical inputs.
+    """Solve lp to optimality by two-phase simplex.  Deterministic for
+    identical inputs.
 
-    A presolve first substitutes out fixed variables (lo == hi), drops
-    rows left without a nonzero (or reports infeasibility when such a
-    row's fixed residual violates it), and drops singleton inequality
-    rows that their variable's own bound already implies.  Surviving
-    rows and columns keep their order, so pivoting breaks ties as it
-    would on the full problem.  The solution is scattered back to the
-    full layout, residual-checked against the unreduced lp, and valued
-    as lp.c @ x over all variables.
+    Fixed variables (lo == hi) never enter the basis, and a row without
+    a nonzero stays inert, or makes phase 1 report infeasibility when
+    its right-hand side violates it.
 
     Raises LpNumericalError if the solution fails the 1e-9 residual
     check (the solver never returns a silently-wrong optimum).
     """
-    reduced = _presolve(lp)
-    if reduced is None:
-        return LpSolution("infeasible", np.nan)
-    sub, cols = reduced
-    sol = _solve_dense(sub)
-    if sol.status != "optimal":
-        return sol
-    x = lp.lo.copy()
-    x[cols] = sol.assignment
-    _check_residuals(lp, x)
-    return LpSolution("optimal", float(lp.c @ x), x, iterations=sol.iterations)
-
-
-def _presolve(lp: LinearProgram):
-    """(reduced lp, kept column indices), lp itself when nothing drops,
-    or None when a row emptied by fixed variables is violated."""
-    fixed = lp.lo == lp.hi
-    cols = np.flatnonzero(~fixed)
-    x_fixed = np.where(fixed, lp.lo, 0.0)
-    f, b = lp.f - lp.E @ x_fixed, lp.b - lp.A @ x_fixed
-    E, A = lp.E[:, cols], lp.A[:, cols]
-    nnz_e = np.count_nonzero(E, axis=1)
-    nnz_a = np.count_nonzero(A, axis=1)
-    tol = FEAS_TOL * (1.0 + float(np.max(np.abs(x_fixed), initial=0.0)))
-    if np.any(np.abs(f[nnz_e == 0]) > tol) or np.any(b[nnz_a == 0] < -tol):
-        return None
-    keep_a = nnz_a > 0
-    single = np.flatnonzero(nnz_a == 1)
-    if single.size:
-        at = np.argmax(A[single] != 0, axis=1)
-        a, j = A[single, at], cols[at]
-        # a v_j <= b over v_j's whole box: the row is implied
-        keep_a[single[a * np.where(a > 0, lp.hi[j], lp.lo[j]) <= b[single]]] = False
-    keep_e = nnz_e > 0
-    if cols.size == lp.n_vars and keep_e.all() and keep_a.all():
-        return lp, cols
-    sub = LinearProgram(c=lp.c[cols], E=E[keep_e], f=f[keep_e], A=A[keep_a], b=b[keep_a],
-                        lo=lp.lo[cols], hi=lp.hi[cols])
-    return sub, cols
-
-
-def _solve_dense(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex on the dense tableau of lp, before any residual check."""
     n = lp.n_vars
     me, mi = lp.E.shape[0], lp.A.shape[0]
     m = me + mi
@@ -391,16 +345,19 @@ def _solve_dense(lp: LinearProgram) -> LpSolution:
 
     vals = tab.values()
     x = np.clip(vals[:n], lp.lo, lp.hi)
+    _check_residuals(lp, x)
     return LpSolution("optimal", float(lp.c @ x), x, iterations=it1 + it2)
 
 
 def _check_residuals(lp: LinearProgram, x: np.ndarray):
+    # max |entry| from min and max: solve still holds the tableau here, so
+    # an m x n abs copy would raise its peak memory
     scale = 1.0 + max(1.0, float(np.max(np.abs(x), initial=0.0)))
     if lp.E.shape[0]:
         r = np.max(np.abs(lp.E @ x - lp.f))
-        if r > FEAS_TOL * scale * max(1.0, float(np.max(np.abs(lp.E)))):
+        if r > FEAS_TOL * scale * max(1.0, float(lp.E.max()), -float(lp.E.min())):
             raise LpNumericalError(f"equality residual {r:.3e} beyond tolerance")
     if lp.A.shape[0]:
         r = float(np.max(lp.A @ x - lp.b, initial=0.0))
-        if r > FEAS_TOL * scale * max(1.0, float(np.max(np.abs(lp.A)))):
+        if r > FEAS_TOL * scale * max(1.0, float(lp.A.max()), -float(lp.A.min())):
             raise LpNumericalError(f"inequality residual {r:.3e} beyond tolerance")

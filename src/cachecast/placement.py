@@ -155,13 +155,6 @@ class PartitionMap:
     holder: np.ndarray
     data: np.ndarray
 
-    def pieces(self, file: int) -> list[np.ndarray]:
-        """Per mask 0..2^K-1, the ascending symbol indices stored exactly there."""
-        row = self.holder[file - 1]
-        order = np.argsort(row, kind="stable")
-        ends = np.cumsum(np.bincount(row, minlength=1 << self.config.K)).tolist()
-        return [order[a:b] for a, b in zip([0] + ends, ends)]
-
     def cache_view(self, cache: int, files):
         """What one cache holds of each of ``files``: per file, (held flags,
         values with the symbols it does not hold zeroed)."""

@@ -145,9 +145,9 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
 
 def test_sweep_bytes_are_pinned(tmp_path):
     # Non-integer t (K m = 0.8 and 3.2), where the adaptive LP carries
-    # fixed variables that the presolve drops. The digest was recorded at
-    # commit 27d3f24, before the presolve, so last-ulp drift in the planner
-    # fails here.
+    # fixed variables that adaptive_plan drops. The digest was recorded at
+    # commit 27d3f24, before any LP reduction, so last-ulp drift in the
+    # planner fails here.
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--K", "8", "--N", "1000", "--m-ratio", "0.1:0.3:0.4",
                  "--out", str(out)]) == 0

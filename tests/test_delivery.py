@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cachecast.lp as lp_mod
 from cachecast import delivery
 from cachecast.cli import SCHEMES, _message_failures, _scheme_plan
 from cachecast.core import (
@@ -43,6 +42,8 @@ from cachecast.placement import (
     materialize_partition,
     solve_placement_lp,
 )
+
+from oracles import hand_reduced, pieces
 
 
 def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
@@ -447,21 +448,20 @@ def _capture_solves(monkeypatch):
 
 
 def check_against_full_lp(seen, prof, d):
-    """adaptive_plan hands solve the full builder's LP as the presolve
-    reduces it, with nothing left to reduce, and its value and plan equal
-    those of the full LP."""
+    """adaptive_plan hands solve the full builder's LP without its fixed
+    columns, emptied rows and implied singleton rows, and its value and
+    plan equal those of the unreduced full LP, solved as it is."""
     seen.clear()
     plan, rate = adaptive_plan(prof, d)
     assert len(seen) == 1  # one solve per plan
     lp, sol = seen[0]
     ref, var_index = full_adaptive_lp(prof, d)
-    reduced, cols = lp_mod._presolve(ref)
+    reduced = hand_reduced(ref)
     for name in ("c", "E", "f", "A", "b", "lo", "hi"):
         assert np.array_equal(getattr(lp, name), getattr(reduced, name)), name
-    assert lp_mod._presolve(lp)[0] is lp
     ref_sol = solve(ref)
     assert rate == ref_sol.value  # bit-equal
-    assert np.array_equal(sol.assignment, ref_sol.assignment[cols])
+    assert np.array_equal(sol.assignment, ref_sol.assignment[ref.lo != ref.hi])
     y = ref_sol.assignment
     clipped = [min(max(float(y[j]), 0.0), float(ref.hi[j])) for j in range(len(var_index))]
     assert plan.y.tolist() == clipped
@@ -797,13 +797,13 @@ def test_decode_error_texts():
     schedule.coded[0b011] = msg
 
     # cache 2's part pointed at file 2's symbols stored only at cache 3
-    set_piece(schedule, 2, 0b001, pm.pieces(2)[0b100][:other.shape[0]])
+    set_piece(schedule, 2, 0b001, pieces(pm, 2)[0b100][:other.shape[0]])
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
     schedule.kept[2] = kept[2]
 
     # cache 1's part pointed at symbols it stores: the recovered values
     # differ from the stored ones at the first symbol whose data differs
-    stored = pm.pieces(1)[0b001][:own.shape[0]]
+    stored = pieces(pm, 1)[0b001][:own.shape[0]]
     first = int(stored[np.argmax(pm.data[0][stored] != pm.data[0][own])])
     set_piece(schedule, 1, 0b010, stored)
     assert_decode_error(pm, d, schedule, 1, f"conflicting reconstruction at symbol {first}")
@@ -816,14 +816,14 @@ def test_decode_error_order():
     pm, d, schedule = _one_third_schedule()
     (_, _, own), (_, _, other) = schedule_parts(schedule, 0b011)
     kept = dict(schedule.kept)
-    stored = pm.pieces(1)[0b001][:own.shape[0]]
+    stored = pieces(pm, 1)[0b001][:own.shape[0]]
     set_piece(schedule, 1, 0b010, stored)
-    set_piece(schedule, 2, 0b001, pm.pieces(2)[0b100][:other.shape[0]])
+    set_piece(schedule, 2, 0b001, pieces(pm, 2)[0b100][:other.shape[0]])
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
     # message 5's part at cache 3 pointed at file 3's symbols stored only at cache 2
     (k, _, _), (_, n3, later) = schedule_parts(schedule, 0b101)
     assert (k, n3) == (1, 3)
-    set_piece(schedule, 3, 0b001, pm.pieces(3)[0b010][:later.shape[0]])
+    set_piece(schedule, 3, 0b001, pieces(pm, 3)[0b010][:later.shape[0]])
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 3")
     schedule.kept[2] = kept[2]
     first = int(stored[np.argmax(pm.data[0][stored] != pm.data[0][own])])
@@ -853,17 +853,17 @@ def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
         pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.3, F=F), prof, seed=K)
         for _ in range(2):
             d = DemandVector(tuple(int(r) for r in rng.integers(1, K + 2, size=K)))
-            pieces = {n: pm.pieces(n) for n in set(d.requests)}
+            by_file = {n: pieces(pm, n) for n in set(d.requests)}
             for scheme in SCHEMES:
                 plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
                 schedule = build_messages(pm, plan, d)
                 for n, (indices, counts) in schedule.kept.items():
                     cut = counts.tolist()
                     assert np.array_equal(indices, np.concatenate(
-                        [p[:c] for p, c in zip(pieces[n], cut)]))
+                        [p[:c] for p, c in zip(by_file[n], cut)]))
                     payload, idx = schedule.uncoded[n]
                     assert np.array_equal(idx, np.concatenate(
-                        [p[c:] for p, c in zip(pieces[n], cut)]))
+                        [p[c:] for p, c in zip(by_file[n], cut)]))
                     assert np.array_equal(payload, pm.data[n - 1][idx])
                 masks = np.array(sorted(schedule.coded), dtype=np.int64)
                 derived = delivery._parts(d, schedule.kept, masks)
@@ -876,7 +876,7 @@ def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
                         piece = mask ^ (1 << (k - 1))
                         count = schedule.kept[n][1][piece]
                         assert n == d.requests[k - 1] and idx.shape[0] == count
-                        assert np.array_equal(idx, pieces[n][piece][:count])
+                        assert np.array_equal(idx, by_file[n][piece][:count])
                         _, bit, start, length = (a[at] for a in derived)
                         assert bit == k - 1
                         assert np.array_equal(schedule.kept[n][0][start:start + length], idx)

@@ -27,7 +27,6 @@ from cachecast.lp import (
     _AT_UP,
     _DEGEN_LIMIT,
     _FREE,
-    FEAS_TOL,
     OPT_TOL,
     PIVOT_TOL,
     LinearProgram,
@@ -35,6 +34,8 @@ from cachecast.lp import (
     solve,
 )
 from cachecast.placement import centralized_profile, decentralized_profile, solve_placement_lp
+
+from oracles import hand_reduced
 
 RNG_TRIALS = 120
 
@@ -103,7 +104,7 @@ def with_fixed_bounds(lp, rng):
 
 def random_trials():
     """RNG_TRIALS seeded random LPs, then the same again with some
-    variables fixed, for the presolve."""
+    variables fixed."""
     rng = np.random.default_rng(1234)
     fix_rng = np.random.default_rng(4321)
     trials = []
@@ -283,7 +284,7 @@ def test_shape_validation():
         )
 
 
-def test_presolve_reports_violated_emptied_rows():
+def test_solve_reports_violated_emptied_rows():
     # x_0 is fixed at 1, so x_0 = 2 and x_0 <= 0.5 lose their only variable
     eq = LinearProgram(c=[1.0, 1.0], E=[[1.0, 0.0], [1.0, 1.0]], f=[2.0, 3.0],
                        A=np.zeros((0, 2)), b=np.zeros(0), lo=[1.0, 0.0], hi=[1.0, 5.0])
@@ -291,83 +292,53 @@ def test_presolve_reports_violated_emptied_rows():
     ineq = LinearProgram(c=[1.0, 1.0], E=np.zeros((0, 2)), f=np.zeros(0),
                          A=[[1.0, 0.0]], b=[0.5], lo=[1.0, 0.0], hi=[1.0, 5.0])
     assert solve(ineq).status == "infeasible"
-    # a satisfied emptied row is dropped and the rest still solves
+    # a satisfied emptied row is inert and the rest still solves
     ok = LinearProgram(c=[1.0, 1.0], E=[[1.0, 0.0], [1.0, 1.0]], f=[1.0, 3.0],
                        A=np.zeros((0, 2)), b=np.zeros(0), lo=[1.0, 0.0], hi=[1.0, 5.0])
     sol = solve(ok)
     assert sol.status == "optimal" and sol.assignment == pytest.approx([1.0, 2.0])
 
 
-def test_presolve_drops_implied_singleton_rows():
+def test_solve_is_unchanged_by_implied_singleton_rows():
     # the adaptive LP's shape: y_0 - z <= 0 with y_0 fixed at 0 leaves
     # -z <= 0, which z >= 0 already implies; y_1 - z <= 0 stays binding
     common = dict(c=[0.0, 0.0, 1.0], E=[[1.0, 1.0, 0.0]], f=[1.0],
                   lo=[0.0, 0.0, 0.0], hi=[0.0, 1.0, 1.0])
     with_row = LinearProgram(A=[[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]], b=[0.0, 0.0], **common)
     without = LinearProgram(A=[[0.0, 1.0, -1.0]], b=[0.0], **common)
-    sub, cols = lp_mod._presolve(with_row)
-    assert list(cols) == [1, 2]
-    assert sub.A.shape == (1, 2) and sub.E.shape == (1, 2)
     a, b = solve(with_row), solve(without)
     assert a.status == b.status == "optimal"
     assert a.value == b.value == 1.0
     assert np.array_equal(a.assignment, b.assignment)
     assert a.iterations == b.iterations
-    # a singleton row tighter than the bound is kept
+    # a singleton row tighter than the bound binds
     tight = LinearProgram(c=[-1.0], E=np.zeros((0, 1)), f=np.zeros(0),
                           A=[[2.0]], b=[1.0], lo=[0.0], hi=[1.0])
-    assert lp_mod._presolve(tight)[0] is tight
     assert solve(tight).value == pytest.approx(-0.5)
 
 
-def test_residual_check_runs_on_the_unreduced_lp(monkeypatch):
-    # a presolve that wrongly drops the binding row x_0 + x_1 <= 1 must
-    # not slip a violated optimum through
-    lp = LinearProgram(c=[-1.0, -1.0], E=np.zeros((0, 2)), f=np.zeros(0),
-                       A=[[1.0, 1.0]], b=[1.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
-    assert solve(lp).value == pytest.approx(-1.0)
+def test_residual_check_rejects_a_wrong_simplex_answer(monkeypatch):
+    # x_0 + x_1 = 1 (or <= 1) binds at the optimum; a tableau that reports
+    # every value 0.5 too high must not slip a violated optimum through
+    eq = LinearProgram(c=[-1.0, -1.0], E=[[1.0, 1.0]], f=[1.0],
+                       A=np.zeros((0, 2)), b=np.zeros(0), lo=[0.0, 0.0], hi=[1.0, 1.0])
+    ineq = LinearProgram(c=[-1.0, -1.0], E=np.zeros((0, 2)), f=np.zeros(0),
+                         A=[[1.0, 1.0]], b=[1.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+    assert solve(eq).value == pytest.approx(-1.0)
+    assert solve(ineq).value == pytest.approx(-1.0)
 
-    def lossy(p):
-        return LinearProgram(c=p.c, E=p.E, f=p.f, A=np.zeros((0, 2)), b=np.zeros(0),
-                             lo=p.lo, hi=p.hi), np.arange(2)
-
-    monkeypatch.setattr(lp_mod, "_presolve", lossy)
-    with pytest.raises(LpNumericalError, match="inequality residual"):
-        solve(lp)
-
-
-def hand_reduced(lp):
-    """lp without fixed variables, emptied rows and implied singleton
-    inequality rows, or None if an emptied row is violated."""
-    fixed = lp.lo == lp.hi
-    free = ~fixed
-    lo, hi = lp.lo[free], lp.hi[free]
-    rows = {"E": [], "f": [], "A": [], "b": []}
-    for kind, M, rhs in (("E", lp.E, lp.f), ("A", lp.A, lp.b)):
-        for row, r in zip(M, rhs):
-            r = r - row[fixed] @ lp.lo[fixed]
-            live = row[free]
-            nz = np.flatnonzero(live)
-            if nz.size == 0:
-                if (abs(r) if kind == "E" else -r) > FEAS_TOL:
-                    return None
-                continue
-            if kind == "A" and nz.size == 1:
-                a = live[nz[0]]
-                if a * (hi[nz[0]] if a > 0 else lo[nz[0]]) <= r:
-                    continue
-            rows[kind].append(live)
-            rows["f" if kind == "E" else "b"].append(r)
-    k = int(free.sum())
-    E = np.array(rows["E"], dtype=float).reshape(len(rows["E"]), k)
-    A = np.array(rows["A"], dtype=float).reshape(len(rows["A"]), k)
-    return LinearProgram(c=lp.c[free], E=E, f=rows["f"], A=A, b=rows["b"], lo=lo, hi=hi)
+    values = lp_mod._Tableau.values
+    monkeypatch.setattr(lp_mod._Tableau, "values", lambda tab: values(tab) + 0.5)
+    with pytest.raises(LpNumericalError, match="^equality residual"):
+        solve(eq)
+    with pytest.raises(LpNumericalError, match="^inequality residual"):
+        solve(ineq)
 
 
 @st.composite
 def small_boxed_lps(draw):
     """Integer-valued boxed LPs, so zero, singleton and fixed cases are common
-    and every presolve quantity is exact."""
+    and every reduced quantity is exact."""
     n = draw(st.integers(1, 4))
     me, ma = draw(st.integers(0, 2)), draw(st.integers(0, 3))
     coef = st.integers(-2, 2)
@@ -385,7 +356,9 @@ def small_boxed_lps(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_boxed_lps())
-def test_presolve_matches_hand_reduced_solve(lp):
+def test_solve_matches_hand_reduced_solve(lp):
+    # fixed columns, emptied rows and implied singleton rows change
+    # neither the status nor the optimal value
     full = solve(lp)
     reduced = hand_reduced(lp)
     if reduced is None:
@@ -395,11 +368,9 @@ def test_presolve_matches_hand_reduced_solve(lp):
     assert full.status == part.status
     if part.status != "optimal":
         return
-    x = lp.lo.copy()
-    x[lp.lo != lp.hi] = part.assignment
-    assert np.array_equal(full.assignment, x)
-    assert full.value == float(lp.c @ x)
-    assert full.iterations == part.iterations
+    fixed = lp.lo == lp.hi
+    assert np.array_equal(full.assignment[fixed], lp.lo[fixed])
+    assert abs(full.value - (part.value + lp.c[fixed] @ lp.lo[fixed])) <= 1e-9
 
 
 # --- the dense loop that the sparse one replaced, as an oracle --------------

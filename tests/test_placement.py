@@ -15,6 +15,8 @@ from cachecast.placement import (
     solve_placement_lp,
 )
 
+from oracles import pieces
+
 PLACEMENTS = (centralized_profile, decentralized_profile, solve_placement_lp)
 PROFILE_TOL = 1e-9
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -219,10 +221,10 @@ def test_materialize_two_caches_half():
     cfg = SystemConfig(K=2, N=2, m_ratio=0.5, F=2)
     pm = materialize_partition(cfg, centralized_profile(2, 0.5), seed=0)
     for file in (1, 2):
-        pieces = pm.pieces(file)
-        assert list(pieces[0b01]) == [0]
-        assert list(pieces[0b10]) == [1]
-        assert pieces[0].size == 0
+        by_mask = pieces(pm, file)
+        assert list(by_mask[0b01]) == [0]
+        assert list(by_mask[0b10]) == [1]
+        assert by_mask[0].size == 0
 
 
 def test_materialize_three_caches_third():
@@ -230,7 +232,7 @@ def test_materialize_three_caches_third():
     cfg = SystemConfig(K=3, N=3, m_ratio=1 / 3, F=6)
     pm = materialize_partition(cfg, centralized_profile(3, 1 / 3), seed=0)
     for file in (1, 2, 3):
-        sizes = {mask: pm.pieces(file)[mask].size for mask in (1, 2, 4)}
+        sizes = {mask: pieces(pm, file)[mask].size for mask in (1, 2, 4)}
         assert sizes == {1: 2, 2: 2, 4: 2}
 
 
@@ -243,7 +245,7 @@ def test_materialize_partitions_every_symbol_once():
         pm = materialize_partition(cfg, profile, seed=9)
         for file in range(1, 6):
             seen = np.zeros(500, dtype=int)
-            for idx in pm.pieces(file):
+            for idx in pieces(pm, file):
                 seen[idx] += 1
                 assert np.all(np.diff(idx) > 0)  # ascending, unique
             assert np.all(seen == 1)
@@ -256,7 +258,7 @@ def test_materialize_sizes_track_fractions():
         pm = materialize_partition(cfg, profile, seed=3)
         for file in (1, 4):
             by_size = np.zeros(K + 1)
-            for mask, idx in enumerate(pm.pieces(file)):
+            for mask, idx in enumerate(pieces(pm, file)):
                 by_size[bin(mask).count("1")] += idx.size
             for s in range(K + 1):
                 share = profile.fractions[s] * binomial(K, s)
@@ -277,9 +279,9 @@ def test_materialize_centralized_shared_slices():
     # every file is cut identically, so coded pieces align symbol-for-symbol
     cfg = SystemConfig(K=3, N=4, m_ratio=0.4, F=300)
     pm = materialize_partition(cfg, centralized_profile(3, 0.4), seed=5)
-    ref = pm.pieces(1)
+    ref = pieces(pm, 1)
     for file in (2, 3, 4):
-        for mask, idx in enumerate(pm.pieces(file)):
+        for mask, idx in enumerate(pieces(pm, file)):
             assert np.array_equal(idx, ref[mask])
 
 
@@ -288,7 +290,7 @@ def test_materialize_decentralized_files_differ():
     pm = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=7)
     differing = sum(
         1
-        for a, b in zip(pm.pieces(1), pm.pieces(2))
+        for a, b in zip(pieces(pm, 1), pieces(pm, 2))
         if a.size and not np.array_equal(a, b)
     )
     assert differing > 0
@@ -301,7 +303,7 @@ def test_materialize_deterministic_in_seed():
     c = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=12)
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(a.holder, b.holder)
-    assert any(not np.array_equal(x, y) for x, y in zip(a.pieces(2), c.pieces(2)))
+    assert any(not np.array_equal(x, y) for x, y in zip(pieces(a, 2), pieces(c, 2)))
 
 
 def test_pieces_match_eager_dicts():
@@ -314,7 +316,7 @@ def test_pieces_match_eager_dicts():
                     pm = materialize_partition(cfg, profile, seed=K * F)
                     ref = eager_pieces(cfg, profile, seed=K * F)
                     for file in range(1, K + 1):
-                        got = pm.pieces(file)
+                        got = pieces(pm, file)
                         assert len(got) == 2**K
                         for mask, idx in enumerate(got):
                             expect = ref[file - 1].get(mask, _EMPTY)
