@@ -10,9 +10,9 @@ Subcommands:
   placement   cache-content profiles over an m-ratio grid
   rate        delivery rates for one explicit demand or pattern
   bound       cutset lower bounds over an m-ratio grid
-  sweep       rate curves over an m-ratio grid, per pattern or averaged
-              uniformly over all redundancy patterns with each number of
-              distinct files
+  sweep       rate curves over an m-ratio grid, for the one pattern of
+              --demands or --pattern, or averaged uniformly over all
+              redundancy patterns with each number of distinct files
   simulate    Gibbs-sampled correlated demands: sample dump, empirical
               statistics, and average rates per scheme
   verify      bit-level build/decode round-trip against analytic rates
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -104,7 +103,7 @@ class ScenarioConfig:
     seed: int = 0
     F: int | None = None
     out: str | None = None
-    jobs: int = 1
+    jobs: int = 1  # only 1, so that old command lines still parse
 
     def validate(self) -> None:
         errors = [e for e in (_type_error(f, getattr(self, f.name)) for f in fields(self)) if e]
@@ -132,8 +131,6 @@ class ScenarioConfig:
         twice = [s for i, s in enumerate(self.delivery) if s in self.delivery[:i]]
         if twice:
             errors.append(f"delivery: scheme {twice[0]} listed twice")
-        if "adaptive" in self.delivery and self.K > SUBSET_ENUM_CAP:
-            errors.append(f"K: adaptive delivery requires K <= {SUBSET_ENUM_CAP}")
         if self.demands is not None:
             if len(self.demands) != self.K:
                 errors.append(f"demands: expected {self.K} entries, got {len(self.demands)}")
@@ -158,8 +155,8 @@ class ScenarioConfig:
             errors.append("samples: must be at least 1")
         if self.F is not None and self.F < 1:
             errors.append("F: must be at least 1")
-        if self.jobs < 1:
-            errors.append("jobs: must be at least 1")
+        if self.jobs != 1:
+            errors.append("jobs: must be 1; grid points run serially")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -233,10 +230,6 @@ def _scheme_plan(profile, scheme: str, d: DemandVector, L: int):
     return adaptive_plan(profile, d)
 
 
-def _scheme_rate(profile, scheme: str, pattern: RedundancyPattern) -> float:
-    return _scheme_plan(profile, scheme, canonical_demand(pattern), pattern.L)[1]
-
-
 def _gap_cell(r_na: float, rate: float, bound: float) -> str:
     if r_na <= bound + GAP_TOL:
         return ""
@@ -246,41 +239,53 @@ def _gap_cell(r_na: float, rate: float, bound: float) -> str:
 RATE_HEADER = ("m_ratio", "scheme", "pattern", "L", "rate", "bound", "gap_reduction")
 
 
-def _map_jobs(fn, items, jobs: int):
-    """Order-preserving map, optionally over a thread pool.
-
-    Each item is computed independently, so parallel and serial runs
-    produce identical result lists.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _refuse(errors) -> None:
+    if errors:
+        raise ConfigError("; ".join(errors))
 
 
-def _rate_rows(cfg: ScenarioConfig, m: float, L: int, patterns, label: str):
-    """Rate CSV rows for one grid point, averaged uniformly over patterns with L files."""
-    profile = _profile_for(cfg, m)
-    bound = cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value
-    r_na = rate_nonadaptive(profile, L, cfg.K)
+def _unused(cfg: ScenarioConfig, command: str, *names) -> list:
+    """Errors for the demand fields a command would otherwise ignore."""
+    return [f"{name}: {command} does not use it" for name in names
+            if getattr(cfg, name) is not None]
+
+
+def _cap(cfg: ScenarioConfig) -> list:
+    """The adaptive planner's K cap, for the commands that plan delivery."""
+    if "adaptive" in cfg.delivery and cfg.K > SUBSET_ENUM_CAP:
+        return [f"K: adaptive delivery requires K <= {SUBSET_ENUM_CAP}"]
+    return []
+
+
+def _pattern(cfg: ScenarioConfig) -> RedundancyPattern | None:
+    """The pattern of --demands, or --pattern, or None."""
+    if cfg.demands is not None:
+        return redundancy_pattern(DemandVector(cfg.demands))[0]
+    if cfg.pattern is not None:
+        return RedundancyPattern(cfg.pattern)
+    return None
+
+
+def _rate_rows(cfg: ScenarioConfig, profile, m: float, patterns, label: str,
+               L_cell: str, bound: float, r_na: float):
+    """Rate CSV rows for one grid point: each scheme's rate averaged over
+    the pattern sequence, planning every distinct pattern once."""
+    index = {}
+    inverse = np.array([index.setdefault(p, len(index)) for p in patterns])
     rows = []
     for scheme in SCHEMES:
         if scheme not in cfg.delivery:
             continue
-        rate = float(np.mean([_scheme_rate(profile, scheme, p) for p in patterns]))
-        rows.append((_fmt(m), scheme, label, str(L), _fmt(rate),
+        rates = np.array([_scheme_plan(profile, scheme, canonical_demand(p), p.L)[1]
+                          for p in index])
+        rate = float(np.mean(rates[inverse]))
+        rows.append((_fmt(m), scheme, label, L_cell, _fmt(rate),
                      _fmt(bound), _gap_cell(r_na, rate, bound)))
     return rows
 
 
-def _emit_rates(cfg: ScenarioConfig, tasks):
-    """Rate rows of (m, L, patterns, label) tasks, mapped over cfg.jobs, as one CSV."""
-    chunks = _map_jobs(lambda t: _rate_rows(cfg, *t), tasks, cfg.jobs)
-    return [_emit_csv(cfg.out, RATE_HEADER, [row for chunk in chunks for row in chunk])]
-
-
 def _run_placement(cfg: ScenarioConfig):
+    _refuse(_unused(cfg, "placement", "demands", "pattern"))
     header = ["scheme", "K", "m_ratio"] + [f"x_{s}" for s in range(cfg.K + 1)]
     rows = []
     for m in cfg.m_ratio:
@@ -290,36 +295,34 @@ def _run_placement(cfg: ScenarioConfig):
 
 
 def _run_bound(cfg: ScenarioConfig):
-    if cfg.pattern is not None:
-        Ls = [len(cfg.pattern)]
-    elif cfg.demands is not None:
-        Ls = [len(set(cfg.demands))]
-    else:
-        Ls = list(range(1, cfg.K + 1))
+    pattern = _pattern(cfg)
     rows = []
     for m in cfg.m_ratio:
-        for L in Ls:
+        for L in [pattern.L] if pattern else range(1, cfg.K + 1):
             b = cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value
             rows.append((_fmt(m), "bound", "", str(L), _fmt(b), _fmt(b), ""))
     return [_emit_csv(cfg.out, RATE_HEADER, rows)]
 
 
 def _run_rate(cfg: ScenarioConfig):
-    if cfg.demands is not None:
-        pattern, _, _ = redundancy_pattern(DemandVector(cfg.demands))
-    elif cfg.pattern is not None:
-        pattern = RedundancyPattern(cfg.pattern)
-    else:
+    if _pattern(cfg) is None:
         raise ConfigError("demands: rate needs an explicit demand vector or a pattern")
-    return _emit_rates(cfg, [(m, pattern.L, [pattern], str(pattern)) for m in cfg.m_ratio])
+    return _run_sweep(cfg)
 
 
 def _run_sweep(cfg: ScenarioConfig):
-    if cfg.pattern is not None:
-        pattern = RedundancyPattern(cfg.pattern)
-        return _emit_rates(cfg, [(m, pattern.L, [pattern], str(pattern)) for m in cfg.m_ratio])
-    return _emit_rates(cfg, [(m, L, partitions_into_parts(cfg.K, L), "avg")
-                             for m in cfg.m_ratio for L in range(1, cfg.K + 1)])
+    _refuse(_cap(cfg))
+    pattern = _pattern(cfg)
+    groups = ([(pattern.L, [pattern], str(pattern))] if pattern else
+              [(L, partitions_into_parts(cfg.K, L), "avg") for L in range(1, cfg.K + 1)])
+    rows = []
+    for m in cfg.m_ratio:
+        profile = _profile_for(cfg, m)
+        for L, patterns, label in groups:
+            rows += _rate_rows(cfg, profile, m, patterns, label, str(L),
+                               cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value,
+                               rate_nonadaptive(profile, L, cfg.K))
+    return [_emit_csv(cfg.out, RATE_HEADER, rows)]
 
 
 def _graph_for(cfg: ScenarioConfig) -> np.ndarray:
@@ -340,13 +343,12 @@ def _out_prefix(out: str | None, fallback: str) -> str:
 
 
 def _run_simulate(cfg: ScenarioConfig):
-    errors = []
+    errors = _unused(cfg, "simulate", "demands", "pattern") + _cap(cfg)
     if cfg.K < 2:
         errors.append("K: simulate correlates pairs of caches, so needs at least 2")
     if cfg.samples < 2:
         errors.append("samples: simulate needs at least 2 per chain for its statistics")
-    if errors:
-        raise ConfigError("; ".join(errors))
+    _refuse(errors)
     model = CorrelationModel(adjacency=_graph_for(cfg), r=cfg.r,
                              popularity=zipf_pmf(cfg.N, cfg.theta))
     chain_samples = sample_chains(model, cfg.chains, cfg.samples, cfg.burn_in, cfg.seed)
@@ -370,27 +372,14 @@ def _run_simulate(cfg: ScenarioConfig):
                              _fmt(stats.rho_avg), _fmt(stats.L_avg))])
 
     patterns = [redundancy_pattern(d)[0] for d in samples]
-    distinct = sorted(set(patterns), key=lambda p: (p.L, p.counts))
+    Ls = [p.L for p in patterns]
     rate_rows = []
     for m in cfg.m_ratio:
         profile = _profile_for(cfg, m)
-        cache = {}
-        for scheme in SCHEMES:
-            if scheme not in cfg.delivery:
-                continue
-            vals = _map_jobs(lambda p, s=scheme: _scheme_rate(profile, s, p),
-                             distinct, cfg.jobs)
-            cache[scheme] = dict(zip(distinct, vals))
-        bound = average_bound(samples, cfg.N, m * cfg.N, cfg.K)
-        r_na = {p.L: rate_nonadaptive(profile, p.L, cfg.K) for p in distinct}
-        r_na_avg = float(np.mean([r_na[p.L] for p in patterns]))
-        L_avg = float(np.mean([p.L for p in patterns]))
-        for scheme in SCHEMES:
-            if scheme not in cfg.delivery:
-                continue
-            avg = float(np.mean([cache[scheme][p] for p in patterns]))
-            rate_rows.append((_fmt(m), scheme, "avg", _fmt(L_avg), _fmt(avg),
-                              _fmt(bound), _gap_cell(r_na_avg, avg, bound)))
+        r_na = {L: rate_nonadaptive(profile, L, cfg.K) for L in set(Ls)}
+        rate_rows += _rate_rows(cfg, profile, m, patterns, "avg", _fmt(stats.L_avg),
+                                average_bound(samples, cfg.N, m * cfg.N, cfg.K),
+                                float(np.mean([r_na[L] for L in Ls])))
     rate_path = _emit_csv(f"{prefix}_rates.csv", RATE_HEADER, rate_rows)
     return [sample_path, stats_path, rate_path]
 
@@ -440,6 +429,7 @@ def _message_failures(label: str, schedule, kept) -> list:
 def _run_verify(cfg: ScenarioConfig) -> list:
     if cfg.F is None:
         raise ConfigError("F: required for verify (bit-level symbol count)")
+    _refuse(_unused(cfg, "verify", "pattern") + _cap(cfg))
     failures = []
     lines = []
     m = cfg.m_ratio[0]
@@ -578,7 +568,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--F", type=int, dest="F")
         p.add_argument("--graph", help="complete, or path to an edge-list file")
         p.add_argument("--out", help="output CSV path (simulate: path prefix)")
-        p.add_argument("--jobs", type=int, help="worker threads for grid evaluation")
+        p.add_argument("--jobs", type=int, help="must be 1: grid points run serially")
     return parser
 
 

@@ -147,12 +147,16 @@ def _mask_sums(steps) -> np.ndarray:
     return out
 
 
+def _size_rate(x, L: int, K: int) -> float:
+    """Rate of sending each size class whole: L uncoded parts of size x_0,
+    and C(K, s+1) coded messages of size x_s per size s >= 1."""
+    return float(L * x[0] + sum(binomial(K, s + 1) * x[s] for s in range(1, K)))
+
+
 def rate_nonadaptive(p: PlacementProfile, L: int, K: int) -> float:
     """Baseline rate: every subset message sent, uncoded once per file."""
     _check_L_K(p, L, K)
-    x = p.fractions
-    coded = sum(binomial(K, s + 1) * x[s] for s in range(1, K))
-    return float(L * x[0] + coded)
+    return _size_rate(p.fractions, L, K)
 
 
 def peak_rate_centralized(K: int, m_ratio: float) -> float:
@@ -193,8 +197,7 @@ def simplified_plan(p: PlacementProfile, L: int, K: int) -> SimplifiedPlan:
     y[0] = x[0] + moved
     for s in range(1, shat + 1):
         y[s] = 0.0
-    rate = L * y[0] + sum(binomial(K, s + 1) * y[s] for s in range(1, K))
-    return SimplifiedPlan(fractions=y, rate=float(rate))
+    return SimplifiedPlan(fractions=y, rate=_size_rate(y, L, K))
 
 
 def canonical_demand(pattern: RedundancyPattern) -> DemandVector:

@@ -104,11 +104,6 @@ class _Tableau:
         self.status[~np.isfinite(lo) & np.isfinite(hi)] = _AT_UP
         self.status[~np.isfinite(lo) & ~np.isfinite(hi)] = _FREE
 
-    def objective(self, c):
-        vals = self.val.copy()
-        vals[self.basis] = self.xB
-        return float(c @ vals)
-
     def values(self):
         vals = self.val.copy()
         vals[self.basis] = self.xB
@@ -308,7 +303,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         status, it1 = _simplex_phase(tab, c1, allowed, max_iter)
         if status != "optimal":
             raise LpNumericalError("phase 1 reported unbounded; bad problem data")
-        if tab.objective(c1) > 1e-7:
+        if float(c1 @ tab.values()) > 1e-7:
             return LpSolution("infeasible", np.nan, iterations=it1)
         # pin artificials so phase 2 cannot move them
         tab.hi[art_cols] = 0.0

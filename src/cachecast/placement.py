@@ -150,8 +150,6 @@ class PartitionMap:
     """
 
     config: SystemConfig
-    scheme: str
-    seed: int
     holder: np.ndarray
     data: np.ndarray
 
@@ -204,4 +202,4 @@ def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) 
             holder[fi, np.random.default_rng(children[fi + 1]).permutation(F)] = layout
     else:
         holder = np.broadcast_to(layout, (config.N, F))
-    return PartitionMap(config=config, scheme=p.scheme, seed=seed, holder=holder, data=data)
+    return PartitionMap(config=config, holder=holder, data=data)

@@ -16,6 +16,7 @@ from cachecast.cli import (
     ScenarioConfig,
     main,
     parse_m_ratio,
+    run_scenario,
 )
 from cachecast.lp import LpNumericalError, solve
 
@@ -74,7 +75,7 @@ def test_scenario_validation_aggregates_field_errors():
 
     cfg = ScenarioConfig(K=20, m_ratio=[0.2], pattern=tuple([1] * 20))
     with pytest.raises(ConfigError, match="adaptive delivery requires"):
-        cfg.validate()
+        run_scenario(cfg, "rate")
 
 
 def test_every_config_field_has_a_flag():
@@ -131,16 +132,26 @@ def test_rate_requires_demands_or_pattern(capsys):
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
-    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    a, b = (tmp_path / name for name in ("a.csv", "b.csv"))
     args = ["sweep", "--K", "4", "--N", "40", "--m-ratio", "0.1:0.2:0.5"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    assert main(args + ["--jobs", "4", "--out", str(c)]) == 0
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
     header, rows = read_csv(a)
     # 3 grid points x L in 1..4 x 3 schemes, pattern-averaged
     assert len(rows) == 36
     assert all(row["pattern"] == "avg" for row in rows)
+
+
+def test_jobs_other_than_one_is_refused(tmp_path, capsys):
+    args = ["sweep", "--K", "3", "--N", "30", "--m-ratio", "0.2"]
+    assert main(args + ["--jobs", "2"]) == 1
+    assert "jobs:" in capsys.readouterr().err
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"K": 3, "N": 30, "m_ratio": 0.2, "jobs": 2}))
+    assert main(["sweep", "--config", str(conf)]) == 1
+    assert "jobs:" in capsys.readouterr().err
+    assert main(args + ["--jobs", "1"]) == 0
 
 
 def test_sweep_bytes_are_pinned(tmp_path):
@@ -204,6 +215,48 @@ def test_sweep_with_pattern_column(tmp_path):
     assert len(rows) == 3
     assert all(row["pattern"] == "2-2" for row in rows)
     assert all(row["L"] == "2" for row in rows)
+
+
+def test_sweep_and_rate_agree_on_one_pattern(tmp_path):
+    # sweep reads --demands as rate does, not as a request for the average
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    common = ["--K", "3", "--N", "30", "--m-ratio", "0.1:0.2:0.5"]
+    for out, flags in zip(outs, (["sweep", "--demands", "1,1,2"], ["sweep", "--pattern", "2,1"],
+                                 ["rate", "--demands", "1,1,2"])):
+        assert main(flags + common + ["--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    _, rows = read_csv(outs[0])
+    assert len(rows) == 9 and all(row["pattern"] == "2-1" for row in rows)
+
+
+def test_adaptive_cap_binds_only_commands_that_plan_delivery(tmp_path, capsys):
+    grid = ["--K", "13", "--N", "500", "--m-ratio", "0.1"]
+    assert main(["bound", *grid, "--out", str(tmp_path / "b.csv")]) == 0
+    assert main(["placement", *grid, "--out", str(tmp_path / "p.csv")]) == 0
+    _, rows = read_csv(tmp_path / "b.csv")
+    assert [row["L"] for row in rows] == [str(L) for L in range(1, 14)]
+    capsys.readouterr()
+    for command, extra in (("rate", ["--pattern", "13"]), ("sweep", []),
+                           ("simulate", ["--out", str(tmp_path / "sim")]),
+                           ("verify", ["--F", "100"])):
+        assert main([command, *grid, *extra]) == 1
+        assert "K: adaptive delivery requires K <= 12" in capsys.readouterr().err
+    # simulate refuses before it samples
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "p.csv"]
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("simulate", ["--demands", "1,1,2"], "demands"),
+    ("simulate", ["--pattern", "2,1"], "pattern"),
+    ("placement", ["--demands", "1,1,2"], "demands"),
+    ("placement", ["--pattern", "2,1"], "pattern"),
+    ("verify", ["--pattern", "2,1"], "pattern"),
+])
+def test_demand_flags_a_command_ignores_are_refused(tmp_path, capsys, command, flags, field):
+    assert main([command, "--K", "3", "--N", "30", "--m-ratio", "0.2", "--F", "50",
+                 *flags, "--out", str(tmp_path / "x")]) == 1
+    assert f"error: {field}: {command}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bound_subcommand(tmp_path):
