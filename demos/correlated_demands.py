@@ -22,8 +22,8 @@ from cachecast import (
     mean_request_index,
     rate_nonadaptive,
     sample_chains,
+    redundancy_patterns,
     simplified_plan,
-    redundancy_pattern,
     zipf_pmf,
 )
 
@@ -34,10 +34,10 @@ M_RATIO = 0.075
 model = CorrelationModel(adjacency=complete_graph(K), r=R,
                          popularity=zipf_pmf(N, THETA))
 chains = sample_chains(model, chains=5, count=1000, burn_in=150, seed=0)
-samples = [d for chain in chains for d in chain]
+samples = chains.reshape(-1, K)  # one demand vector per row
 
 stats = empirical_stats(samples)
-rhat = epsr(np.array([mean_request_index(chain) for chain in chains]))
+rhat = epsr(mean_request_index(chains))
 print(f"r={R}, theta={THETA}, {len(samples)} samples from 5 chains")
 print(f"distinct files per demand: {stats.L_avg:.2f} on average (iid would give "
       f"{N * (1 - (1 - 1 / N) ** K):.2f})")
@@ -45,15 +45,10 @@ print(f"pairwise correlation: avg {stats.rho_avg:.2f}, max {stats.rho_max:.2f}")
 print(f"convergence diagnostic: {rhat:.4f} (1 means fully mixed)")
 
 profile = centralized_profile(K, M_RATIO)
-patterns = [redundancy_pattern(d)[0] for d in samples]
-cache = {}
-for p in set(patterns):
-    _, r_ad = adaptive_plan(profile, canonical_demand(p))
-    cache[p] = (r_ad, simplified_plan(profile, p.L, K).rate)
-
-r_na = float(np.mean([rate_nonadaptive(profile, p.L, K) for p in patterns]))
-r_ad = float(np.mean([cache[p][0] for p in patterns]))
-r_sp = float(np.mean([cache[p][1] for p in patterns]))
+patterns, inverse = redundancy_patterns(samples)  # distinct patterns, one index per row
+rates = np.array([(rate_nonadaptive(profile, p.L, K), simplified_plan(profile, p.L, K).rate,
+                   adaptive_plan(profile, canonical_demand(p))[1]) for p in patterns])
+r_na, r_sp, r_ad = (float(v) for v in rates[inverse].mean(axis=0))
 bound = average_bound(samples, N, M_RATIO * N, K)
 print()
 print(f"average rates at m={M_RATIO}:")

@@ -24,6 +24,7 @@ from .core import (
     binomial,
     partitions_into_parts,
     redundancy_pattern,
+    redundancy_patterns,
 )
 from .delivery import (
     DecodeError,
@@ -113,6 +114,7 @@ __all__ = [
     "rate_nonadaptive",
     "rate_of_schedule",
     "redundancy_pattern",
+    "redundancy_patterns",
     "sample_chains",
     "sample_demands",
     "simplified_plan",

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DemandVector
+import numpy as np
+
+from .core import distinct_counts
 
 GAP_TOL = 1e-12
 
@@ -46,20 +48,21 @@ def cutset_bound(K: int, L: int, N: int, M: float) -> BoundReport:
     return BoundReport(value=max(best_val, 0.0), argmax_s=best_s)
 
 
-def average_bound(demands: list[DemandVector], N: int, M: float, K: int) -> float:
-    """Mean cut-set bound over sampled demand vectors, one cut-set per distinct L."""
-    if not demands:
+def average_bound(demands, N: int, M: float, K: int) -> float:
+    """Mean cut-set bound over the rows of a (..., K) int demand array.
+
+    Each row's bound is the cut-set bound at its number of distinct files
+    L, and the rows' values are summed left to right, in row order.
+    """
+    demands = np.asarray(demands)
+    if demands.size == 0:
         raise ValueError("need at least one demand vector")
-    by_L = {}
-    total = 0.0
-    for d in demands:
-        if d.K != K:
-            raise ValueError("demand length disagrees with K")
-        L = len(set(d.requests))
-        if L not in by_L:
-            by_L[L] = cutset_bound(K, L, N, M).value
-        total += by_L[L]
-    return total / len(demands)
+    if demands.shape[-1] != K:
+        raise ValueError("demand length disagrees with K")
+    by_L = np.array([0.0] + [cutset_bound(K, L, N, M).value for L in range(1, K + 1)])
+    values = by_L[distinct_counts(demands).ravel()]
+    # np.cumsum adds in order, one element at a time
+    return float(np.cumsum(values)[-1]) / values.size
 
 
 def gap_reduction(r_na: float, r_scheme: float, bound: float) -> float:

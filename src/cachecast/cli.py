@@ -40,6 +40,7 @@ from .core import (
     SystemConfig,
     partitions_into_parts,
     redundancy_pattern,
+    redundancy_patterns,
 )
 from .delivery import (
     DecodeError,
@@ -266,18 +267,16 @@ def _pattern(cfg: ScenarioConfig) -> RedundancyPattern | None:
     return None
 
 
-def _rate_rows(cfg: ScenarioConfig, profile, m: float, patterns, label: str,
+def _rate_rows(cfg: ScenarioConfig, profile, m: float, patterns, inverse, label: str,
                L_cell: str, bound: float, r_na: float):
     """Rate CSV rows for one grid point: each scheme's rate averaged over
-    the pattern sequence, planning every distinct pattern once."""
-    index = {}
-    inverse = np.array([index.setdefault(p, len(index)) for p in patterns])
+    the sequence patterns[inverse], planning each distinct pattern once."""
     rows = []
     for scheme in SCHEMES:
         if scheme not in cfg.delivery:
             continue
         rates = np.array([_scheme_plan(profile, scheme, canonical_demand(p), p.L)[1]
-                          for p in index])
+                          for p in patterns])
         rate = float(np.mean(rates[inverse]))
         rows.append((_fmt(m), scheme, label, L_cell, _fmt(rate),
                      _fmt(bound), _gap_cell(r_na, rate, bound)))
@@ -319,8 +318,8 @@ def _run_sweep(cfg: ScenarioConfig):
     for m in cfg.m_ratio:
         profile = _profile_for(cfg, m)
         for L, patterns, label in groups:
-            rows += _rate_rows(cfg, profile, m, patterns, label, str(L),
-                               cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value,
+            rows += _rate_rows(cfg, profile, m, patterns, np.arange(len(patterns)), label,
+                               str(L), cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value,
                                rate_nonadaptive(profile, L, cfg.K))
     return [_emit_csv(cfg.out, RATE_HEADER, rows)]
 
@@ -352,17 +351,17 @@ def _run_simulate(cfg: ScenarioConfig):
     model = CorrelationModel(adjacency=_graph_for(cfg), r=cfg.r,
                              popularity=zipf_pmf(cfg.N, cfg.theta))
     chain_samples = sample_chains(model, cfg.chains, cfg.samples, cfg.burn_in, cfg.seed)
-    samples = [d for chain in chain_samples for d in chain]
+    samples = chain_samples.reshape(-1, cfg.K)
     prefix = _out_prefix(cfg.out, "simulate")
 
-    sample_rows = [[str(i + 1)] + [str(v) for v in d.requests] for i, d in enumerate(samples)]
-    sample_path = _emit_csv(f"{prefix}_samples.csv",
-                            ["sample_index"] + [f"d_{k}" for k in range(1, cfg.K + 1)],
-                            sample_rows)
+    header = ",".join(["sample_index"] + [f"d_{k}" for k in range(1, cfg.K + 1)]) + "\n"
+    line = ",".join(["%d"] * (cfg.K + 1)) + "\n"  # sample index, then the K requests
+    sample_path = _emit(f"{prefix}_samples.csv", header + "".join(
+        [line % (i, *d) for i, d in enumerate(samples.tolist(), start=1)]))
 
     stats = empirical_stats(samples)
     if cfg.chains >= 2:
-        stat = np.array([mean_request_index(chain) for chain in chain_samples])
+        stat = mean_request_index(chain_samples)
         # chains that each hold one value (e.g. at consensus) leave R-hat undefined
         rhat = epsr(stat) if np.ptp(stat, axis=1).any() else float("nan")
         print(f"epsr: {rhat:.6g}", file=sys.stderr)
@@ -371,15 +370,14 @@ def _run_simulate(cfg: ScenarioConfig):
                            [(_fmt(cfg.r), _fmt(cfg.theta), _fmt(stats.rho_max),
                              _fmt(stats.rho_avg), _fmt(stats.L_avg))])
 
-    patterns = [redundancy_pattern(d)[0] for d in samples]
-    Ls = [p.L for p in patterns]
+    patterns, inverse = redundancy_patterns(samples)
     rate_rows = []
     for m in cfg.m_ratio:
         profile = _profile_for(cfg, m)
-        r_na = {L: rate_nonadaptive(profile, L, cfg.K) for L in set(Ls)}
-        rate_rows += _rate_rows(cfg, profile, m, patterns, "avg", _fmt(stats.L_avg),
+        r_na = np.array([rate_nonadaptive(profile, p.L, cfg.K) for p in patterns])
+        rate_rows += _rate_rows(cfg, profile, m, patterns, inverse, "avg", _fmt(stats.L_avg),
                                 average_bound(samples, cfg.N, m * cfg.N, cfg.K),
-                                float(np.mean([r_na[L] for L in Ls])))
+                                float(np.mean(r_na[inverse])))
     rate_path = _emit_csv(f"{prefix}_rates.csv", RATE_HEADER, rate_rows)
     return [sample_path, stats_path, rate_path]
 
@@ -429,7 +427,10 @@ def _message_failures(label: str, schedule, kept) -> list:
 def _run_verify(cfg: ScenarioConfig) -> list:
     if cfg.F is None:
         raise ConfigError("F: required for verify (bit-level symbol count)")
-    _refuse(_unused(cfg, "verify", "pattern") + _cap(cfg))
+    cap = _cap(cfg)
+    if not cap and cfg.K > SUBSET_ENUM_CAP:
+        cap = [f"K: bit-level verification requires K <= {SUBSET_ENUM_CAP}"]
+    _refuse(_unused(cfg, "verify", "pattern") + cap)
     failures = []
     lines = []
     m = cfg.m_ratio[0]

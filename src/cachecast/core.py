@@ -22,6 +22,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -116,6 +118,32 @@ def redundancy_pattern(d: DemandVector):
     counts = Counter(d.requests)
     pattern = RedundancyPattern(tuple(sorted(counts.values(), reverse=True)))
     return pattern, len(counts), frozenset(counts)
+
+
+def distinct_counts(samples) -> np.ndarray:
+    """Number of distinct files in each row of a (..., K) int demand array."""
+    rows = np.sort(samples, axis=-1)
+    return 1 + np.count_nonzero(rows[..., 1:] != rows[..., :-1], axis=-1)
+
+
+def redundancy_patterns(samples) -> tuple[list[RedundancyPattern], np.ndarray]:
+    """Classify every row of a (..., K) int demand array, with one row sort.
+
+    Returns the distinct patterns, in order of first appearance, and for
+    each row (in C order) the index of its pattern in that list.
+    """
+    rows = np.sort(np.reshape(samples, (-1, np.shape(samples)[-1])), axis=1)
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    starts = np.flatnonzero(new)  # each row starts a run, so no run spans two rows
+    runs = np.zeros(rows.size, dtype=np.int64)
+    runs[starts] = np.diff(starts, append=rows.size)
+    # per row: zeros, then the run lengths in ascending order
+    index: dict = {}
+    inverse = np.array([index.setdefault(key, len(index))
+                        for key in map(tuple, np.sort(runs.reshape(rows.shape), axis=1).tolist())],
+                       dtype=np.intp)
+    return [RedundancyPattern(tuple(c for c in reversed(key) if c)) for key in index], inverse
 
 
 def partitions_into_parts(K: int, L: int) -> list[RedundancyPattern]:

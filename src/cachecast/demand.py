@@ -13,13 +13,17 @@ stationary law.
 
 conditional_pmf is the specification of one draw: invert the cdf of the
 conditional pmf at one uniform. The sampler does not build that pmf. Its
-cdf is (1 - r) times the base cdf, which the model keeps, plus r / s for
-each of the s copy-set files at or below the index, so a bisection of the
-base cdf per run of indices between copy-set files finds the draw in
-O(K log N). The answer is kept only when the uniform lies farther than a
-rounding guard of order N * 2**-53 from the cdf on both sides of it;
-otherwise the draw is redone on the exact path with the same uniform. The
-samples are therefore those of the plain inverse-cdf sampler, bit for bit.
+cdf is (1 - r) times the base cdf plus r / s for each of the s copy-set
+files at or below the index, so a bisection of the base cdf per run of
+indices between copy-set files finds the draw in O(K log N); the model
+builds the products and sums this takes once. The answer is kept only
+when the uniform lies farther than a rounding guard of order N * 2**-53
+from the cdf on both sides of it; otherwise the draw is redone on the
+exact path with the same uniform. The samples are therefore those of the
+plain inverse-cdf sampler, bit for bit. One loop runs a whole chain with
+the draw inlined, taking its uniforms from the generator a bounded block
+at a time and writing the kept sweeps into an int array, one row per
+demand vector.
 
 The base popularity is Zipf with exponent theta (theta = 0 is uniform).
 Convergence of the chains is monitored with the estimated potential scale
@@ -39,12 +43,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, cycle
+from operator import itemgetter
 
 import numpy as np
 
-from .core import DemandVector
+from .core import DemandVector, distinct_counts
 
 PMF_TOL = 1e-12
+BLOCK = 1 << 13  # uniforms per rng.random call of the chain kernel
 
 
 @dataclass(frozen=True)
@@ -95,15 +102,21 @@ class CorrelationModel:
     adjacency is a K x K boolean matrix, symmetric with a zero diagonal.
     r is the probability that a cache copies one of its neighbours'
     distinct current files instead of sampling from the base popularity.
-    The sampler's tables are built once here: the base cdf as a list,
-    each cache's neighbours, and the rounding guard of the fast draw.
+    The sampler's tables are built once here: the base cdf as a list, a
+    times it (a = 1 - r), and for each copy-set size s the products
+    (r / s) * t, t = 0..s, and the total mass a * cdf[-1] + (r / s) * s;
+    per cache, an itemgetter of its closed neighbourhood's requests (None
+    where it draws from the base law: no neighbours, or r = 0); and the
+    rounding guard of the fast draw.
     """
 
     adjacency: np.ndarray
     r: float
     popularity: PopularityDist
     _cdf: list = field(init=False, repr=False, compare=False)
-    _neighbours: tuple = field(init=False, repr=False, compare=False)
+    _acdf: list = field(init=False, repr=False, compare=False)
+    _mass: tuple = field(init=False, repr=False, compare=False)
+    _closed: tuple = field(init=False, repr=False, compare=False)
     _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,9 +132,16 @@ class CorrelationModel:
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("copy probability r must lie in [0, 1]")
         object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "_cdf", np.cumsum(self.popularity.pmf).tolist())
-        object.__setattr__(self, "_neighbours",
-                           tuple(tuple(np.flatnonzero(row).tolist()) for row in adj))
+        cdf = np.cumsum(self.popularity.pmf).tolist()
+        a, r = 1.0 - self.r, self.r
+        acdf = [a * c for c in cdf]
+        rts = [[r / s * t for t in range(s + 1)] for s in range(1, adj.shape[0] + 1)]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_acdf", acdf)
+        object.__setattr__(self, "_mass", (None,) + tuple((rt, acdf[-1] + rt[-1]) for rt in rts))
+        object.__setattr__(self, "_closed", tuple(
+            itemgetter(k, *np.flatnonzero(row).tolist()) if r > 0.0 and row.any() else None
+            for k, row in enumerate(adj)))
         object.__setattr__(self, "_guard", 10 * (self.popularity.N + 3) * 2.0**-53)
 
     @property
@@ -209,11 +229,6 @@ def _draw_index(pmf: np.ndarray, u: float) -> int:
     return int(min(np.searchsorted(cdf, u * cdf[-1], side="right"), len(pmf) - 1)) + 1
 
 
-def _base_index(cdf: list, u: float) -> int:
-    """_draw_index(pmf, u) given cdf = np.cumsum(pmf).tolist(): the same bits."""
-    return min(bisect_right(cdf, u * cdf[-1]), len(cdf) - 1) + 1
-
-
 # Guard of the fast conditional draw.  With a = 1 - r and rho = r / s both
 # paths use the same two floats, and the exact cdf of the mixture is
 # M(i) = a * sum_{j<=i} base_j + rho * c(i), c(i) the copy-set files at
@@ -236,34 +251,65 @@ def _base_index(cdf: list, u: float) -> int:
 # applies, since its cdf at i <= N - 1 exceeds its threshold.
 
 
-def _conditional_index(k: int, requests: list, model: CorrelationModel, u: float) -> int:
-    """_draw_index(conditional_pmf(k, DemandVector(requests), model), u).
+def _uniforms(rng: np.random.Generator, n: int):
+    """n uniforms from rng, taken BLOCK at a time.
 
-    The fast path bisects the base cdf once per run of indices between
-    copy-set files, O(K log N) in place of the O(N) pmf and cumsum, and
-    keeps its answer only when the uniform clears the rounding guard on
-    both sides; otherwise, and at r = 1, it takes the exact path.
+    On PCG64, rng.random(n) yields the numbers of n scalar calls, so the
+    blocks join into the stream one scalar call per draw would see, with
+    at most one block in memory.
     """
-    cdf = model._cdf
-    if model.r == 0.0 or not model._neighbours[k - 1]:
-        return _base_index(cdf, u)
-    if model.r < 1.0:
-        files = {requests[j] for j in model._neighbours[k - 1]}
-        files.add(requests[k - 1])
-        a, rho, guard = 1.0 - model.r, model.r / len(files), model._guard
-        x = u * (a * cdf[-1] + rho * len(files))
-        lo = 0
-        # indices lo .. hi - 1 see t copy-set files; file f sits at index f - 1
-        for t, hi in enumerate(sorted(files) + [len(cdf) + 1]):
-            hi -= 1
-            if lo < hi and a * cdf[hi - 1] + rho * t > x:
-                i = bisect_right(cdf, (x - rho * t) / a, lo, hi - 1)
-                if a * cdf[i] + rho * t - x > guard and (
-                        i == 0 or x - (a * cdf[i - 1] + rho * (t - (i == lo))) > guard):
-                    return i + 1
-                break
-            lo = hi
-    return _draw_index(conditional_pmf(k, DemandVector(tuple(requests)), model), u)
+    return chain.from_iterable(rng.random(min(BLOCK, n - i)).tolist()
+                               for i in range(0, n, BLOCK))
+
+
+def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
+           out: np.ndarray | None = None, skip: int = 0) -> None:
+    """Run the Gibbs chain in place on requests, one draw per uniform.
+
+    Cache first + 1 draws first, then the caches follow in ascending order
+    and wrap around, each from its conditional given the latest requests.
+    Each time cache K has drawn, one sweep ends; the sweeps after the
+    first `skip` are written to the rows of out, in order, while rows
+    remain. A draw is _draw_index(conditional_pmf(...), u): for r in
+    (0, 1) it bisects the base cdf per run of indices between copy-set
+    files and keeps the index when the uniform clears the rounding guard
+    on both sides; otherwise, and at r = 1, it takes the exact path.
+    """
+    cdf, acdf, mass, closed = model._cdf, model._acdf, model._mass, model._closed
+    a, fast, top, guard = 1.0 - model.r, model.r < 1.0, cdf[-1], model._guard
+    last, N1 = model.K - 1, len(cdf) - 1
+    row = -skip
+    rows = 0 if out is None else out.shape[0]
+    for u, k in zip(uniforms, chain(range(first, model.K), cycle(range(model.K)))):
+        g = closed[k]
+        if g is None:
+            requests[k] = min(bisect_right(cdf, u * top), N1) + 1
+        else:
+            i = None
+            if fast:
+                files = sorted(set(g(requests)))
+                rt, total = mass[len(files)]
+                x = u * total
+                lo = t = 0
+                files.append(N1 + 2)
+                # indices lo .. hi - 1 see t copy-set files; file f sits at index f - 1
+                for hi in files:
+                    hi -= 1
+                    if lo < hi and acdf[hi - 1] + rt[t] > x:
+                        i = bisect_right(cdf, (x - rt[t]) / a, lo, hi - 1)
+                        if not (acdf[i] + rt[t] - x > guard and (
+                                i == 0 or x - (acdf[i - 1] + rt[t - (i == lo)]) > guard)):
+                            i = None
+                        break
+                    lo = hi
+                    t += 1
+            if i is None:
+                i = _draw_index(conditional_pmf(k + 1, DemandVector(tuple(requests)), model), u) - 1
+            requests[k] = i + 1
+        if k == last:
+            if 0 <= row < rows:
+                out[row] = requests
+            row += 1
 
 
 def gibbs_sweep(current: DemandVector, model: CorrelationModel,
@@ -272,70 +318,71 @@ def gibbs_sweep(current: DemandVector, model: CorrelationModel,
 
     Each cache draws from its conditional given the latest values of all
     other coordinates, so updates within a sweep see the sweep's earlier
-    redraws. Returns the new demand vector.
-
-    The sweep takes its K uniforms in one rng.random(K) call, which on
-    PCG64 yields the same numbers as K scalar calls, one per cache in
-    order. Each draw inverts the mixture cdf by bisection on the model's
-    base cdf and keeps the index only if the uniform is farther than a
-    rounding guard of order N * 2**-53 from the cdf on both sides of it
-    (see _conditional_index); the rare draw within the guard is redone on
-    the exact path, conditional_pmf plus np.cumsum, with the same uniform.
-    So every sampled request equals the exact path's, bit for bit.
+    redraws. Returns the new demand vector. This is the one-sweep case of
+    the chain kernel that sample_demands and sample_chains run: the same
+    K uniforms, the same draws, bit for bit those of the exact path,
+    conditional_pmf plus np.cumsum.
     """
     requests = list(current.requests)
-    for k, u in enumerate(rng.random(model.K).tolist(), start=1):
-        requests[k - 1] = _conditional_index(k, requests, model, u)
+    _chain(model, requests, _uniforms(rng, model.K))
     return DemandVector(tuple(requests))
 
 
-def sample_demands(model: CorrelationModel, count: int, burn_in: int, seed) -> list:
-    """Run one Gibbs chain and return `count` post-burn-in demand vectors.
+def _sample(model: CorrelationModel, count: int, burn_in: int, seeds) -> np.ndarray:
+    """One chain per seed, as the rows of a (len(seeds), count, K) int array.
 
-    The chain is initialised by independent draws from the base
-    popularity, then burn_in sweeps are discarded, then the next `count`
-    sweep results are returned. `seed` may be an integer or a
-    numpy SeedSequence (the latter lets callers hand out spawned
-    substreams for parallel chains).
+    Each chain starts from K base-law draws, then runs burn_in sweeps and
+    keeps the next count.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seed)
-    current = DemandVector(tuple(_base_index(model._cdf, u) for u in rng.random(model.K).tolist()))
-    for _ in range(burn_in):
-        current = gibbs_sweep(current, model, rng)
-    samples = []
-    for _ in range(count):
-        current = gibbs_sweep(current, model, rng)
-        samples.append(current)
-    return samples
+    out = np.empty((len(seeds), count, model.K), dtype=np.int64)
+    for rows, seed in zip(out, seeds):
+        rng = np.random.default_rng(seed)
+        requests = [_draw_index(model.popularity.pmf, u) for u in rng.random(model.K).tolist()]
+        _chain(model, requests, _uniforms(rng, (burn_in + count) * model.K), out=rows, skip=burn_in)
+    return out
 
 
-def sample_chains(model: CorrelationModel, chains: int, count: int, burn_in: int, seed) -> list:
+def sample_demands(model: CorrelationModel, count: int, burn_in: int, seed) -> np.ndarray:
+    """Run one Gibbs chain and return `count` post-burn-in demand vectors.
+
+    The chain is initialised by independent draws from the base
+    popularity, then burn_in sweeps are discarded, then the next `count`
+    sweep results are returned as the rows of a (count, K) int array.
+    `seed` may be an integer or a numpy SeedSequence (the latter lets
+    callers hand out spawned substreams for parallel chains).
+    """
+    return _sample(model, count, burn_in, [seed])[0]
+
+
+def sample_chains(model: CorrelationModel, chains: int, count: int, burn_in: int,
+                  seed) -> np.ndarray:
     """Run several independent chains from spawned substreams of one seed.
 
-    Returns a list of `chains` sample lists, each of length `count`.
-    Chain i always sees the same substream regardless of execution order,
-    so parallel and serial runs agree.
+    Returns a (chains, count, K) int array whose [i] holds chain i's
+    demand vectors: those of sample_demands with the i-th spawned
+    SeedSequence, whatever order the chains run in.
     """
     if chains < 1:
         raise ValueError("need at least one chain")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return [sample_demands(model, count, burn_in, child) for child in seed.spawn(chains)]
+    return _sample(model, count, burn_in, seed.spawn(chains))
 
 
 def mean_request_index(samples) -> np.ndarray:
     """Scalar summary per demand vector: the mean requested file index.
 
-    This is the statistic the convergence diagnostic runs on; it folds
-    all K coordinates into one number per sweep.
+    samples is a (..., K) int array, one demand vector per row; the
+    result has one value per row, shape (...). This is the statistic the
+    convergence diagnostic runs on; it folds all K coordinates into one
+    number per sweep.
     """
-    return np.array([sum(d.requests) / d.K for d in samples], dtype=float)
+    samples = np.asarray(samples)
+    return samples.sum(axis=-1) / samples.shape[-1]
 
 
 def epsr(chains) -> float:
@@ -374,20 +421,20 @@ class DemandStats:
 def empirical_stats(samples) -> DemandStats:
     """Pearson correlations between caches plus the mean distinct-file count.
 
-    The file index sequence of each cache is correlated against every
-    other cache's sequence; rho_max and rho_avg summarise the unordered
-    pairs. Pairs where either sequence is constant have no defined
-    correlation and are excluded (counted in dropped_pairs). L_avg is the
-    average number of distinct files per demand vector, the quantity that
-    drives adaptive delivery gains.
+    samples is a (..., K) int array, one demand vector per row. The file
+    index sequence of each cache is correlated against every other cache's
+    sequence; rho_max and rho_avg summarise the unordered pairs. Pairs
+    where either sequence is constant have no defined correlation and are
+    excluded (counted in dropped_pairs). L_avg is the average number of
+    distinct files per demand vector, the quantity that drives adaptive
+    delivery gains.
     """
-    samples = list(samples)
-    if len(samples) < 2:
+    X = np.asarray(samples, dtype=float)
+    X = X.reshape(-1, X.shape[-1])
+    if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    K = samples[0].K
-    X = np.array([d.requests for d in samples], dtype=float).T
-    if X.shape[0] != K:
-        raise ValueError("inconsistent demand vector lengths")
+    K = X.shape[1]
+    X = X.T
     centered = X - X.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).sum(axis=1))
     rhos = []
@@ -400,10 +447,9 @@ def empirical_stats(samples) -> DemandStats:
             rhos.append(float(centered[i] @ centered[j] / (scale[i] * scale[j])))
     if not rhos:
         raise ValueError("all cache pairs have constant requests; correlations undefined")
-    L_avg = float(np.mean([len(d.distinct()) for d in samples]))
     return DemandStats(
         rho_max=max(rhos),
         rho_avg=float(np.mean(rhos)),
-        L_avg=L_avg,
+        L_avg=float(np.mean(distinct_counts(samples))),
         dropped_pairs=dropped,
     )

@@ -1,7 +1,12 @@
 """Reference implementations shared by several test modules."""
 
+from collections import Counter
+
 import numpy as np
 
+from cachecast.bounds import cutset_bound
+from cachecast.core import DemandVector, RedundancyPattern
+from cachecast.demand import DemandStats
 from cachecast.lp import FEAS_TOL, LinearProgram
 
 
@@ -40,3 +45,54 @@ def hand_reduced(lp):
     E = np.array(rows["E"], dtype=float).reshape(len(rows["E"]), k)
     A = np.array(rows["A"], dtype=float).reshape(len(rows["A"]), k)
     return LinearProgram(c=lp.c[free], E=E, f=rows["f"], A=A, b=rows["b"], lo=lo, hi=hi)
+
+
+# Per-demand-vector summaries of a sample set, as the library computed them
+# before it summarised int arrays; the array versions must equal them exactly.
+
+def demand_vectors(samples) -> list[DemandVector]:
+    """The rows of a (..., K) int array as demand vectors."""
+    samples = np.asarray(samples)
+    return [DemandVector(tuple(row)) for row in samples.reshape(-1, samples.shape[-1]).tolist()]
+
+
+def counter_patterns(demands) -> list[RedundancyPattern]:
+    """Each demand's pattern, from a Counter of its requests."""
+    return [RedundancyPattern(tuple(sorted(Counter(d.requests).values(), reverse=True)))
+            for d in demands]
+
+
+def set_distinct_counts(demands) -> list[int]:
+    return [len(set(d.requests)) for d in demands]
+
+
+def sequential_average_bound(demands, N: int, M: float, K: int) -> float:
+    """Mean cut-set bound, summed one demand at a time from 0.0."""
+    total = 0.0
+    for L in set_distinct_counts(demands):
+        total += cutset_bound(K, L, N, M).value
+    return total / len(demands)
+
+
+def tuple_mean_request_index(demands) -> np.ndarray:
+    return np.array([sum(d.requests) / d.K for d in demands], dtype=float)
+
+
+def tuple_empirical_stats(demands) -> DemandStats:
+    """Pearson correlations between caches and L_avg, from request tuples."""
+    X = np.array([d.requests for d in demands], dtype=float).T
+    K = X.shape[0]
+    centered = X - X.mean(axis=1, keepdims=True)
+    scale = np.sqrt((centered**2).sum(axis=1))
+    rhos = []
+    dropped = 0
+    for i in range(K):
+        for j in range(i + 1, K):
+            if scale[i] == 0.0 or scale[j] == 0.0:
+                dropped += 1
+                continue
+            rhos.append(float(centered[i] @ centered[j] / (scale[i] * scale[j])))
+    if not rhos:
+        raise ValueError("all cache pairs have constant requests; correlations undefined")
+    return DemandStats(rho_max=max(rhos), rho_avg=float(np.mean(rhos)),
+                       L_avg=float(np.mean(set_distinct_counts(demands))), dropped_pairs=dropped)

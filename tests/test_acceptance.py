@@ -18,6 +18,7 @@ from cachecast.core import (
     SystemConfig,
     binomial,
     redundancy_pattern,
+    redundancy_patterns,
 )
 from cachecast.delivery import (
     adaptive_plan,
@@ -246,8 +247,8 @@ def test_acceptance_8_correlated_demand_statistics():
         model = CorrelationModel(adjacency=complete_graph(K), r=r,
                                  popularity=zipf_pmf(N, theta))
         chains = sample_chains(model, chains=5, count=1000, burn_in=150, seed=0)
-        stats = empirical_stats([d for chain in chains for d in chain])
-        rhat = epsr(np.array([mean_request_index(chain) for chain in chains]))
+        stats = empirical_stats(chains)
+        rhat = epsr(mean_request_index(chains))
         summary.append(f"r={r} theta={theta}: L={stats.L_avg:.3f} "
                        f"rho_avg={stats.rho_avg:.3f} rho_max={stats.rho_max:.3f} "
                        f"epsr={rhat:.4f}")
@@ -295,8 +296,9 @@ def test_acceptance_9_average_gap_reductions():
             model = CorrelationModel(adjacency=complete_graph(K), r=r,
                                      popularity=zipf_pmf(N, theta))
             chains = sample_chains(model, chains=5, count=1000, burn_in=150, seed=seed)
-            samples = [d for chain in chains for d in chain]
-            patterns = [redundancy_pattern(d)[0] for d in samples]
+            samples = chains.reshape(-1, K)
+            distinct, inverse = redundancy_patterns(samples)
+            patterns = [distinct[i] for i in inverse]
             for m in ms:
                 profile = profiles[m]
                 r_na = float(np.mean([rate_nonadaptive(profile, p.L, K) for p in patterns]))

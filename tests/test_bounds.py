@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachecast.bounds import average_bound, cutset_bound
-from cachecast.core import DemandVector, binomial, partitions_into_parts
+from cachecast.core import binomial, partitions_into_parts
 from cachecast.delivery import adaptive_plan, canonical_demand, rate_nonadaptive, simplified_plan
 from cachecast.placement import PlacementProfile, centralized_profile, decentralized_profile
 
@@ -76,16 +76,16 @@ def test_validation():
 
 
 def test_average_bound():
-    demands = [DemandVector((1, 1, 2)), DemandVector((3, 3, 3))]
+    demands = np.array([[1, 1, 2], [3, 3, 3]])
     # L=2 and L=1 at K=3, N=30, M=3
     v2 = cutset_bound(3, 2, 30, 3.0).value
     v1 = cutset_bound(3, 1, 30, 3.0).value
     assert average_bound(demands, 30, 3.0, 3) == pytest.approx((v1 + v2) / 2)
 
     with pytest.raises(ValueError):
-        average_bound([], 30, 3.0, 3)
+        average_bound(np.zeros((0, 3), dtype=int), 30, 3.0, 3)
     with pytest.raises(ValueError):
-        average_bound([DemandVector((1, 2))], 30, 3.0, 3)
+        average_bound(np.array([[1, 2]]), 30, 3.0, 3)
 
 
 def test_uncoded_converse_closed_form_at_integer_t():

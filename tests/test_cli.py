@@ -245,6 +245,16 @@ def test_adaptive_cap_binds_only_commands_that_plan_delivery(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "p.csv"]
 
 
+def test_verify_beyond_the_subset_cap_is_a_K_error(tmp_path, capsys):
+    # no adaptive scheme, so only the bit-level cap applies
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--K", "13", "--N", "50", "--m-ratio", "0.1", "--F", "100",
+                 "--delivery", "nonadaptive", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: K: ") and "K <= 12" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, field", [
     ("simulate", ["--demands", "1,1,2"], "demands"),
     ("simulate", ["--pattern", "2,1"], "pattern"),
@@ -483,6 +493,28 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys):
         "samples": "aa65943984e815a8b9bd8623ba54528ad18ad10e65ec3eeaf8ac9311abeffe66",
         "stats": "639130caa6c5389561624dbca652d4177f66b11fdce330c07cb708d77bf987a2",
         "rates": "7b96fee78eec857047a62bf691ebf6af322d83cfa2f8e6fbc9b2b961d655a07a",
+    }
+
+
+def test_sparse_graph_simulate_bytes_are_pinned(tmp_path, capsys):
+    # The digests were recorded at commit 6ab227a, before the chain kernel,
+    # on a graph where cache 5 has one neighbour and cache 6 none: the
+    # closed-neighbourhood lookups and the isolated cache's base-law draws.
+    graph = tmp_path / "graph.txt"
+    graph.write_text("# path 1-2-3-4 plus a chord; cache 5 hangs off 4, cache 6 has no edge\n"
+                     "1 2\n2 3\n3 4\n1 3\n4 5\n")
+    prefix = tmp_path / "sp"
+    assert main(["simulate", "--K", "6", "--N", "200", "--chains", "3", "--burn-in", "20",
+                 "--samples", "300", "--m-ratio", "0.1:0.2:0.5", "--r", "0.8",
+                 "--theta", "0.75", "--seed", "5", "--graph", str(graph),
+                 "--out", str(prefix)]) == 0
+    assert capsys.readouterr().err == "epsr: 1.00187\n"
+    digests = {part: hashlib.sha256((tmp_path / f"sp_{part}.csv").read_bytes()).hexdigest()
+               for part in ("samples", "stats", "rates")}
+    assert digests == {
+        "samples": "90d84c24e5754edef822dfd87681103d5ecfa7b7332e498d82c178c861d13f2e",
+        "stats": "597a5e20e4dabb157f286be14263fe3348e6c1b75f2d85781deb73fd1f8dd4a1",
+        "rates": "99541aaa7e59a49d8a3cefa491391b374c46ca60b17da785a5292f314c594aad",
     }
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cachecast.core import (
@@ -9,8 +10,10 @@ from cachecast.core import (
     RedundancyPattern,
     SystemConfig,
     binomial,
+    distinct_counts,
     partitions_into_parts,
     redundancy_pattern,
+    redundancy_patterns,
 )
 
 
@@ -59,6 +62,18 @@ def test_redundancy_pattern_of_demand():
     pattern, L, files = redundancy_pattern(DemandVector((5, 5, 5)))
     assert pattern.counts == (3,)
     assert L == 1
+
+
+def test_redundancy_patterns_of_sample_rows():
+    rows = np.array([[4, 1, 4, 4, 1, 7], [5, 5, 5, 5, 5, 5], [1, 4, 1, 4, 4, 9], [1, 2, 3, 4, 5, 6]])
+    patterns, inverse = redundancy_patterns(rows)
+    assert [p.counts for p in patterns] == [(3, 2, 1), (6,), (1, 1, 1, 1, 1, 1)]
+    assert inverse.tolist() == [0, 1, 0, 2]
+    assert distinct_counts(rows).tolist() == [3, 1, 3, 6]
+    # any leading shape: rows in C order
+    patterns, inverse = redundancy_patterns(rows.reshape(2, 2, 6))
+    assert inverse.tolist() == [0, 1, 0, 2]
+    assert distinct_counts(rows.reshape(2, 2, 6)).tolist() == [[3, 1], [3, 6]]
 
 
 def test_binomial():

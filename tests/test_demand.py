@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachecast import demand
-from cachecast.core import DemandVector
+from cachecast.bounds import average_bound
+from cachecast.core import DemandVector, redundancy_patterns
 from cachecast.demand import (
+    BLOCK,
     CorrelationModel,
     DemandStats,
     PopularityDist,
-    _conditional_index,
+    _chain,
     _draw_index,
+    _uniforms,
     complete_graph,
     conditional_pmf,
     empirical_stats,
@@ -25,6 +28,14 @@ from cachecast.demand import (
     sample_chains,
     sample_demands,
     zipf_pmf,
+)
+from oracles import (
+    counter_patterns,
+    demand_vectors,
+    sequential_average_bound,
+    set_distinct_counts,
+    tuple_empirical_stats,
+    tuple_mean_request_index,
 )
 
 CHI2_99_DF19 = 36.1909  # upper 1% point of chi-square with 19 degrees of freedom
@@ -157,7 +168,7 @@ def test_two_cache_stationary_consensus():
         assert two_cache_consensus_probability(r, N) == pytest.approx(frozen, abs=5e-6)
         model = uniform_model(2, N, r)
         samples = sample_demands(model, count=40_000, burn_in=300, seed=2024)
-        hit = np.mean([d.requests[0] == d.requests[1] for d in samples])
+        hit = np.mean(samples[:, 0] == samples[:, 1])
         assert hit == pytest.approx(two_cache_consensus_probability(r, N), abs=0.015), (r, N)
 
 
@@ -185,7 +196,7 @@ def test_three_cache_stationary_matches_exact_kernel():
     exact_L = float(sum(p * len(set(s)) for p, s in zip(pi, states)))
 
     samples = sample_demands(model, count=30_000, burn_in=300, seed=11)
-    sim_L = np.mean([len(d.distinct()) for d in samples])
+    sim_L = np.mean([len(set(row)) for row in samples.tolist()])
     assert sim_L == pytest.approx(exact_L, abs=0.025)
 
 
@@ -193,26 +204,29 @@ def test_sampling_is_deterministic_per_seed():
     model = uniform_model(4, 30, 0.5)
     a = sample_demands(model, count=50, burn_in=20, seed=9)
     b = sample_demands(model, count=50, burn_in=20, seed=9)
-    assert a == b
+    assert a.shape == (50, 4) and a.dtype == np.int64
+    assert np.array_equal(a, b)
     c = sample_demands(model, count=50, burn_in=20, seed=10)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_sample_chains_spawns_independent_streams():
     model = uniform_model(3, 25, 0.4)
     chains = sample_chains(model, chains=3, count=40, burn_in=10, seed=7)
-    assert len(chains) == 3
-    assert all(len(c) == 40 for c in chains)
-    assert chains[0] != chains[1]
+    assert chains.shape == (3, 40, 3) and chains.dtype == np.int64
+    assert not np.array_equal(chains[0], chains[1])
     again = sample_chains(model, chains=3, count=40, burn_in=10, seed=7)
-    assert chains == again
+    assert np.array_equal(chains, again)
+    # chain i is sample_demands on the i-th spawned substream
+    child = np.random.SeedSequence(7).spawn(3)[2]
+    assert np.array_equal(chains[2], sample_demands(model, count=40, burn_in=10, seed=child))
 
 
 def test_independent_draws_pass_chi_square():
     # r = 0 must reduce to iid draws from the base popularity
     model = uniform_model(4, 20, 0.0)
     samples = sample_demands(model, count=3000, burn_in=0, seed=123)
-    draws = np.array([d.requests for d in samples]).ravel()
+    draws = samples.ravel()
     observed = np.bincount(draws, minlength=21)[1:]
     expected = len(draws) / 20
     chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -237,8 +251,8 @@ def test_chain_bookkeeping():
     # the same chain's earlier sweeps, and the count is exact
     chain = sample_demands(model, count=7, burn_in=0, seed=1)
     assert len(chain) == 7
-    assert sample_demands(model, count=5, burn_in=2, seed=1) == chain[2:]
-    assert sample_demands(model, count=1, burn_in=6, seed=1) == chain[6:]
+    assert np.array_equal(sample_demands(model, count=5, burn_in=2, seed=1), chain[2:])
+    assert np.array_equal(sample_demands(model, count=1, burn_in=6, seed=1), chain[6:])
 
     with pytest.raises(ValueError):
         sample_demands(model, count=0, burn_in=5, seed=1)
@@ -246,11 +260,13 @@ def test_chain_bookkeeping():
         sample_demands(model, count=5, burn_in=-1, seed=1)
     with pytest.raises(ValueError):
         sample_chains(model, chains=0, count=5, burn_in=1, seed=1)
+    with pytest.raises(ValueError):
+        sample_chains(model, chains=2, count=0, burn_in=1, seed=1)
 
 
 def test_batched_uniforms_equal_scalar_draws():
-    # gibbs_sweep takes a sweep's K uniforms in one call; the stream must
-    # be the one K scalar calls would see, also after scalar draws
+    # the chain kernel takes its uniforms BLOCK at a time; the stream must
+    # be the one scalar calls would see, also after scalar draws
     for seed in (0, 1, 2024):
         for size in (1, 2, 6, 8):
             batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -258,13 +274,54 @@ def test_batched_uniforms_equal_scalar_draws():
                 assert batched.random(size).tolist() == [scalar.random() for _ in range(size)]
                 assert batched.random() == scalar.random()
     child = np.random.SeedSequence(7).spawn(3)[2]
-    batched, scalar = np.random.default_rng(child), np.random.default_rng(child)
-    assert batched.random(1000).tolist() == [scalar.random() for _ in range(1000)]
+    for n in (1000, BLOCK, BLOCK + 1, 2 * BLOCK + 5):
+        batched, scalar = np.random.default_rng(child), np.random.default_rng(child)
+        assert batched.random(8).tolist() == [scalar.random() for _ in range(8)]
+        assert list(_uniforms(batched, n)) == [scalar.random() for _ in range(n)]
+        assert batched.random() == scalar.random()
+    # at K = 3 the chain's block boundaries fall inside sweeps: the first
+    # after the K base draws and BLOCK // 3 sweeps, with BLOCK % 3 caches drawn
+    assert BLOCK % 3
+    model = uniform_model(3, 50, 0.7)
+    count = (2 * BLOCK) // 3 + 20
+    got = sample_demands(model, count=count, burn_in=0, seed=5)
+    assert np.array_equal(got, reference_sample(model, count=count, burn_in=0, seed=5))
+
+
+def test_chain_uniforms_come_in_lazy_bounded_blocks(monkeypatch):
+    sizes = []
+
+    class Recorder:
+        def random(self, n):
+            sizes.append(n)
+            return np.full(n, 0.5)
+
+    us = _uniforms(Recorder(), 3 * BLOCK + 7)
+    assert sizes == []  # nothing is drawn before it is needed
+    next(us)
+    assert sizes == [BLOCK]
+    for _ in range(BLOCK):
+        next(us)
+    assert sizes == [BLOCK, BLOCK]
+    assert sum(1 for _ in us) == 2 * BLOCK + 6
+    assert sizes == [BLOCK, BLOCK, BLOCK, 7]
+
+    # a chain draws all its sweeps' uniforms through one such stream
+    streams = []
+
+    def spy(rng, n):
+        streams.append(n)
+        return _uniforms(rng, n)
+
+    monkeypatch.setattr(demand, "_uniforms", spy)
+    sample_demands(uniform_model(3, 10, 0.5), count=3000, burn_in=5, seed=1)
+    assert streams == [3005 * 3]
 
 
 def reference_sample(model, count, burn_in, seed):
     """The sampler as specified: one scalar uniform per cache, inverted on
-    np.cumsum(conditional_pmf(...)), and a DemandVector per draw."""
+    np.cumsum(conditional_pmf(...)), and a DemandVector per draw; the last
+    count sweeps as a (count, K) array."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     current = DemandVector(tuple(_draw_index(model.popularity.pmf, rng.random())
                                  for _ in range(model.K)))
@@ -276,7 +333,7 @@ def reference_sample(model, count, burn_in, seed):
             requests[k - 1] = _draw_index(pmf, rng.random())
         current = DemandVector(tuple(requests))
         history.append(current)
-    return history[-count:]
+    return np.array([d.requests for d in history[-count:]])
 
 
 def test_sampler_matches_reference_sweep():
@@ -285,11 +342,16 @@ def test_sampler_matches_reference_sweep():
     cases = [(complete_graph(8), 1000, r, theta)
              for r, theta in ((0.7, 0.0), (0.9, 0.0), (0.9, 0.75), (0.5, 1.2),
                               (0.0, 0.0), (1.0, 0.5), (0.99, 0.3))]
+    path = np.zeros((5, 5), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 3)):
+        path[a, b] = path[b, a] = True  # cache 5 is isolated
     cases += [(star, 40, 0.8, 2.0), (complete_graph(3), 3, 0.6, 0.0), (complete_graph(4), 1, 0.5, 0.0)]
+    cases += [(complete_graph(1), 30, 0.8, 0.5), (path, 25, 0.6, 0.75), (path, 25, 1.0, 0.0)]
     for adj, N, r, theta in cases:
         model = CorrelationModel(adjacency=adj, r=r, popularity=zipf_pmf(N, theta))
         got = sample_demands(model, count=150, burn_in=30, seed=31)
-        assert got == reference_sample(model, count=150, burn_in=30, seed=31), (N, r, theta)
+        want = reference_sample(model, count=150, burn_in=30, seed=31)
+        assert np.array_equal(got, want), (adj.shape[0], N, r, theta)
 
 
 @st.composite
@@ -331,9 +393,13 @@ def test_fast_draw_matches_exact_path(case):
         edge = sorted(u for u in edge if u < 1.0)
         isolated = not model.adjacency[k - 1].any()
         for U in uniforms + edge:
+            # the chain kernel, started at cache k with these requests and
+            # one uniform, draws once and leaves the other caches alone
+            drawn = list(requests)
             with mock.patch.object(demand, "conditional_pmf", wraps=conditional_pmf) as spy:
-                got = _conditional_index(k, list(requests), model, U)
-            assert got == _draw_index(pmf, U), (k, U)
+                _chain(model, drawn, [U], first=k - 1)
+            assert drawn[:k - 1] + drawn[k:] == requests[:k - 1] + requests[k:]
+            assert drawn[k - 1] == _draw_index(pmf, U), (k, U)
             if model.r == 0.0 or isolated:
                 assert spy.call_count == 0  # the base cdf itself, no fallback
             elif model.r == 1.0:
@@ -345,8 +411,9 @@ def test_fast_draw_matches_exact_path(case):
 
 
 def test_mean_request_index():
-    samples = [DemandVector((1, 3, 5)), DemandVector((2, 2, 2))]
-    assert np.allclose(mean_request_index(samples), [3.0, 2.0])
+    samples = np.array([[1, 3, 5], [2, 2, 2]])
+    assert mean_request_index(samples).tolist() == [3.0, 2.0]
+    assert mean_request_index(np.stack([samples, samples[::-1]])).tolist() == [[3.0, 2.0], [2.0, 3.0]]
 
 
 def test_epsr_oracle_and_invariance():
@@ -366,12 +433,7 @@ def test_epsr_oracle_and_invariance():
 
 
 def test_empirical_stats_hand_case():
-    samples = [
-        DemandVector((1, 1, 2)),
-        DemandVector((2, 2, 2)),
-        DemandVector((3, 3, 2)),
-        DemandVector((4, 4, 2)),
-    ]
+    samples = np.array([[1, 1, 2], [2, 2, 2], [3, 3, 2], [4, 4, 2]])
     stats = empirical_stats(samples)
     assert isinstance(stats, DemandStats)
     assert stats.rho_max == pytest.approx(1.0)
@@ -380,9 +442,55 @@ def test_empirical_stats_hand_case():
     assert stats.L_avg == pytest.approx((2 + 1 + 2 + 2) / 4)
 
     with pytest.raises(ValueError):
-        empirical_stats([DemandVector((1, 2))])
+        empirical_stats(np.array([[1, 2]]))
     with pytest.raises(ValueError):
-        empirical_stats([DemandVector((1, 1)), DemandVector((1, 1))])
+        empirical_stats(np.array([[1, 1], [1, 1]]))
+
+
+@st.composite
+def sample_arrays(draw):
+    """(chains, T, K) int arrays with many repeats: K = 2 and up, constant
+    columns (pairs the statistics drop) and rows of one file."""
+    K = draw(st.integers(2, 6))
+    chains, T = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    N = draw(st.sampled_from([1, 2, 3, 9, 1000]))
+    arr = np.array(draw(st.lists(st.integers(1, N), min_size=chains * T * K,
+                                 max_size=chains * T * K))).reshape(chains, T, K)
+    for k in draw(st.lists(st.integers(0, K - 1), max_size=K)):
+        arr[..., k] = draw(st.integers(1, N))
+    for row in draw(st.lists(st.integers(0, chains * T - 1), max_size=4)):
+        arr.reshape(-1, K)[row] = draw(st.integers(1, N))
+    return arr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sample_arrays(), st.sampled_from([0.0, 0.075, 0.3, 1.0]))
+def test_array_summaries_equal_per_vector_oracles(arr, m):
+    chains, T, K = arr.shape
+    N = 1000
+    flat = arr.reshape(-1, K)
+    demands = demand_vectors(flat)
+    patterns, inverse = redundancy_patterns(flat)
+    assert [patterns[i] for i in inverse] == counter_patterns(demands)
+    assert len(set(patterns)) == len(patterns)
+    assert (np.array([p.L for p in patterns])[inverse] == set_distinct_counts(demands)).all()
+    assert average_bound(flat, N, m * N, K) == sequential_average_bound(demands, N, m * N, K)
+    assert average_bound(arr, N, m * N, K) == sequential_average_bound(demands, N, m * N, K)
+    stat = mean_request_index(arr)
+    want = np.array([tuple_mean_request_index(demand_vectors(chain)) for chain in arr])
+    assert stat.tolist() == want.tolist()
+    if chains >= 2 and T >= 2 and np.var(stat, axis=1, ddof=1).mean() > 0:
+        assert epsr(stat) == epsr(want)
+    if flat.shape[0] < 2:
+        return
+    try:
+        want_stats = tuple_empirical_stats(demands)
+    except ValueError:
+        with pytest.raises(ValueError, match="constant"):
+            empirical_stats(flat)
+        return
+    assert empirical_stats(flat) == want_stats
+    assert empirical_stats(arr) == want_stats
 
 
 def test_load_edge_list(tmp_path):
