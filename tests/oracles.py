@@ -1,11 +1,9 @@
 """Reference implementations shared by several test modules."""
 
-from collections import Counter
-
 import numpy as np
 
 from cachecast.bounds import cutset_bound
-from cachecast.core import DemandVector, RedundancyPattern
+from cachecast.core import DemandVector
 from cachecast.demand import DemandStats
 from cachecast.lp import FEAS_TOL, LinearProgram
 
@@ -54,12 +52,6 @@ def demand_vectors(samples) -> list[DemandVector]:
     """The rows of a (..., K) int array as demand vectors."""
     samples = np.asarray(samples)
     return [DemandVector(tuple(row)) for row in samples.reshape(-1, samples.shape[-1]).tolist()]
-
-
-def counter_patterns(demands) -> list[RedundancyPattern]:
-    """Each demand's pattern, from a Counter of its requests."""
-    return [RedundancyPattern(tuple(sorted(Counter(d.requests).values(), reverse=True)))
-            for d in demands]
 
 
 def set_distinct_counts(demands) -> list[int]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cachecast import demand
 from cachecast.bounds import average_bound
-from cachecast.core import DemandVector, redundancy_patterns
+from cachecast.core import DemandVector, redundancy_pattern, redundancy_patterns
 from cachecast.demand import (
     BLOCK,
     CorrelationModel,
@@ -30,7 +30,6 @@ from cachecast.demand import (
     zipf_pmf,
 )
 from oracles import (
-    counter_patterns,
     demand_vectors,
     sequential_average_bound,
     set_distinct_counts,
@@ -471,7 +470,7 @@ def test_array_summaries_equal_per_vector_oracles(arr, m):
     flat = arr.reshape(-1, K)
     demands = demand_vectors(flat)
     patterns, inverse = redundancy_patterns(flat)
-    assert [patterns[i] for i in inverse] == counter_patterns(demands)
+    assert [patterns[i] for i in inverse] == [redundancy_pattern(d)[0] for d in demands]
     assert len(set(patterns)) == len(patterns)
     assert (np.array([p.L for p in patterns])[inverse] == set_distinct_counts(demands)).all()
     assert average_bound(flat, N, m * N, K) == sequential_average_bound(demands, N, m * N, K)
