@@ -198,19 +198,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(path, text: str) -> str:
-    """Write text to path, or stdout if None; returns where it went."""
+def _emit(path, chunks) -> str:
+    """Write the strings of chunks, in order, to path, or stdout if None;
+    returns where it went."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return "<stdout>"
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     return str(path)
 
 
 def _emit_csv(path, header, rows) -> str:
     """Write rows (already formatted) as CSV to path, or stdout if None."""
-    return _emit(path, ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    return _emit(path, [",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)])
 
 
 def _profile_for(cfg: ScenarioConfig, m: float):
@@ -341,6 +342,21 @@ def _out_prefix(out: str | None, fallback: str) -> str:
     return out[:-4] if out.endswith(".csv") else out
 
 
+# The samples CSV is formatted and written this many rows at a time, so
+# the text and Python ints of every sample are never alive at once.
+_BLOCK_ROWS = 1 << 14
+
+
+def _sample_csv(samples):
+    """The samples CSV of an (n, K) request array, in blocks of text."""
+    K = samples.shape[1]
+    yield ",".join(["sample_index"] + [f"d_{k}" for k in range(1, K + 1)]) + "\n"
+    line = ",".join(["%d"] * (K + 1)) + "\n"  # sample index, then the K requests
+    for start in range(0, samples.shape[0], _BLOCK_ROWS):
+        block = samples[start:start + _BLOCK_ROWS].tolist()
+        yield "".join([line % (i, *d) for i, d in enumerate(block, start=start + 1)])
+
+
 def _run_simulate(cfg: ScenarioConfig):
     errors = _unused(cfg, "simulate", "demands", "pattern") + _cap(cfg)
     if cfg.K < 2:
@@ -354,10 +370,7 @@ def _run_simulate(cfg: ScenarioConfig):
     samples = chain_samples.reshape(-1, cfg.K)
     prefix = _out_prefix(cfg.out, "simulate")
 
-    header = ",".join(["sample_index"] + [f"d_{k}" for k in range(1, cfg.K + 1)]) + "\n"
-    line = ",".join(["%d"] * (cfg.K + 1)) + "\n"  # sample index, then the K requests
-    sample_path = _emit(f"{prefix}_samples.csv", header + "".join(
-        [line % (i, *d) for i, d in enumerate(samples.tolist(), start=1)]))
+    sample_path = _emit(f"{prefix}_samples.csv", _sample_csv(samples))
 
     stats = empirical_stats(samples)
     if cfg.chains >= 2:
@@ -476,7 +489,7 @@ def _run_verify(cfg: ScenarioConfig) -> list:
         del views
 
     report = "\n".join(lines + (["FAIL:"] + failures if failures else ["PASS"])) + "\n"
-    path = _emit(cfg.out, report)
+    path = _emit(cfg.out, [report])
     if failures:
         raise DecodeError(f"{len(failures)} verification failure(s); first: {failures[0]}")
     return [path]

@@ -126,23 +126,31 @@ def distinct_counts(samples) -> np.ndarray:
     return 1 + np.count_nonzero(rows[..., 1:] != rows[..., :-1], axis=-1)
 
 
+# Rows keyed at a time by redundancy_patterns, so that the Python tuples
+# of one block, not of every row, are alive at once.
+_BLOCK_ROWS = 1 << 14
+
+
 def redundancy_patterns(samples) -> tuple[list[RedundancyPattern], np.ndarray]:
     """Classify every row of a (..., K) int demand array, with one row sort.
 
     Returns the distinct patterns, in order of first appearance, and for
     each row (in C order) the index of its pattern in that list.
     """
-    rows = np.sort(np.reshape(samples, (-1, np.shape(samples)[-1])), axis=1)
-    new = np.ones(rows.shape, dtype=bool)
-    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    starts = np.flatnonzero(new)  # each row starts a run, so no run spans two rows
-    runs = np.zeros(rows.size, dtype=np.int64)
-    runs[starts] = np.diff(starts, append=rows.size)
-    # per row: zeros, then the run lengths in ascending order
+    rows = np.reshape(samples, (-1, np.shape(samples)[-1]))
     index: dict = {}
-    inverse = np.array([index.setdefault(key, len(index))
-                        for key in map(tuple, np.sort(runs.reshape(rows.shape), axis=1).tolist())],
-                       dtype=np.intp)
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = np.sort(rows[start:start + _BLOCK_ROWS], axis=1)
+        new = np.ones(block.shape, dtype=bool)
+        new[:, 1:] = block[:, 1:] != block[:, :-1]
+        starts = np.flatnonzero(new)  # each row starts a run, so no run spans two rows
+        runs = np.zeros(block.size, dtype=np.int64)
+        runs[starts] = np.diff(starts, append=block.size)
+        # per row: zeros, then the run lengths in ascending order
+        keys = np.sort(runs.reshape(block.shape), axis=1).tolist()
+        inverse[start:start + block.shape[0]] = [index.setdefault(key, len(index))
+                                                 for key in map(tuple, keys)]
     return [RedundancyPattern(tuple(c for c in reversed(key) if c)) for key in index], inverse
 
 

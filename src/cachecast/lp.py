@@ -15,7 +15,10 @@ sparse: in the K=12 adaptive delivery LPs a pivot's entering column has
 about 2 nonzeros in 73 rows and its pivot row about 8 in 267 columns.
 So the tableau is a plain dense array, and each iteration reads and
 writes only the nonzeros of the entering column and the pivot row; a
-post-solve residual check audits the result.
+post-solve residual check audits the result.  At two nonzeros a numpy
+call costs more than its arithmetic, so the ratio test, the basic-value
+update and the bound flips run on Python floats (see _simplex_phase),
+with the floats a full dense update computes.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class LpSolution:
     iterations: int = 0
 
 
-# nonbasic status codes
+# nonbasic status codes; _scores compares them with booleans, so _AT_LO
+# must be 0 (False) and _AT_UP 1 (True)
 _AT_LO, _AT_UP, _FREE = 0, 1, 2
 
 
@@ -93,6 +97,7 @@ class _Tableau:
 
     def __init__(self, M, lo, hi):
         self.M = M            # (m, ncol) current reduced coefficient rows
+        self.flat = M.reshape(-1)  # a view: M is C-contiguous and updated in place
         self.m = M.shape[0]
         self.ncol = M.shape[1]
         self.lo = lo
@@ -112,34 +117,42 @@ class _Tableau:
     def reduced_costs(self, c):
         return c - self.M.T @ c[self.basis]
 
-    def pivot(self, row, col):
-        """Make col basic in row and return row's nonzero columns.
+    def pivot(self, row, col, rows):
+        """Make col basic in row; rows are col's nonzero rows, row among
+        them.  Returns (cols, prow): row's nonzero columns and the new
+        pivot row there.
 
-        Only the block of col's nonzero rows and row's nonzero columns
-        changes.  Each of its cells gets the product-then-subtract of a
-        full dense update, so the floats are those of one; a cell outside
-        it would only have had a zero subtracted, which can flip the sign
-        of a zero and nothing else.
+        Only the block of col's other nonzero rows and row's nonzero
+        columns changes.  Each of its cells gets the product-then-subtract
+        of a full dense update, so the floats are those of one; a cell
+        outside it would only have had a zero subtracted, which can flip
+        the sign of a zero and nothing else.  The block is read and written
+        through flat indices into M.
         """
         M = self.M
-        rows = M[:, col].nonzero()[0]
-        rows = rows[rows != row]
         cols = M[row].nonzero()[0]
-        M[row, cols] /= M[row, col]
+        prow = M[row, cols] / M[row, col]
+        M[row, cols] = prow
+        rows = rows[rows != row]
         if rows.size:
-            M[rows[:, None], cols] -= np.outer(M[rows, col], M[row, cols])
+            idx = (rows * self.ncol)[:, None] + cols
+            self.flat[idx] -= M[rows, col][:, None] * prow
             M[rows, col] = 0.0
         M[row, col] = 1.0
-        return cols
+        return cols, prow
 
 
 def _scores(z, status, open_):
     """Pricing score per column: |z| where the column can enter in its
     improving direction, -1 where it cannot.  open_ marks nonbasic columns
     that may enter at all; a nonbasic column is at its lower bound, at its
-    upper bound or free."""
-    can = open_ & (((status != _AT_UP) & (z < -OPT_TOL)) | ((status != _AT_LO) & (z > OPT_TOL)))
-    return np.where(can, np.abs(z), -1.0)
+    upper bound or free.  Improving means increasing where z < -OPT_TOL,
+    blocked at the upper bound (status 1 == True), and decreasing where
+    z > OPT_TOL, blocked at the lower bound (status 0 == False)."""
+    size = np.abs(z)
+    can = (size > OPT_TOL) & open_
+    can &= status != (z < -OPT_TOL)
+    return np.where(can, size, -1.0)
 
 
 def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
@@ -153,88 +166,107 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
     scores).  Dantzig's rule is argmax of the scores, which breaks ties
     toward the lowest index; Bland's rule takes the first column that
     scores >= 0.
+
+    An entering column has about two nonzeros, where a numpy call costs
+    more than the arithmetic it does.  So for the length of the phase the
+    per-row state that the ratio test reads and writes (xB and basis) and
+    the per-column val, lo and hi are Python lists, and the ratio test,
+    the basic-value update and the bound-flip bookkeeping run in Python
+    floats: the same IEEE operations, in the same order, as the dense
+    loop's numpy ones, so the pivot path and the bytes are the same.  The
+    per-column z, status, open_ and score stay numpy arrays, updated over
+    the pivot row's columns at once; xB, basis and val go back to tab
+    however the phase ends.
     """
-    M, xB, lo, hi, basis, status, val = tab.M, tab.xB, tab.lo, tab.hi, tab.basis, tab.status, tab.val
+    M, status = tab.M, tab.status
     z = tab.reduced_costs(c)
-    enterable = allowed & ((hi - lo) > 0)  # fixed variables never enter
+    enterable = allowed & ((tab.hi - tab.lo) > 0)  # fixed variables never enter
     open_ = enterable.copy()
-    open_[basis] = False
+    open_[tab.basis] = False
     score = _scores(z, status, open_)
+    xB, basis, val = tab.xB.tolist(), tab.basis.tolist(), tab.val.tolist()
+    lo, hi = tab.lo.tolist(), tab.hi.tolist()
     degen_run = 0
     iters = 0
-    while iters < max_iter:
-        iters += 1
-        if degen_run >= _DEGEN_LIMIT:
-            j = int((score >= 0.0).argmax())  # Bland: lowest index
-        else:
-            j = int(score.argmax())
-        if score[j] < 0.0:
-            return "optimal", iters
-        sigma = 1.0 if z[j] < 0.0 else -1.0
-
-        rows = M[:, j].nonzero()[0]
-        move = sigma * M[rows, j]  # basic values change by -move * t
-        t_best = math.inf
-        if status[j] != _FREE:
-            span = float(hi[j] - lo[j])
-            if math.isfinite(span):
-                t_best = span  # bound flip
-        leave_row = -1
-        out = basis[rows]
-        ratios = []
-        for i, mv, xb, lo_i, hi_i, var in zip(rows.tolist(), move.tolist(), xB[rows].tolist(),
-                                             lo[out].tolist(), hi[out].tolist(), out.tolist()):
-            if mv > PIVOT_TOL:
-                r = (xb - lo_i) / mv
-            elif mv < -PIVOT_TOL:
-                r = (hi_i - xb) / -mv
+    try:
+        while iters < max_iter:
+            iters += 1
+            if degen_run >= _DEGEN_LIMIT:
+                j = int((score >= 0.0).argmax())  # Bland: lowest index
             else:
+                j = int(score.argmax())
+            if score.item(j) < 0.0:
+                return "optimal", iters
+            sigma = 1.0 if z.item(j) < 0.0 else -1.0
+
+            column = M[:, j]
+            rows = column.nonzero()[0]
+            at, entries = rows.tolist(), column[rows].tolist()
+            t_best = math.inf
+            if status.item(j) != _FREE:
+                span = hi[j] - lo[j]
+                if math.isfinite(span):
+                    t_best = span  # bound flip
+            leave_row = -1
+            ratios = []
+            for i, a in zip(at, entries):
+                mv = sigma * a  # basic value i changes by -mv * t
+                if mv > PIVOT_TOL:
+                    r = (xB[i] - lo[basis[i]]) / mv
+                elif mv < -PIVOT_TOL:
+                    r = (hi[basis[i]] - xB[i]) / -mv
+                else:
+                    continue
+                if math.isfinite(r):  # drift below 0, and -0.0, clamp to 0.0
+                    ratios.append((r if r > 0.0 else 0.0, basis[i], i, mv))
+            if ratios:
+                rmin = min(ratios)[0]
+                if rmin < t_best:
+                    t_best = rmin
+                    # ties go to the lowest variable index
+                    out_var, leave_row, leave_move = min(
+                        (var, i, mv) for r, var, i, mv in ratios if r <= rmin + 1e-12)
+            if t_best == math.inf:
+                return "unbounded", iters
+
+            degen_run = degen_run + 1 if t_best <= 1e-12 else 0
+
+            for i, a in zip(at, entries):
+                xB[i] -= sigma * a * t_best
+            if leave_row < 0:
+                # bound flip, no basis change; j now sits at the bound it
+                # moved toward, where it cannot improve
+                status[j] = _AT_UP if sigma > 0 else _AT_LO
+                val[j] = hi[j] if sigma > 0 else lo[j]
+                score[j] = -1.0
                 continue
-            if math.isfinite(r):  # drift below 0, and -0.0, clamp to 0.0
-                ratios.append((r if r > 0.0 else 0.0, var, i, mv))
-        if ratios:
-            rmin = min(ratios)[0]
-            if rmin < t_best:
-                t_best = rmin
-                # ties go to the lowest variable index
-                tied = [(var, i, mv) for r, var, i, mv in ratios if r <= rmin + 1e-12]
-                out_var, leave_row, leave_move = min(tied)
-        if t_best == math.inf:
-            return "unbounded", iters
-
-        degen_run = degen_run + 1 if t_best <= 1e-12 else 0
-
-        xB[rows] -= move * t_best
-        if leave_row < 0:
-            # bound flip, no basis change; j now sits at the bound it moved
-            # toward, where it cannot improve
-            status[j] = _AT_UP if sigma > 0 else _AT_LO
-            val[j] = hi[j] if sigma > 0 else lo[j]
-            score[j] = -1.0
-            continue
-        entering_val = val[j] + sigma * t_best
-        # leaving variable parks at whichever of its bounds it reached
-        if leave_move > 0:
-            status[out_var] = _AT_LO
-            val[out_var] = lo[out_var]
-        else:
-            status[out_var] = _AT_UP
-            val[out_var] = hi[out_var]
-        basis[leave_row] = j
-        open_[out_var] = enterable[out_var]
-        open_[j] = False
-        xB[leave_row] = entering_val
-        # cols holds j and out_var: the leaving column was the unit
-        # column of leave_row, so the pivot row is 1 / pivot there
-        cols = tab.pivot(leave_row, j)
-        z[cols] -= z[j] * M[leave_row, cols]
-        z[j] = 0.0
-        if iters % 512 == 0:
-            z = tab.reduced_costs(c)  # refresh against drift
-            score = _scores(z, status, open_)
-        else:
-            score[cols] = _scores(z[cols], status[cols], open_[cols])
-    raise LpNumericalError("simplex exceeded the iteration budget")
+            entering_val = val[j] + sigma * t_best
+            # leaving variable parks at whichever of its bounds it reached
+            if leave_move > 0:
+                status[out_var] = _AT_LO
+                val[out_var] = lo[out_var]
+            else:
+                status[out_var] = _AT_UP
+                val[out_var] = hi[out_var]
+            basis[leave_row] = j
+            open_[out_var] = enterable[out_var]
+            open_[j] = False
+            xB[leave_row] = entering_val
+            # cols holds j and out_var: the leaving column was the unit
+            # column of leave_row, so the pivot row is 1 / pivot there
+            cols, prow = tab.pivot(leave_row, j, rows)
+            zc = z[cols] - z[j] * prow
+            z[cols] = zc
+            z[j] = 0.0
+            if iters % 512 == 0:
+                tab.basis[:] = basis
+                z = tab.reduced_costs(c)  # refresh against drift
+                score = _scores(z, status, open_)
+            else:
+                score[cols] = _scores(zc, status[cols], open_[cols])
+        raise LpNumericalError("simplex exceeded the iteration budget")
+    finally:
+        tab.xB[:], tab.basis[:], tab.val[:] = xB, basis, val
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -269,30 +301,28 @@ def solve(lp: LinearProgram) -> LpSolution:
     M[:, :n] = rows
     lo = np.concatenate([lp.lo, np.zeros(nslack), np.zeros(m)])
     hi = np.concatenate([lp.hi, np.full(nslack, np.inf), np.full(m, np.inf)])
-    for i in range(mi):
-        M[me + i, n + i] = 1.0
+    M[np.arange(me, m), np.arange(n, n + nslack)] = 1.0
 
     tab = _Tableau(M, lo, hi)
     start_vals = tab.val[:n].copy()
     resid = rhs - rows @ start_vals
 
-    art_cols = []
-    for i in range(m):
-        if i >= me and resid[i] >= 0.0:
-            # slack can start basic at a feasible value
-            tab.basis[i] = n + (i - me)
-            tab.xB[i] = resid[i]
-            continue
-        j = n + nslack + i
-        if resid[i] < 0:
-            # artificial column is -e_i; the reduced row flips sign so the
-            # basic column stays an identity column
-            tab.M[i, :] = -tab.M[i, :]
-        tab.M[i, j] = 1.0
-        tab.basis[i] = j
-        tab.xB[i] = abs(resid[i])
-        art_cols.append(j)
-    art_cols = np.array(art_cols, dtype=int)
+    # an inequality row with resid >= 0 starts with its slack basic at a
+    # feasible value; every other row gets an artificial
+    slack_ok = np.zeros(m, dtype=bool)
+    slack_ok[me:] = resid[me:] >= 0.0
+    slack_rows = np.flatnonzero(slack_ok)
+    art_rows = np.flatnonzero(~slack_ok)
+    # where resid < 0 the artificial column is -e_i; the reduced row flips
+    # sign so the basic column stays an identity column
+    flip = resid < 0
+    M[flip] = -M[flip]
+    art_cols = n + nslack + art_rows
+    M[art_rows, art_cols] = 1.0
+    tab.basis[slack_rows] = n + slack_rows - me
+    tab.basis[art_rows] = art_cols
+    tab.xB[slack_rows] = resid[slack_rows]
+    tab.xB[art_rows] = np.abs(resid[art_rows])
 
     max_iter = 50 * (m + ncol) + 5000
 
@@ -308,12 +338,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         # pin artificials so phase 2 cannot move them
         tab.hi[art_cols] = 0.0
         tab.lo[art_cols] = 0.0
-        basic_mask = np.zeros(ncol, dtype=bool)
-        basic_mask[tab.basis] = True
-        for j in art_cols:
-            if not basic_mask[j]:
-                continue
-            row = int(np.flatnonzero(tab.basis == j)[0])
+        # rows still holding an artificial, in the artificials' order
+        held = np.flatnonzero(tab.basis >= n + nslack)
+        for row in held[np.argsort(tab.basis[held])].tolist():
             pivots = np.abs(tab.M[row, :n + nslack])
             k = int(np.argmax(pivots))
             if pivots[k] > PIVOT_TOL:
@@ -322,9 +349,8 @@ def solve(lp: LinearProgram) -> LpSolution:
                 tab.status[out] = _AT_LO
                 tab.basis[row] = k
                 entering_val = tab.val[k]
-                tab.pivot(row, k)
+                tab.pivot(row, k, tab.M[:, k].nonzero()[0])
                 tab.xB[row] = entering_val
-                basic_mask[k] = True
             # else: numerically redundant row; the artificial stays basic
             # at zero and its row is (near-)zero elsewhere, which is inert
     else:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cachecast.cli as cli
+import cachecast.core as core
 from cachecast import delivery
 from cachecast.bounds import cutset_bound, gap_reduction
 from cachecast.cli import (
@@ -494,6 +495,23 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys):
         "stats": "639130caa6c5389561624dbca652d4177f66b11fdce330c07cb708d77bf987a2",
         "rates": "7b96fee78eec857047a62bf691ebf6af322d83cfa2f8e6fbc9b2b961d655a07a",
     }
+
+
+def test_simulate_bytes_do_not_depend_on_the_row_block(tmp_path, capsys, monkeypatch):
+    # The samples CSV is written, and the sample rows keyed into patterns,
+    # a block of rows at a time; 7-row blocks cross 128 block boundaries
+    # over these 900 rows, and no output byte may move.
+    def run(name):
+        assert main(["simulate", "--K", "6", "--N", "200", "--chains", "3", "--burn-in", "20",
+                     "--samples", "300", "--m-ratio", "0.1:0.2:0.5", "--r", "0.9",
+                     "--theta", "0.75", "--seed", "3", "--out", str(tmp_path / name)]) == 0
+        return {part: (tmp_path / f"{name}_{part}.csv").read_bytes()
+                for part in ("samples", "stats", "rates")}
+
+    whole = run("whole")
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 7)
+    assert run("blocks") == whole
 
 
 def test_sparse_graph_simulate_bytes_are_pinned(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cachecast.core as core
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
@@ -74,6 +75,19 @@ def test_redundancy_patterns_of_sample_rows():
     patterns, inverse = redundancy_patterns(rows.reshape(2, 2, 6))
     assert inverse.tolist() == [0, 1, 0, 2]
     assert distinct_counts(rows.reshape(2, 2, 6)).tolist() == [[3, 1], [3, 6]]
+
+
+def test_redundancy_patterns_in_blocks_match_one_block(monkeypatch):
+    # rows are keyed a block at a time; blocks of 3 over 20 rows, with
+    # patterns first seen on either side of a boundary, keep the order
+    # of first appearance and every index
+    rows = np.random.default_rng(5).integers(1, 5, size=(20, 4))
+    whole = redundancy_patterns(rows)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 3)
+    patterns, inverse = redundancy_patterns(rows)
+    assert patterns == whole[0] and len(patterns) >= 4
+    assert inverse.dtype == whole[1].dtype and inverse.tolist() == whole[1].tolist()
+    assert redundancy_patterns(rows[:0])[1].shape == (0,)
 
 
 def test_binomial():

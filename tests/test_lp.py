@@ -531,9 +531,11 @@ def klee_minty(n):
                          A=A, b=5.0 ** np.arange(1, n + 1), lo=np.zeros(n), hi=np.full(n, np.inf))
 
 
-def adaptive_lps():
-    """Every adaptive delivery LP for K <= 8 at m in {0.1, 0.4} under
-    centralized, decentralized and LP placement."""
+def adaptive_lps(Ks=range(1, 9), makers=(centralized_profile, decentralized_profile,
+                                         solve_placement_lp)):
+    """Every adaptive delivery LP for K in Ks at m in {0.1, 0.4} under each
+    placement maker; by default K <= 8 under centralized, decentralized
+    and LP placement."""
     lps = []
 
     def recording(lp):
@@ -542,9 +544,9 @@ def adaptive_lps():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delivery, "solve", recording)
-        for K in range(1, 9):
+        for K in Ks:
             for m in (0.1, 0.4):
-                for maker in (centralized_profile, decentralized_profile, solve_placement_lp):
+                for maker in makers:
                     prof = maker(K, m)
                     for L in range(1, K + 1):
                         for pattern in partitions_into_parts(K, L):
@@ -563,7 +565,7 @@ def _outcome(solver, lp):
     return sol.status, sol.iterations, x, np.float64(sol.value).tobytes()
 
 
-def test_sparse_loop_matches_dense_reference():
+def test_sparse_loop_matches_dense_reference(monkeypatch):
     # Same pivot path, same bytes: the sparse loop performs the dense
     # loop's float operations on every cell that can change.
     rng = np.random.default_rng(7)
@@ -573,17 +575,37 @@ def test_sparse_loop_matches_dense_reference():
     # them pivoting at iteration 512 and so refreshing the reduced costs
     large_rng = np.random.default_rng(4)
     sparse += [random_sparse_lp(large_rng, n, n // 6) for n in large_rng.integers(900, 1400, size=3)]
+    # about twice as many rows as columns: the tableau fills in, so a
+    # pivot's block update spans many rows at once
+    filled_rng = np.random.default_rng(11)
+    filled = [random_sparse_lp(filled_rng, n, 2 * n) for n in filled_rng.integers(150, 201, size=3)]
+    # the 154 LPs of `sweep --K 12 --m-ratio 0.1:0.3:0.4`: all 77 patterns
+    # at the K=12 cap under centralized placement, m in {0.1, 0.4}
+    k12 = adaptive_lps(Ks=(12,), makers=(centralized_profile,))
+    assert len(k12) == 154
     cone_rng = np.random.default_rng(0)
     trials = (random_trials() + sparse + [klee_minty(10)]
-              + [cone_lp(cone_rng) for _ in range(20)] + adaptive_lps())
+              + [cone_lp(cone_rng) for _ in range(20)] + adaptive_lps() + k12 + filled)
+
+    widest = []  # per trial, the most rows one sparse pivot updated
+    pivot = lp_mod._Tableau.pivot
+
+    def recording_pivot(tab, row, col, rows):
+        widest[-1] = max(widest[-1], rows.size - 1)
+        return pivot(tab, row, col, rows)
+
+    monkeypatch.setattr(lp_mod._Tableau, "pivot", recording_pivot)
     entered = {"bland": 0, "refresh": 0}
     optimal = 0
     for lp in trials:
         events = set()
         ref = _outcome(functools.partial(solve_reference, events=events), lp)
+        widest.append(0)
         assert _outcome(solve, lp) == ref
         for name in events:
             entered[name] += 1
         optimal += isinstance(ref, tuple) and ref[0] == "optimal"
     assert entered["bland"] > 0 and entered["refresh"] > 0
     assert optimal > len(trials) // 2
+    assert max(widest[-len(filled):]) >= 10
+
