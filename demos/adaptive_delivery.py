@@ -25,7 +25,7 @@ M_VALUES = (0.025, 0.1, 0.15, 0.2)
 
 for m in M_VALUES:
     profile = centralized_profile(K, m)
-    bound = cutset_bound(K, L, N, m * N).value
+    bound = cutset_bound(K, L, N, m * N)
     r_na = rate_nonadaptive(profile, L, K)
     r_sp = simplified_plan(profile, L, K).rate
     print(f"m={m}: nonadaptive {r_na:.3f}, size-class rule {r_sp:.3f} "

@@ -28,7 +28,8 @@ profile = decentralized_profile(K, M_RATIO)
 config = SystemConfig(K=K, N=N, m_ratio=M_RATIO, F=F)
 partition = materialize_partition(config, profile, seed=42)
 
-pattern, L, _ = redundancy_pattern(DEMAND)
+pattern = redundancy_pattern(DEMAND)
+L = pattern.L
 print(f"K={K} caches, N={N} files of F={F} symbols, m={M_RATIO}")
 print(f"demand {DEMAND.requests}: {L} distinct files, pattern {pattern}")
 

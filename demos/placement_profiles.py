@@ -9,8 +9,6 @@ delivery rate of a profile drops steeply as the per-cache budget grows.
 from cachecast import (
     centralized_profile,
     decentralized_profile,
-    peak_rate_centralized,
-    peak_rate_decentralized,
     rate_nonadaptive,
     solve_placement_lp,
 )
@@ -41,8 +39,9 @@ for m in M_VALUES:
     cen = rate_nonadaptive(centralized_profile(K, m), K, K)
     dec = rate_nonadaptive(decentralized_profile(K, m), K, K)
     print(f"{m:<6.2f} {cen:11.4f}  {dec:11.4f}")
-    assert abs(dec - peak_rate_decentralized(K, m)) < 1e-9
+    # the independent placement's worst-case rate in closed form
+    assert abs(dec - (1 - m) / m * (1 - (1 - m) ** K)) < 1e-9
 
-# at integer t the coordinated rate has a closed form too
+# at integer t = K m the coordinated rate is K (1 - m) / (1 + t)
 assert abs(rate_nonadaptive(centralized_profile(K, 0.2), K, K)
-           - peak_rate_centralized(K, 0.2)) < 1e-9
+           - K * (1 - 0.2) / (1 + K * 0.2)) < 1e-9

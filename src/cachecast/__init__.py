@@ -16,12 +16,11 @@ subset encoding, non-increasing redundancy patterns). The command line
 lives in ``cachecast.cli`` and is not re-exported.
 """
 
-from .bounds import BoundReport, average_bound, cutset_bound, gap_reduction
+from .bounds import average_bound, cutset_bound, gap_reduction
 from .core import (
     DemandVector,
     RedundancyPattern,
     SystemConfig,
-    binomial,
     partitions_into_parts,
     redundancy_pattern,
     redundancy_patterns,
@@ -36,8 +35,6 @@ from .delivery import (
     build_messages,
     canonical_demand,
     decode,
-    peak_rate_centralized,
-    peak_rate_decentralized,
     rate_nonadaptive,
     rate_of_schedule,
     simplified_plan,
@@ -72,7 +69,6 @@ from .placement import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CorrelationModel",
     "DecodeError",
     "DemandStats",
@@ -92,7 +88,6 @@ __all__ = [
     "adaptive_plan",
     "apportion",
     "average_bound",
-    "binomial",
     "build_messages",
     "canonical_demand",
     "centralized_profile",
@@ -109,8 +104,6 @@ __all__ = [
     "materialize_partition",
     "mean_request_index",
     "partitions_into_parts",
-    "peak_rate_centralized",
-    "peak_rate_decentralized",
     "rate_nonadaptive",
     "rate_of_schedule",
     "redundancy_pattern",

@@ -6,14 +6,14 @@ A cut-set argument over any s of the L distinctly-requested files gives
 
 with M the per-cache capacity in file units: a server message plus s
 cache contents must reconstruct s files, and the caches can be reused
-floor(N / s) times across disjoint file batches.  The bound is the best
-such cut, clamped at zero.  ``gap_reduction`` measures how much of the
-distance between the nonadaptive rate and this bound a scheme closes.
+floor(N / s) times across disjoint file batches.  ``cutset_bound``
+returns the best such cut, clamped at zero, as a float, and
+``average_bound`` averages it over the rows of a demand array.
+``gap_reduction`` measures how much of the distance between the
+nonadaptive rate and this bound a scheme closes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +22,15 @@ from .core import distinct_counts
 GAP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Cut-set bound value and the cut size that attains it."""
-
-    value: float
-    argmax_s: int
-
-
-def cutset_bound(K: int, L: int, N: int, M: float) -> BoundReport:
+def cutset_bound(K: int, L: int, N: int, M: float) -> float:
     """Best cut-set lower bound over cut sizes 1..L.  M in file units."""
     if not 1 <= L <= K:
         raise ValueError("need 1 <= L <= K")
     if N < K:
         raise ValueError("need N >= K")
-    if M < 0 or M > N:
+    if not 0 <= M <= N:
         raise ValueError("need 0 <= M <= N")
-    best_val = -float("inf")
-    best_s = 1
-    for s in range(1, L + 1):
-        val = s - s * M / (N // s)
-        if val > best_val:
-            best_val = val
-            best_s = s
-    return BoundReport(value=max(best_val, 0.0), argmax_s=best_s)
+    return max(max(s - s * M / (N // s) for s in range(1, L + 1)), 0.0)
 
 
 def average_bound(demands, N: int, M: float, K: int) -> float:
@@ -59,7 +44,7 @@ def average_bound(demands, N: int, M: float, K: int) -> float:
         raise ValueError("need at least one demand vector")
     if demands.shape[-1] != K:
         raise ValueError("demand length disagrees with K")
-    by_L = np.array([0.0] + [cutset_bound(K, L, N, M).value for L in range(1, K + 1)])
+    by_L = np.array([0.0] + [cutset_bound(K, L, N, M) for L in range(1, K + 1)])
     values = by_L[distinct_counts(demands).ravel()]
     # np.cumsum adds in order, one element at a time
     return float(np.cumsum(values)[-1]) / values.size

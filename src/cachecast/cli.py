@@ -262,7 +262,7 @@ def _cap(cfg: ScenarioConfig) -> list:
 def _pattern(cfg: ScenarioConfig) -> RedundancyPattern | None:
     """The pattern of --demands, or --pattern, or None."""
     if cfg.demands is not None:
-        return redundancy_pattern(DemandVector(cfg.demands))[0]
+        return redundancy_pattern(DemandVector(cfg.demands))
     if cfg.pattern is not None:
         return RedundancyPattern(cfg.pattern)
     return None
@@ -299,7 +299,7 @@ def _run_bound(cfg: ScenarioConfig):
     rows = []
     for m in cfg.m_ratio:
         for L in [pattern.L] if pattern else range(1, cfg.K + 1):
-            b = cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value
+            b = cutset_bound(cfg.K, L, cfg.N, m * cfg.N)
             rows.append((_fmt(m), "bound", "", str(L), _fmt(b), _fmt(b), ""))
     return [_emit_csv(cfg.out, RATE_HEADER, rows)]
 
@@ -320,7 +320,7 @@ def _run_sweep(cfg: ScenarioConfig):
         profile = _profile_for(cfg, m)
         for L, patterns, label in groups:
             rows += _rate_rows(cfg, profile, m, patterns, np.arange(len(patterns)), label,
-                               str(L), cutset_bound(cfg.K, L, cfg.N, m * cfg.N).value,
+                               str(L), cutset_bound(cfg.K, L, cfg.N, m * cfg.N),
                                rate_nonadaptive(profile, L, cfg.K))
     return [_emit_csv(cfg.out, RATE_HEADER, rows)]
 
@@ -328,7 +328,10 @@ def _run_sweep(cfg: ScenarioConfig):
 def _graph_for(cfg: ScenarioConfig) -> np.ndarray:
     if cfg.graph == "complete":
         return complete_graph(cfg.K)
-    adj = load_edge_list(cfg.graph)
+    try:
+        adj = load_edge_list(cfg.graph)
+    except OSError as exc:
+        raise ConfigError(f"graph: cannot read {cfg.graph}: {exc}") from None
     if adj.shape[0] > cfg.K:
         raise ConfigError(f"graph: edge list names cache {adj.shape[0]} but K={cfg.K}")
     full = np.zeros((cfg.K, cfg.K), dtype=bool)
@@ -459,7 +462,7 @@ def _run_verify(cfg: ScenarioConfig) -> list:
                        for _ in range(cfg.samples)]
 
     for d in demand_list:
-        _, L, _ = redundancy_pattern(d)
+        L = redundancy_pattern(d).L
         # apportion rounds every coded message and every distinct file's
         # uncoded part to within one symbol of its analytic length
         slack = (2**cfg.K - cfg.K - 1 + L) / cfg.F

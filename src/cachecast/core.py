@@ -3,10 +3,9 @@
 A delivery round involves a server holding N files of F symbols each, K
 caches that each store an m_ratio fraction of the library, and multicast
 messages addressed to subsets of caches.  This module holds the small
-pieces everything else builds on: system and demand descriptions, exact
-binomial coefficients, and the integer partitions that classify how K
-requests split over the distinct files (the redundancy pattern of a
-demand vector).
+pieces everything else builds on: system and demand descriptions, and
+the integer partitions that classify how K requests split over the
+distinct files (the redundancy pattern of a demand vector).
 
 Conventions used throughout the package:
 
@@ -18,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,9 +65,6 @@ class DemandVector:
     def K(self) -> int:
         return len(self.requests)
 
-    def distinct(self) -> frozenset[int]:
-        return frozenset(self.requests)
-
 
 @dataclass(frozen=True)
 class RedundancyPattern:
@@ -94,30 +89,15 @@ class RedundancyPattern:
     def L(self) -> int:
         return len(self.counts)
 
-    def is_symmetric(self) -> bool:
-        """True when every distinct file is requested equally often."""
-        return self.counts[0] == self.counts[-1]
-
     def __str__(self) -> str:
         return "-".join(str(c) for c in self.counts)
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); 0 when k > n.  Arbitrary-precision integers."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial needs n, k >= 0")
-    return math.comb(n, k)
-
-
-def redundancy_pattern(d: DemandVector):
-    """Classify a demand vector.
-
-    Returns (pattern, L, D): the non-increasing multiplicity pattern, the
-    number of distinct requested files, and the set of distinct files.
-    """
+def redundancy_pattern(d: DemandVector) -> RedundancyPattern:
+    """The non-increasing multiplicity pattern of a demand vector; its L
+    is the number of distinct requested files."""
     counts = Counter(d.requests)
-    pattern = RedundancyPattern(tuple(sorted(counts.values(), reverse=True)))
-    return pattern, len(counts), frozenset(counts)
+    return RedundancyPattern(tuple(sorted(counts.values(), reverse=True)))
 
 
 def distinct_counts(samples) -> np.ndarray:

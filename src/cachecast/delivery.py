@@ -64,7 +64,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DemandVector, RedundancyPattern, binomial
+from .core import DemandVector, RedundancyPattern
 from .lp import LinearProgram, LpNumericalError, solve
 from .placement import PartitionMap, PlacementProfile, SUBSET_ENUM_CAP, apportion
 
@@ -150,29 +150,13 @@ def _mask_sums(steps) -> np.ndarray:
 def _size_rate(x, L: int, K: int) -> float:
     """Rate of sending each size class whole: L uncoded parts of size x_0,
     and C(K, s+1) coded messages of size x_s per size s >= 1."""
-    return float(L * x[0] + sum(binomial(K, s + 1) * x[s] for s in range(1, K)))
+    return float(L * x[0] + sum(comb(K, s + 1) * x[s] for s in range(1, K)))
 
 
 def rate_nonadaptive(p: PlacementProfile, L: int, K: int) -> float:
     """Baseline rate: every subset message sent, uncoded once per file."""
     _check_L_K(p, L, K)
     return _size_rate(p.fractions, L, K)
-
-
-def peak_rate_centralized(K: int, m_ratio: float) -> float:
-    """Worst-case rate of the coordinated placement at integer t = K * m_ratio."""
-    t = K * m_ratio
-    if abs(t - round(t)) > 1e-9:
-        raise ValueError("centralized peak-rate formula needs integer K * m_ratio")
-    return K * (1.0 - m_ratio) / (1.0 + K * m_ratio)
-
-
-def peak_rate_decentralized(K: int, m_ratio: float) -> float:
-    """Worst-case rate of the uncoordinated placement; K in the q -> 0 limit."""
-    q = m_ratio
-    if q == 0.0:
-        return float(K)
-    return K * (1.0 - q) * (1.0 - (1.0 - q) ** K) / (K * q)
 
 
 def transfer_cutoff(K: int, L: int) -> int:
@@ -193,7 +177,7 @@ def simplified_plan(p: PlacementProfile, L: int, K: int) -> SimplifiedPlan:
     shat = transfer_cutoff(K, L)
     x = p.fractions
     y = x.copy()
-    moved = sum(binomial(K, i) * x[i] for i in range(1, shat + 1))
+    moved = sum(comb(K, i) * x[i] for i in range(1, shat + 1))
     y[0] = x[0] + moved
     for s in range(1, shat + 1):
         y[s] = 0.0

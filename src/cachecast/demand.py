@@ -148,13 +148,6 @@ class CorrelationModel:
     def K(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighbor_files(self, k: int, current: DemandVector) -> frozenset:
-        """Distinct files currently requested by the neighbours of cache k."""
-        if not 1 <= k <= self.K:
-            raise ValueError(f"cache index {k} out of range 1..{self.K}")
-        row = self.adjacency[k - 1]
-        return frozenset(current.requests[j] for j in range(self.K) if row[j])
-
 
 def complete_graph(K: int) -> np.ndarray:
     """Adjacency matrix of the complete graph on K caches."""
@@ -182,7 +175,10 @@ def load_edge_list(path) -> np.ndarray:
             parts = text.replace(",", " ").split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two cache indices")
-            a, b = int(parts[0]), int(parts[1])
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cache indices must be integers") from None
             if a < 1 or b < 1:
                 raise ValueError(f"{path}:{lineno}: cache indices are 1-based")
             if a == b:
@@ -213,10 +209,13 @@ def conditional_pmf(k: int, current: DemandVector, model: CorrelationModel) -> n
     base = model.popularity.pmf
     if model.r == 0.0:
         return base.copy()
-    files = model.neighbor_files(k, current)
+    if not 1 <= k <= model.K:
+        raise ValueError(f"cache index {k} out of range 1..{model.K}")
+    row = model.adjacency[k - 1]
+    files = {current.requests[j] for j in range(model.K) if row[j]}
     if not files:
         return base.copy()
-    files = files | {current.requests[k - 1]}
+    files.add(current.requests[k - 1])
     out = base * (1.0 - model.r)
     idx = np.fromiter(files, dtype=np.intp) - 1
     out[idx] += model.r / len(files)
@@ -429,13 +428,17 @@ def empirical_stats(samples) -> DemandStats:
     distinct files per demand vector, the quantity that drives adaptive
     delivery gains.
     """
-    X = np.asarray(samples, dtype=float)
-    X = X.reshape(-1, X.shape[-1])
-    if X.shape[0] < 2:
+    samples = np.asarray(samples)
+    rows = samples.reshape(-1, samples.shape[-1])
+    if rows.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    K = X.shape[1]
-    X = X.T
-    centered = X - X.mean(axis=1, keepdims=True)
+    K = rows.shape[1]
+    # before the float copy, so that distinct_counts' sorted copy is gone
+    L_avg = float(np.mean(distinct_counts(samples)))
+    # one float row per cache, centred in place: at most it and centered**2
+    # are alive at once
+    centered = rows.T.astype(float)
+    centered -= centered.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).sum(axis=1))
     rhos = []
     dropped = 0
@@ -450,6 +453,6 @@ def empirical_stats(samples) -> DemandStats:
     return DemandStats(
         rho_max=max(rhos),
         rho_avg=float(np.mean(rhos)),
-        L_avg=float(np.mean(distinct_counts(samples))),
+        L_avg=L_avg,
         dropped_pairs=dropped,
     )

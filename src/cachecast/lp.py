@@ -42,8 +42,9 @@ class LpNumericalError(RuntimeError):
 class LinearProgram:
     """min c.v  s.t.  E v = f,  A v <= b,  lo <= v <= hi.
 
-    E/f or A/b may be empty (shape (0, n) / (0,)).  Bounds may be
-    +-inf; every problem built by this package is finitely boxed.
+    E/f or A/b may be empty (shape (0, n) / (0,)).  Lower bounds are
+    finite; an upper bound may be +inf.  Every problem built by this
+    package is finitely boxed.
     """
 
     c: np.ndarray
@@ -69,6 +70,8 @@ class LinearProgram:
             raise ValueError("A and b disagree on the number of inequality rows")
         if self.lo.shape[0] != n or self.hi.shape[0] != n:
             raise ValueError("bounds must have one entry per variable")
+        if not np.all(np.isfinite(self.lo)):
+            raise ValueError("lower bounds must be finite")
         if np.any(self.lo > self.hi + FEAS_TOL):
             raise ValueError("lower bound exceeds upper bound")
 
@@ -89,7 +92,7 @@ class LpSolution:
 
 # nonbasic status codes; _scores compares them with booleans, so _AT_LO
 # must be 0 (False) and _AT_UP 1 (True)
-_AT_LO, _AT_UP, _FREE = 0, 1, 2
+_AT_LO, _AT_UP = 0, 1
 
 
 class _Tableau:
@@ -105,9 +108,7 @@ class _Tableau:
         self.basis = np.full(self.m, -1, dtype=int)
         self.xB = np.zeros(self.m)
         self.status = np.full(self.ncol, _AT_LO, dtype=np.int8)
-        self.val = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        self.status[~np.isfinite(lo) & np.isfinite(hi)] = _AT_UP
-        self.status[~np.isfinite(lo) & ~np.isfinite(hi)] = _FREE
+        self.val = lo.copy()  # every nonbasic column starts at its lower bound
 
     def values(self):
         vals = self.val.copy()
@@ -145,10 +146,10 @@ class _Tableau:
 def _scores(z, status, open_):
     """Pricing score per column: |z| where the column can enter in its
     improving direction, -1 where it cannot.  open_ marks nonbasic columns
-    that may enter at all; a nonbasic column is at its lower bound, at its
-    upper bound or free.  Improving means increasing where z < -OPT_TOL,
-    blocked at the upper bound (status 1 == True), and decreasing where
-    z > OPT_TOL, blocked at the lower bound (status 0 == False)."""
+    that may enter at all; a nonbasic column is at its lower or its upper
+    bound.  Improving means increasing where z < -OPT_TOL, blocked at the
+    upper bound (status 1 == True), and decreasing where z > OPT_TOL,
+    blocked at the lower bound (status 0 == False)."""
     size = np.abs(z)
     can = (size > OPT_TOL) & open_
     can &= status != (z < -OPT_TOL)
@@ -202,11 +203,8 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
             column = M[:, j]
             rows = column.nonzero()[0]
             at, entries = rows.tolist(), column[rows].tolist()
-            t_best = math.inf
-            if status.item(j) != _FREE:
-                span = hi[j] - lo[j]
-                if math.isfinite(span):
-                    t_best = span  # bound flip
+            span = hi[j] - lo[j]
+            t_best = span if math.isfinite(span) else math.inf  # bound flip
             leave_row = -1
             ratios = []
             for i, a in zip(at, entries):
@@ -304,8 +302,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     M[np.arange(me, m), np.arange(n, n + nslack)] = 1.0
 
     tab = _Tableau(M, lo, hi)
-    start_vals = tab.val[:n].copy()
-    resid = rhs - rows @ start_vals
+    resid = rhs - rows @ lp.lo  # every column starts at its lower bound
 
     # an inequality row with resid >= 0 starts with its slack basic at a
     # feasible value; every other row gets an artificial

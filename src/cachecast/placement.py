@@ -12,7 +12,9 @@ Three constructions are provided:
   cache grabs an m_ratio fraction of each file on its own; a symbol
   lands on a given size-s subset with probability q^s (1-q)^(K-s) for
   q = m_ratio.  (This exponent pairing is the one consistent with the
-  standard uncoordinated peak rate; see delivery.peak_rate_decentralized.)
+  standard uncoordinated peak rate (1-q)/q (1 - (1-q)^K), which
+  rate_nonadaptive meets at L = K; tests/oracles.py holds that closed
+  form.)
 * ``solve_placement_lp`` -- the worst-case-rate LP solved numerically,
   used to cross-check the closed form.
 
@@ -24,10 +26,11 @@ deterministic pseudo-random file contents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .core import SystemConfig, binomial
+from .core import SystemConfig
 from .lp import LinearProgram, LpNumericalError, solve
 
 SUBSET_ENUM_CAP = 12  # bit-level work enumerates all 2^K subsets; masks fit uint16
@@ -65,11 +68,11 @@ def centralized_profile(K: int, m_ratio: float) -> PlacementProfile:
     x = np.zeros(K + 1)
     tr = round(t)
     if abs(t - tr) <= 1e-9:
-        x[tr] = 1.0 / binomial(K, tr)
+        x[tr] = 1.0 / comb(K, tr)
     else:
         lo = int(np.floor(t))
-        x[lo] = (lo + 1 - t) / binomial(K, lo)
-        x[lo + 1] = (t - lo) / binomial(K, lo + 1)
+        x[lo] = (lo + 1 - t) / comb(K, lo)
+        x[lo + 1] = (t - lo) / comb(K, lo + 1)
     return PlacementProfile(x, "centralized")
 
 
@@ -100,9 +103,9 @@ def solve_placement_lp(K: int, m_ratio: float) -> PlacementProfile:
     if not 0.0 <= m_ratio <= 1.0:
         raise ValueError("m_ratio must lie in [0, 1]")
     n = K + 1
-    c = np.array([float(binomial(K, s + 1)) for s in range(n)])
-    E = np.array([[float(binomial(K, s)) for s in range(n)]])
-    A = np.array([[float(binomial(K - 1, s - 1)) if s >= 1 else 0.0 for s in range(n)]])
+    c = np.array([float(comb(K, s + 1)) for s in range(n)])
+    E = np.array([[float(comb(K, s)) for s in range(n)]])
+    A = np.array([[float(comb(K - 1, s - 1)) if s >= 1 else 0.0 for s in range(n)]])
     lp = LinearProgram(c=c, E=E, f=[1.0], A=A, b=[m_ratio],
                        lo=np.zeros(n), hi=np.ones(n))
     sol = solve(lp)

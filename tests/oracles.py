@@ -8,6 +8,22 @@ from cachecast.demand import DemandStats
 from cachecast.lp import FEAS_TOL, LinearProgram
 
 
+def peak_rate_centralized(K: int, m_ratio: float) -> float:
+    """Worst-case rate of the coordinated placement at integer t = K * m_ratio."""
+    t = K * m_ratio
+    if abs(t - round(t)) > 1e-9:
+        raise ValueError("centralized peak-rate formula needs integer K * m_ratio")
+    return K * (1.0 - m_ratio) / (1.0 + K * m_ratio)
+
+
+def peak_rate_decentralized(K: int, m_ratio: float) -> float:
+    """Worst-case rate of the uncoordinated placement; K in the q -> 0 limit."""
+    q = m_ratio
+    if q == 0.0:
+        return float(K)
+    return K * (1.0 - q) * (1.0 - (1.0 - q) ** K) / (K * q)
+
+
 def pieces(pm, file: int) -> list[np.ndarray]:
     """Per mask 0..2^K-1, the ascending indices of the symbols of file
     that pm stores exactly at that cache subset."""
@@ -62,7 +78,7 @@ def sequential_average_bound(demands, N: int, M: float, K: int) -> float:
     """Mean cut-set bound, summed one demand at a time from 0.0."""
     total = 0.0
     for L in set_distinct_counts(demands):
-        total += cutset_bound(K, L, N, M).value
+        total += cutset_bound(K, L, N, M)
     return total / len(demands)
 
 

@@ -1,12 +1,14 @@
 """Converse bounds: cut-set hand values, clamping and demand averaging,
 and the uncoded-placement converse as an oracle under every scheme."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachecast.bounds import average_bound, cutset_bound
-from cachecast.core import binomial, partitions_into_parts
+from cachecast.core import partitions_into_parts
 from cachecast.delivery import adaptive_plan, canonical_demand, rate_nonadaptive, simplified_plan
 from cachecast.placement import PlacementProfile, centralized_profile, decentralized_profile
 
@@ -17,49 +19,43 @@ def uncoded_converse(x, K: int, L: int) -> float:
 
         U(x, L) = sum_{s<K} x_s (C(K, s+1) - C(K-L, s+1)).
     """
-    return sum(float(x[s]) * (binomial(K, s + 1) - binomial(K - L, s + 1)) for s in range(K))
+    return sum(float(x[s]) * (comb(K, s + 1) - comb(K - L, s + 1)) for s in range(K))
 
 
 def test_hand_values():
     # K=4, N=50, M=5, L=2: s=1 gives 1 - 5/50 = 0.9, s=2 gives 2 - 10/25 = 1.6
-    rep = cutset_bound(4, 2, 50, 5.0)
-    assert rep.value == pytest.approx(1.6)
-    assert rep.argmax_s == 2
+    assert cutset_bound(4, 2, 50, 5.0) == pytest.approx(1.6)
 
     # s=1 can win when capacity is large relative to floor(N/s)
-    rep = cutset_bound(4, 2, 50, 20.0)
-    assert rep.value == pytest.approx(max(1 - 20 / 50, 2 - 40 / 25, 0.0))
-    assert rep.value == pytest.approx(0.6)
-    assert rep.argmax_s == 1
+    bound = cutset_bound(4, 2, 50, 20.0)
+    assert bound == pytest.approx(max(1 - 20 / 50, 2 - 40 / 25, 0.0))
+    assert bound == pytest.approx(0.6)
 
     # L=1 always reduces to 1 - M/N
-    rep = cutset_bound(8, 1, 1000, 100.0)
-    assert rep.value == pytest.approx(0.9)
-    assert rep.argmax_s == 1
+    assert cutset_bound(8, 1, 1000, 100.0) == pytest.approx(0.9)
 
 
 def test_floor_matters():
     # N=7, s=2: caches reused floor(7/2)=3 times, not 3.5
-    rep = cutset_bound(3, 2, 7, 1.5)
-    assert rep.value == pytest.approx(max(1 - 1.5 / 7, 2 - 3.0 / 3))
-    assert rep.value == pytest.approx(1.0)
+    bound = cutset_bound(3, 2, 7, 1.5)
+    assert bound == pytest.approx(max(1 - 1.5 / 7, 2 - 3.0 / 3))
+    assert bound == pytest.approx(1.0)
 
 
 def test_clamped_at_zero():
-    rep = cutset_bound(3, 3, 9, 9.0)
-    assert rep.value == 0.0
-    assert rep.value >= 0.0
+    bound = cutset_bound(3, 3, 9, 9.0)
+    assert type(bound) is float
+    assert bound == 0.0
     # and stays zero for anything with full caches
     for L in (1, 2, 3):
-        assert cutset_bound(3, L, 12, 12.0).value == 0.0
+        assert cutset_bound(3, L, 12, 12.0) == 0.0
 
 
-def test_argmax_is_first_maximizer():
-    # M=0 makes val = s, so the last s wins; M=N pushes everything negative
-    # and ties resolve to the first s seen
-    assert cutset_bound(5, 4, 20, 0.0).argmax_s == 4
-    rep = cutset_bound(2, 2, 10, 10.0)
-    assert rep.value == 0.0
+def test_bound_at_empty_and_full_caches():
+    # M=0 makes every cut worth s, so the largest cut, L, is the bound;
+    # M=N pushes every cut negative
+    assert cutset_bound(5, 4, 20, 0.0) == 4.0
+    assert cutset_bound(2, 2, 10, 10.0) == 0.0
 
 
 def test_validation():
@@ -73,13 +69,15 @@ def test_validation():
         cutset_bound(4, 2, 50, -0.5)
     with pytest.raises(ValueError):
         cutset_bound(4, 2, 50, 51.0)
+    with pytest.raises(ValueError):
+        cutset_bound(4, 2, 50, float("nan"))
 
 
 def test_average_bound():
     demands = np.array([[1, 1, 2], [3, 3, 3]])
     # L=2 and L=1 at K=3, N=30, M=3
-    v2 = cutset_bound(3, 2, 30, 3.0).value
-    v1 = cutset_bound(3, 1, 30, 3.0).value
+    v2 = cutset_bound(3, 2, 30, 3.0)
+    v1 = cutset_bound(3, 1, 30, 3.0)
     assert average_bound(demands, 30, 3.0, 3) == pytest.approx((v1 + v2) / 2)
 
     with pytest.raises(ValueError):
@@ -94,7 +92,7 @@ def test_uncoded_converse_closed_form_at_integer_t():
         for t in range(K + 1):
             x = centralized_profile(K, t / K).fractions
             for L in range(1, K + 1):
-                expect = (binomial(K, t + 1) - binomial(K - L, t + 1)) / binomial(K, t)
+                expect = (comb(K, t + 1) - comb(K - L, t + 1)) / comb(K, t)
                 assert uncoded_converse(x, K, L) == pytest.approx(expect, abs=1e-12)
 
 
@@ -115,13 +113,13 @@ def test_converse_chain_over_every_pattern(K, kind, m, weights):
         w = np.array(weights[: K + 1])
         if not w.any():
             w[0] = 1.0
-        sizes = np.array([float(binomial(K, s)) for s in range(K + 1)])
+        sizes = np.array([float(comb(K, s)) for s in range(K + 1)])
         prof = PlacementProfile(w / (sizes @ w), "random")
-        m = min(1.0, sum(binomial(K - 1, s - 1) * prof.fractions[s] for s in range(1, K + 1)))
+        m = min(1.0, sum(comb(K - 1, s - 1) * prof.fractions[s] for s in range(1, K + 1)))
     x = prof.fractions
     N = max(K, 10)
     for L in range(1, K + 1):
-        bound = cutset_bound(K, L, N, m * N).value
+        bound = cutset_bound(K, L, N, m * N)
         converse = uncoded_converse(x, K, L)
         simplified = simplified_plan(prof, L, K).rate
         nonadaptive = rate_nonadaptive(prof, L, K)

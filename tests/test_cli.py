@@ -120,7 +120,7 @@ def test_rate_subcommand_orders_schemes(tmp_path):
     r_sp = float(by_scheme["simplified"]["rate"])
     r_ad = float(by_scheme["adaptive"]["rate"])
     assert r_ad <= r_sp + 1e-9 <= r_na + 2e-9
-    expect_bound = cutset_bound(3, 2, 30, 0.25 * 30).value
+    expect_bound = cutset_bound(3, 2, 30, 0.25 * 30)
     assert float(rows[0]["bound"]) == pytest.approx(expect_bound)
     assert rows[0]["L"] == "2"
     gap = float(by_scheme["adaptive"]["gap_reduction"])
@@ -566,3 +566,18 @@ def test_simulate_accepts_edge_list_graph(tmp_path):
     graph.write_text("1 5\n")
     assert main(["simulate", "--K", "4", "--N", "10", "--m-ratio", "0.2",
                  "--graph", str(graph), "--out", str(prefix)]) == 1
+
+
+@pytest.mark.parametrize("case", ["missing", "not-an-integer"])
+def test_unreadable_graph_is_a_configuration_error(tmp_path, capsys, case):
+    graph = tmp_path / "edges.txt"
+    if case == "not-an-integer":
+        graph.write_text("1 2\n2 x\n")
+    assert main(["simulate", "--K", "4", "--N", "10", "--m-ratio", "0.2",
+                 "--graph", str(graph), "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(graph) in err and "Traceback" not in err
+    if case == "missing":
+        assert err.startswith(f"error: graph: cannot read {graph}: ")
+    else:
+        assert err == f"error: {graph}:2: cache indices must be integers\n"

@@ -1,16 +1,14 @@
-"""Domain types and combinatorial helpers."""
-
-import math
+"""Domain types and combinatorial helpers, and the package's public names."""
 
 import numpy as np
 import pytest
 
+import cachecast
 import cachecast.core as core
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
     SystemConfig,
-    binomial,
     distinct_counts,
     partitions_into_parts,
     redundancy_pattern,
@@ -34,7 +32,6 @@ def test_system_config_validation():
 def test_demand_vector():
     d = DemandVector((2, 1, 2, 5))
     assert d.K == 4
-    assert d.distinct() == frozenset({1, 2, 5})
     with pytest.raises(ValueError):
         DemandVector(())
     with pytest.raises(ValueError):
@@ -45,8 +42,6 @@ def test_redundancy_pattern():
     p = RedundancyPattern((3, 2, 2, 1))
     assert p.K == 8
     assert p.L == 4
-    assert not p.is_symmetric()
-    assert RedundancyPattern((2, 2)).is_symmetric()
     assert str(p) == "3-2-2-1"
     with pytest.raises(ValueError):
         RedundancyPattern((2, 3))  # must be non-increasing
@@ -55,14 +50,13 @@ def test_redundancy_pattern():
 
 
 def test_redundancy_pattern_of_demand():
-    pattern, L, files = redundancy_pattern(DemandVector((4, 1, 4, 4, 1, 7)))
+    pattern = redundancy_pattern(DemandVector((4, 1, 4, 4, 1, 7)))
     assert pattern.counts == (3, 2, 1)
-    assert L == 3
-    assert files == frozenset({1, 4, 7})
+    assert pattern.L == 3
 
-    pattern, L, files = redundancy_pattern(DemandVector((5, 5, 5)))
+    pattern = redundancy_pattern(DemandVector((5, 5, 5)))
     assert pattern.counts == (3,)
-    assert L == 1
+    assert pattern.L == 1
 
 
 def test_redundancy_patterns_of_sample_rows():
@@ -88,16 +82,6 @@ def test_redundancy_patterns_in_blocks_match_one_block(monkeypatch):
     assert patterns == whole[0] and len(patterns) >= 4
     assert inverse.dtype == whole[1].dtype and inverse.tolist() == whole[1].tolist()
     assert redundancy_patterns(rows[:0])[1].shape == (0,)
-
-
-def test_binomial():
-    assert binomial(5, 2) == 10
-    assert binomial(4, 0) == 1
-    assert binomial(3, 7) == 0
-    # exact big integers, no float overflow
-    assert binomial(60, 30) == math.comb(60, 30)
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
 
 
 def test_partitions_into_parts_enumeration():
@@ -128,3 +112,24 @@ def test_partitions_total_matches_partition_function():
     totals = {5: 7, 7: 15, 9: 30}
     for K, pk in totals.items():
         assert sum(len(partitions_into_parts(K, L)) for L in range(1, K + 1)) == pk
+
+
+def test_public_names_are_pinned():
+    # what the CLI and the paper's experiments need, and nothing kept
+    # only for tests
+    assert sorted(cachecast.__all__) == [
+        "CorrelationModel", "DecodeError", "DemandStats", "DemandVector",
+        "LinearProgram", "LpNumericalError", "LpSolution", "Message",
+        "MessageSchedule", "PartitionMap", "PlacementProfile", "PopularityDist",
+        "RedundancyPattern", "SimplifiedPlan", "SystemConfig", "TransferPlan",
+        "adaptive_plan", "apportion", "average_bound", "build_messages",
+        "canonical_demand", "centralized_profile", "complete_graph",
+        "conditional_pmf", "cutset_bound", "decentralized_profile", "decode",
+        "empirical_stats", "epsr", "gap_reduction", "gibbs_sweep",
+        "load_edge_list", "materialize_partition", "mean_request_index",
+        "partitions_into_parts", "rate_nonadaptive", "rate_of_schedule",
+        "redundancy_pattern", "redundancy_patterns", "sample_chains",
+        "sample_demands", "simplified_plan", "solve", "solve_placement_lp",
+        "transfer_cutoff", "zipf_pmf",
+    ]
+    assert all(hasattr(cachecast, name) for name in cachecast.__all__)

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from cachecast.core import (
     DemandVector,
     RedundancyPattern,
     SystemConfig,
-    binomial,
     partitions_into_parts,
     redundancy_pattern,
 )
@@ -25,8 +25,6 @@ from cachecast.delivery import (
     build_messages,
     canonical_demand,
     decode,
-    peak_rate_centralized,
-    peak_rate_decentralized,
     rate_nonadaptive,
     rate_of_schedule,
     simplified_plan,
@@ -43,7 +41,7 @@ from cachecast.placement import (
     solve_placement_lp,
 )
 
-from oracles import hand_reduced, pieces
+from oracles import hand_reduced, peak_rate_centralized, peak_rate_decentralized, pieces
 
 
 def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
@@ -201,7 +199,7 @@ def full_adaptive_lp(p: PlacementProfile, d: DemandVector):
 def _composition_weight(ks, a) -> float:
     w = 1
     for k, ai in zip(ks, a):
-        w *= binomial(k, ai)
+        w *= comb(k, ai)
     return float(w)
 
 
@@ -253,8 +251,8 @@ def brute_force_simplified(profile, L, K):
     x = profile.fractions
     best = None
     for picks in itertools.product((False, True), repeat=K - 1):
-        uncoded = x[0] + sum(binomial(K, s) * x[s] for s in range(1, K) if picks[s - 1])
-        coded = sum(binomial(K, s + 1) * x[s] for s in range(1, K) if not picks[s - 1])
+        uncoded = x[0] + sum(comb(K, s) * x[s] for s in range(1, K) if picks[s - 1])
+        coded = sum(comb(K, s + 1) * x[s] for s in range(1, K) if not picks[s - 1])
         val = L * uncoded + coded
         if best is None or val < best:
             best = val
@@ -332,7 +330,7 @@ def test_dominance_chain():
         m = float(rng.uniform(0.02, 0.98))
         prof = centralized_profile(K, m) if rng.random() < 0.5 else decentralized_profile(K, m)
         d = DemandVector(tuple(int(v) for v in rng.integers(1, K + 1, size=K)))
-        _, L, _ = redundancy_pattern(d)
+        L = redundancy_pattern(d).L
         r_na = rate_nonadaptive(prof, L, K)
         r_sp = simplified_plan(prof, L, K).rate
         _, r_ad = adaptive_plan(prof, d)
@@ -397,7 +395,7 @@ def test_asymmetry_ordering_nine_caches():
 def test_canonical_demand():
     d = canonical_demand(RedundancyPattern((3, 2, 1)))
     assert d.requests == (1, 1, 1, 2, 2, 3)
-    assert redundancy_pattern(d)[0].counts == (3, 2, 1)
+    assert redundancy_pattern(d).counts == (3, 2, 1)
 
 
 def test_lazy_plan_matches_eager_expansion():
@@ -519,7 +517,7 @@ def _random_symmetric_profile(K, weights):
     w = np.array(weights[: K + 1])
     if not w.any():
         w[0] = 1.0
-    sizes = np.array([float(binomial(K, s)) for s in range(K + 1)])
+    sizes = np.array([float(comb(K, s)) for s in range(K + 1)])
     return PlacementProfile(w / (sizes @ w), "random")
 
 
@@ -682,7 +680,7 @@ def test_bit_level_round_trip_property(K, data):
     pm = materialize_partition(SystemConfig(K=K, N=N, m_ratio=m, F=F), prof,
                                seed=data.draw(st.integers(0, 2**16), label="seed"))
     d = DemandVector(tuple(requests))
-    _, L, _ = redundancy_pattern(d)
+    L = redundancy_pattern(d).L
     for scheme in SCHEMES:
         plan, _ = _scheme_plan(prof, scheme, d, L)
         schedule = roundtrip(pm, plan, d)
@@ -707,7 +705,8 @@ def test_roundtrip_simplified_and_adaptive_plans():
     cfg = SystemConfig(K=K, N=5, m_ratio=0.22, F=F)
     pm = materialize_partition(cfg, prof, seed=4)
     d = DemandVector((3, 3, 1, 3, 1))
-    pattern, L, _ = redundancy_pattern(d)
+    pattern = redundancy_pattern(d)
+    L = pattern.L
 
     plan = simplified_plan(prof, L, K)
     schedule = roundtrip(pm, plan, d)
@@ -855,7 +854,7 @@ def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
             d = DemandVector(tuple(int(r) for r in rng.integers(1, K + 2, size=K)))
             by_file = {n: pieces(pm, n) for n in set(d.requests)}
             for scheme in SCHEMES:
-                plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
+                plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d).L)
                 schedule = build_messages(pm, plan, d)
                 for n, (indices, counts) in schedule.kept.items():
                     cut = counts.tolist()
@@ -936,7 +935,7 @@ def test_decode_matches_reference_on_tampered_schedules(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
     prof = maker(K, m)
     pm = materialize_partition(SystemConfig(K=K, N=N, m_ratio=m, F=F), prof, seed=K + F)
-    plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
+    plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d).L)
     schedule = build_messages(pm, plan, d)
     for kind in kinds:
         _tamper(schedule, F, kind, rng)
@@ -959,7 +958,7 @@ def test_decode_matches_reference_on_missing_side_information():
             pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.4, F=90), prof, seed=K)
             d = DemandVector(tuple(1 + k % (K - 1) for k in range(K)))  # one file twice
             for scheme in SCHEMES:
-                plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d)[1])
+                plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d).L)
                 schedule = build_messages(pm, plan, d)
                 for mask in sorted(schedule.coded):
                     parts = schedule_parts(schedule, mask)

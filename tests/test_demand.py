@@ -109,6 +109,9 @@ def test_conditional_pmf_basics():
             pmf = conditional_pmf(k, d, model)
             assert np.all(pmf >= 0)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            conditional_pmf(k, d, model)
 
 
 def test_conditional_pmf_consensus_absorbs_at_full_copying():
@@ -470,7 +473,7 @@ def test_array_summaries_equal_per_vector_oracles(arr, m):
     flat = arr.reshape(-1, K)
     demands = demand_vectors(flat)
     patterns, inverse = redundancy_patterns(flat)
-    assert [patterns[i] for i in inverse] == [redundancy_pattern(d)[0] for d in demands]
+    assert [patterns[i] for i in inverse] == [redundancy_pattern(d) for d in demands]
     assert len(set(patterns)) == len(patterns)
     assert (np.array([p.L for p in patterns])[inverse] == set_distinct_counts(demands)).all()
     assert average_bound(flat, N, m * N, K) == sequential_average_bound(demands, N, m * N, K)

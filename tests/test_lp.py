@@ -26,7 +26,6 @@ from cachecast.lp import (
     _AT_LO,
     _AT_UP,
     _DEGEN_LIMIT,
-    _FREE,
     OPT_TOL,
     PIVOT_TOL,
     LinearProgram,
@@ -180,6 +179,14 @@ def test_unbounded_detected():
         hi=np.array([np.inf, np.inf]),
     )
     assert solve(lp).status == "unbounded"
+
+
+def test_lower_bounds_must_be_finite():
+    # the simplex starts every nonbasic column at its lower bound
+    for lo in ([-np.inf, 0.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="lower bounds must be finite"):
+            LinearProgram(c=np.ones(2), E=np.zeros((0, 2)), f=np.zeros(0),
+                          A=np.ones((1, 2)), b=np.ones(1), lo=np.array(lo), hi=np.ones(2))
 
 
 def test_pure_box_problem():
@@ -405,7 +412,7 @@ def simplex_phase_reference(tab, c, allowed, max_iter, events):
         iters += 1
         stat = tab.status
         # eligibility in the improving direction; a nonbasic column is at
-        # its lower bound, at its upper bound or free
+        # its lower or its upper bound
         nonbasic = enterable & ~basic_mask
         can_inc = nonbasic & (stat != _AT_UP) & (z < -OPT_TOL)
         can_dec = nonbasic & (stat != _AT_LO) & (z > OPT_TOL)
@@ -422,10 +429,9 @@ def simplex_phase_reference(tab, c, allowed, max_iter, events):
         d = tab.M[:, j]
         move = sigma * d  # basic values change by -move * t
         t_best = np.inf
-        if tab.status[j] != _FREE:
-            span = tab.hi[j] - tab.lo[j]
-            if np.isfinite(span):
-                t_best = span  # bound flip
+        span = tab.hi[j] - tab.lo[j]
+        if np.isfinite(span):
+            t_best = span  # bound flip
         leave_row = -1
         dec_rows = np.flatnonzero(move > PIVOT_TOL)
         inc_rows = np.flatnonzero(move < -PIVOT_TOL)

@@ -1,12 +1,13 @@
 """Placement profiles, the placement LP, and bit-level materialization."""
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachecast.core import SystemConfig, binomial
+from cachecast.core import SystemConfig
 from cachecast.placement import (
     apportion,
     centralized_profile,
@@ -40,8 +41,8 @@ def validate_profile(p, K: int, m_ratio: float) -> ProfileCheck:
     if p.K != K:
         raise ValueError("profile length disagrees with K")
     x = p.fractions
-    weights = np.array([float(binomial(K, s)) for s in range(K + 1)])
-    cap_w = np.array([float(binomial(K - 1, s - 1)) if s >= 1 else 0.0 for s in range(K + 1)])
+    weights = np.array([float(comb(K, s)) for s in range(K + 1)])
+    cap_w = np.array([float(comb(K - 1, s - 1)) if s >= 1 else 0.0 for s in range(K + 1)])
     partition_residual = abs(float(weights @ x) - 1.0)
     capacity_used = float(cap_w @ x)
     capacity_excess = max(0.0, capacity_used - m_ratio)
@@ -100,7 +101,7 @@ def test_centralized_profile_five_caches_exact():
 
 def test_centralized_integer_t_single_size():
     p = centralized_profile(4, 0.5)  # t = 2
-    assert p.fractions[2] == pytest.approx(1.0 / binomial(4, 2), abs=1e-15)
+    assert p.fractions[2] == pytest.approx(1.0 / comb(4, 2), abs=1e-15)
     assert np.sum(p.fractions != 0) == 1
 
 
@@ -138,7 +139,7 @@ def test_placement_lp_matches_closed_form():
         for m in (0.1, 0.28, 0.66, 0.9):
             lp_p = solve_placement_lp(K, m)
             closed = centralized_profile(K, m)
-            costs = np.array([binomial(K, s + 1) for s in range(K + 1)], dtype=float)
+            costs = np.array([comb(K, s + 1) for s in range(K + 1)], dtype=float)
             assert float(costs @ lp_p.fractions) == pytest.approx(
                 float(costs @ closed.fractions), abs=1e-9
             )
@@ -261,7 +262,7 @@ def test_materialize_sizes_track_fractions():
             for mask, idx in enumerate(pieces(pm, file)):
                 by_size[bin(mask).count("1")] += idx.size
             for s in range(K + 1):
-                share = profile.fractions[s] * binomial(K, s)
+                share = profile.fractions[s] * comb(K, s)
                 assert by_size[s] / F == pytest.approx(share, abs=2**K / F)
 
 
