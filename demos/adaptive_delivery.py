@@ -27,7 +27,7 @@ for m in M_VALUES:
     profile = centralized_profile(K, m)
     bound = cutset_bound(K, L, N, m * N)
     r_na = rate_nonadaptive(profile, L, K)
-    r_sp = simplified_plan(profile, L, K).rate
+    _, r_sp = simplified_plan(profile, L, K)
     print(f"m={m}: nonadaptive {r_na:.3f}, size-class rule {r_sp:.3f} "
           f"(closes {100 * gap_reduction(r_na, r_sp, bound):.0f}% of the gap), "
           f"bound {bound:.3f}")
@@ -42,7 +42,7 @@ print("balanced split, eight caches, two files wanted by four caches each:")
 profile = centralized_profile(8, 0.25)
 demand = canonical_demand(RedundancyPattern((4, 4)))
 _, r_ad = adaptive_plan(profile, demand)
-r_sp = simplified_plan(profile, 2, 8).rate
+_, r_sp = simplified_plan(profile, 2, 8)
 print(f"  size-class rule {r_sp:.4f} vs full plan {r_ad:.4f} "
       f"(strictly better by {r_sp - r_ad:.4f});")
 print("  the full plan transfers only the coded pairs that mix the two")

@@ -10,7 +10,6 @@ import numpy as np
 
 from cachecast import (
     DemandVector,
-    SystemConfig,
     adaptive_plan,
     build_messages,
     decode,
@@ -25,8 +24,7 @@ M_RATIO = 0.3
 DEMAND = DemandVector((2, 5, 2, 2))
 
 profile = decentralized_profile(K, M_RATIO)
-config = SystemConfig(K=K, N=N, m_ratio=M_RATIO, F=F)
-partition = materialize_partition(config, profile, seed=42)
+partition = materialize_partition(profile, N, F, seed=42)
 
 pattern = redundancy_pattern(DEMAND)
 L = pattern.L

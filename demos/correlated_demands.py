@@ -46,7 +46,7 @@ print(f"convergence diagnostic: {rhat:.4f} (1 means fully mixed)")
 
 profile = centralized_profile(K, M_RATIO)
 patterns, inverse = redundancy_patterns(samples)  # distinct patterns, one index per row
-rates = np.array([(rate_nonadaptive(profile, p.L, K), simplified_plan(profile, p.L, K).rate,
+rates = np.array([(rate_nonadaptive(profile, p.L, K), simplified_plan(profile, p.L, K)[1],
                    adaptive_plan(profile, canonical_demand(p))[1]) for p in patterns])
 r_na, r_sp, r_ad = (float(v) for v in rates[inverse].mean(axis=0))
 bound = average_bound(samples, N, M_RATIO * N, K)

@@ -20,7 +20,6 @@ from .bounds import average_bound, cutset_bound, gap_reduction
 from .core import (
     DemandVector,
     RedundancyPattern,
-    SystemConfig,
     partitions_into_parts,
     redundancy_pattern,
     redundancy_patterns,
@@ -29,7 +28,6 @@ from .delivery import (
     DecodeError,
     Message,
     MessageSchedule,
-    SimplifiedPlan,
     TransferPlan,
     adaptive_plan,
     build_messages,
@@ -43,7 +41,6 @@ from .delivery import (
 from .demand import (
     CorrelationModel,
     DemandStats,
-    PopularityDist,
     complete_graph,
     conditional_pmf,
     empirical_stats,
@@ -80,10 +77,7 @@ __all__ = [
     "MessageSchedule",
     "PartitionMap",
     "PlacementProfile",
-    "PopularityDist",
     "RedundancyPattern",
-    "SimplifiedPlan",
-    "SystemConfig",
     "TransferPlan",
     "adaptive_plan",
     "apportion",

@@ -37,7 +37,6 @@ from .bounds import GAP_TOL, average_bound, cutset_bound, gap_reduction
 from .core import (
     DemandVector,
     RedundancyPattern,
-    SystemConfig,
     partitions_into_parts,
     redundancy_pattern,
     redundancy_patterns,
@@ -146,7 +145,7 @@ class ScenarioConfig:
                 errors.append("pattern: counts must be positive")
         if not 0.0 <= self.r <= 1.0:
             errors.append("r: must lie in [0, 1]")
-        if self.theta < 0.0:
+        if not self.theta >= 0.0:
             errors.append("theta: must be nonnegative")
         if self.chains < 1:
             errors.append("chains: must be at least 1")
@@ -225,10 +224,9 @@ def _profile_for(cfg: ScenarioConfig, m: float):
 def _scheme_plan(profile, scheme: str, d: DemandVector, L: int):
     """(plan, analytic rate) of one delivery scheme for demand d with L distinct files."""
     if scheme == "nonadaptive":
-        return profile, rate_nonadaptive(profile, L, d.K)
+        return profile.fractions, rate_nonadaptive(profile, L, d.K)
     if scheme == "simplified":
-        plan = simplified_plan(profile, L, d.K)
-        return plan, plan.rate
+        return simplified_plan(profile, L, d.K)
     return adaptive_plan(profile, d)
 
 
@@ -450,9 +448,8 @@ def _run_verify(cfg: ScenarioConfig) -> list:
     failures = []
     lines = []
     m = cfg.m_ratio[0]
-    sys_cfg = SystemConfig(K=cfg.K, N=cfg.N, m_ratio=m, F=cfg.F)
     profile = _profile_for(cfg, m)
-    partition = materialize_partition(sys_cfg, profile, cfg.seed)
+    partition = materialize_partition(profile, cfg.N, cfg.F, cfg.seed)
 
     if cfg.demands is not None:
         demand_list = [DemandVector(cfg.demands)]

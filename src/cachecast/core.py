@@ -3,9 +3,9 @@
 A delivery round involves a server holding N files of F symbols each, K
 caches that each store an m_ratio fraction of the library, and multicast
 messages addressed to subsets of caches.  This module holds the small
-pieces everything else builds on: system and demand descriptions, and
-the integer partitions that classify how K requests split over the
-distinct files (the redundancy pattern of a demand vector).
+pieces everything else builds on: demand vectors, and the integer
+partitions that classify how K requests split over the distinct files
+(the redundancy pattern of a demand vector).
 
 Conventions used throughout the package:
 
@@ -21,31 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Static description of one cache network.
-
-    K caches, a library of N files, per-cache capacity m_ratio * N files.
-    F is the file length in symbols and only matters for bit-level
-    delivery; analytic rate work leaves it None.
-    """
-
-    K: int
-    N: int
-    m_ratio: float
-    F: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ValueError("K must be a positive integer")
-        if not isinstance(self.N, int) or self.N < self.K:
-            raise ValueError("N must be an integer >= K (nonredundant library)")
-        if not 0.0 <= self.m_ratio <= 1.0:
-            raise ValueError("m_ratio must lie in [0, 1]")
-        if self.F is not None and (not isinstance(self.F, int) or self.F < 1):
-            raise ValueError("F must be a positive integer when given")
 
 
 @dataclass(frozen=True)

@@ -76,14 +76,6 @@ class DecodeError(RuntimeError):
 
 
 @dataclass
-class SimplifiedPlan:
-    """Per-size kept fractions after the cutoff-rule transfer."""
-
-    fractions: np.ndarray  # y_0..y_K
-    rate: float
-
-
-@dataclass
 class TransferPlan:
     """Kept fraction y for every (distinct file, subset mask) pair,
     stored per orbit and resolved one file at a time.
@@ -166,8 +158,10 @@ def transfer_cutoff(K: int, L: int) -> int:
     return (K - L) // (L + 1)
 
 
-def simplified_plan(p: PlacementProfile, L: int, K: int) -> SimplifiedPlan:
+def simplified_plan(p: PlacementProfile, L: int, K: int) -> tuple[np.ndarray, float]:
     """Transfer all size classes up to the cutoff into the uncoded part.
+
+    Returns the per-size kept fractions y_0..y_K and their rate.
 
     A size-s class costs C(K, s+1) x_s coded but L C(K, s) x_s uncoded,
     so transferring wins exactly when s is at most (K - L) // (L + 1).
@@ -181,7 +175,7 @@ def simplified_plan(p: PlacementProfile, L: int, K: int) -> SimplifiedPlan:
     y[0] = x[0] + moved
     for s in range(1, shat + 1):
         y[s] = 0.0
-    return SimplifiedPlan(fractions=y, rate=_size_rate(y, L, K))
+    return y, _size_rate(y, L, K)
 
 
 def canonical_demand(pattern: RedundancyPattern) -> DemandVector:
@@ -420,15 +414,15 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _plan_accessor(plan, d: DemandVector, K: int):
-    """kept(file) of a TransferPlan, or of a per-size plan such as a
-    SimplifiedPlan or PlacementProfile (one fraction per subset size):
-    the file's kept fractions over masks 0..2^K - 1."""
+    """kept(file) of a TransferPlan, or of a per-size plan (an array of one
+    kept fraction per subset size 0..K, such as simplified_plan's or a
+    profile's fractions): the file's kept fractions over masks 0..2^K - 1."""
     if isinstance(plan, TransferPlan):
         if plan.demand.requests != d.requests:
             raise ValueError("transfer plan was built for a different demand vector")
         return plan.kept
-    y = np.asarray(plan.fractions, dtype=float)
-    if y.shape[0] != K + 1:
+    y = np.asarray(plan, dtype=float)
+    if y.shape != (K + 1,):
         raise ValueError("per-size plan needs one fraction per subset size 0..K")
     by_mask = y[_mask_sums([1] * K)]
     return lambda file: by_mask
@@ -445,11 +439,10 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     cells of it, so the buffer is one XOR per cache of its parts' values,
     each zero-padded to its message's length.
     """
-    cfg = pm.config
-    K, F = cfg.K, cfg.F
+    K, (N, F) = pm.K, pm.data.shape
     if d.K != K:
         raise ValueError("demand length disagrees with the partition map")
-    if any(r > cfg.N for r in d.requests):
+    if any(r > N for r in d.requests):
         raise ValueError("demand requests a file beyond the library")
     kept_of = _plan_accessor(plan, d, K)
 

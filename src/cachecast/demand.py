@@ -54,45 +54,19 @@ PMF_TOL = 1e-12
 BLOCK = 1 << 13  # uniforms per rng.random call of the chain kernel
 
 
-@dataclass(frozen=True)
-class PopularityDist:
-    """Base popularity law over the file library.
-
-    pmf[n - 1] is the probability of file n. Stored dense because every
-    conditional evaluation rescales the whole vector anyway.
-    """
-
-    N: int
-    theta: float
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("library size must be at least 1")
-        if self.theta < 0:
-            raise ValueError("Zipf exponent must be nonnegative")
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.shape != (self.N,):
-            raise ValueError(f"pmf must have shape ({self.N},), got {pmf.shape}")
-        if np.any(pmf < 0):
-            raise ValueError("pmf entries must be nonnegative")
-        if abs(float(pmf.sum()) - 1.0) > PMF_TOL:
-            raise ValueError("pmf must sum to 1")
-        object.__setattr__(self, "pmf", pmf)
-
-
-def zipf_pmf(N: int, theta: float) -> PopularityDist:
-    """Zipf popularity with p_n proportional to (1/n)**theta.
+def zipf_pmf(N: int, theta: float) -> np.ndarray:
+    """Zipf popularity with p_n proportional to (1/n)**theta, as the pmf
+    array whose entry n - 1 is the probability of file n.
 
     theta = 0 gives the uniform distribution. The pmf is non-increasing
     in the file index, so file 1 is always the most popular.
     """
     if N < 1:
         raise ValueError("library size must be at least 1")
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("Zipf exponent must be nonnegative")
     weights = np.arange(1, N + 1, dtype=float) ** (-theta)
-    return PopularityDist(N=N, theta=float(theta), pmf=weights / weights.sum())
+    return weights / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -101,7 +75,8 @@ class CorrelationModel:
 
     adjacency is a K x K boolean matrix, symmetric with a zero diagonal.
     r is the probability that a cache copies one of its neighbours'
-    distinct current files instead of sampling from the base popularity.
+    distinct current files instead of sampling from the base popularity,
+    a pmf array whose entry n - 1 is the probability of file n.
     The sampler's tables are built once here: the base cdf as a list, a
     times it (a = 1 - r), and for each copy-set size s the products
     (r / s) * t, t = 0..s, and the total mass a * cdf[-1] + (r / s) * s;
@@ -112,7 +87,7 @@ class CorrelationModel:
 
     adjacency: np.ndarray
     r: float
-    popularity: PopularityDist
+    popularity: np.ndarray
     _cdf: list = field(init=False, repr=False, compare=False)
     _acdf: list = field(init=False, repr=False, compare=False)
     _mass: tuple = field(init=False, repr=False, compare=False)
@@ -131,8 +106,16 @@ class CorrelationModel:
             raise ValueError("adjacency must be symmetric")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("copy probability r must lie in [0, 1]")
+        pmf = np.asarray(self.popularity, dtype=float)
+        if pmf.ndim != 1 or pmf.shape[0] < 1:
+            raise ValueError("popularity must be a 1-d pmf over at least one file")
+        if not np.all((pmf >= 0) & (pmf < np.inf)):
+            raise ValueError("popularity entries must be finite and nonnegative")
+        if abs(float(pmf.sum()) - 1.0) > PMF_TOL:
+            raise ValueError("popularity must sum to 1")
         object.__setattr__(self, "adjacency", adj)
-        cdf = np.cumsum(self.popularity.pmf).tolist()
+        object.__setattr__(self, "popularity", pmf)
+        cdf = np.cumsum(pmf).tolist()
         a, r = 1.0 - self.r, self.r
         acdf = [a * c for c in cdf]
         rts = [[r / s * t for t in range(s + 1)] for s in range(1, adj.shape[0] + 1)]
@@ -142,7 +125,7 @@ class CorrelationModel:
         object.__setattr__(self, "_closed", tuple(
             itemgetter(k, *np.flatnonzero(row).tolist()) if r > 0.0 and row.any() else None
             for k, row in enumerate(adj)))
-        object.__setattr__(self, "_guard", 10 * (self.popularity.N + 3) * 2.0**-53)
+        object.__setattr__(self, "_guard", 10 * (pmf.shape[0] + 3) * 2.0**-53)
 
     @property
     def K(self) -> int:
@@ -206,11 +189,13 @@ def conditional_pmf(k: int, current: DemandVector, model: CorrelationModel) -> n
     per demand vector. A cache with no neighbours (or r = 0) just samples
     the base law.
     """
-    base = model.popularity.pmf
-    if model.r == 0.0:
-        return base.copy()
     if not 1 <= k <= model.K:
         raise ValueError(f"cache index {k} out of range 1..{model.K}")
+    if current.K != model.K:
+        raise ValueError(f"demand vector has {current.K} requests, model has {model.K} caches")
+    base = model.popularity
+    if model.r == 0.0:
+        return base.copy()
     row = model.adjacency[k - 1]
     files = {current.requests[j] for j in range(model.K) if row[j]}
     if not files:
@@ -340,7 +325,7 @@ def _sample(model: CorrelationModel, count: int, burn_in: int, seeds) -> np.ndar
     out = np.empty((len(seeds), count, model.K), dtype=np.int64)
     for rows, seed in zip(out, seeds):
         rng = np.random.default_rng(seed)
-        requests = [_draw_index(model.popularity.pmf, u) for u in rng.random(model.K).tolist()]
+        requests = [_draw_index(model.popularity, u) for u in rng.random(model.K).tolist()]
         _chain(model, requests, _uniforms(rng, (burn_in + count) * model.K), out=rows, skip=burn_in)
     return out
 
@@ -424,9 +409,9 @@ def empirical_stats(samples) -> DemandStats:
     index sequence of each cache is correlated against every other cache's
     sequence; rho_max and rho_avg summarise the unordered pairs. Pairs
     where either sequence is constant have no defined correlation and are
-    excluded (counted in dropped_pairs). L_avg is the average number of
-    distinct files per demand vector, the quantity that drives adaptive
-    delivery gains.
+    excluded (counted in dropped_pairs); if every pair is, both are NaN.
+    L_avg is the average number of distinct files per demand vector, the
+    quantity that drives adaptive delivery gains.
     """
     samples = np.asarray(samples)
     rows = samples.reshape(-1, samples.shape[-1])
@@ -448,11 +433,9 @@ def empirical_stats(samples) -> DemandStats:
                 dropped += 1
                 continue
             rhos.append(float(centered[i] @ centered[j] / (scale[i] * scale[j])))
-    if not rhos:
-        raise ValueError("all cache pairs have constant requests; correlations undefined")
     return DemandStats(
-        rho_max=max(rhos),
-        rho_avg=float(np.mean(rhos)),
+        rho_max=max(rhos, default=float("nan")),
+        rho_avg=float(np.mean(rhos)) if rhos else float("nan"),
         L_avg=L_avg,
         dropped_pairs=dropped,
     )

@@ -30,7 +30,6 @@ from math import comb
 
 import numpy as np
 
-from .core import SystemConfig
 from .lp import LinearProgram, LpNumericalError, solve
 
 SUBSET_ENUM_CAP = 12  # bit-level work enumerates all 2^K subsets; masks fit uint16
@@ -149,10 +148,10 @@ class PartitionMap:
     the cache subset that stores symbol i of that file (0: no cache).
     Under a shared (non-decentralized) placement it is a read-only view of
     one row.  ``data`` holds the pseudo-random file contents, one row per
-    file.
+    file, so ``data.shape`` is (N, F).  K is the number of caches.
     """
 
-    config: SystemConfig
+    K: int
     holder: np.ndarray
     data: np.ndarray
 
@@ -169,8 +168,9 @@ class PartitionMap:
         return int(np.count_nonzero(self.holder & (1 << (cache - 1))))
 
 
-def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) -> PartitionMap:
-    """Assign every symbol of every file to exactly one cache subset.
+def materialize_partition(p: PlacementProfile, N: int, F: int, seed: int) -> PartitionMap:
+    """Assign every symbol of each of N files of F symbols to exactly one
+    cache subset, for the profile's K caches.
 
     Subset sizes follow the profile fractions, rounded by largest
     remainder so each file's pieces partition its F symbols exactly.
@@ -180,13 +180,13 @@ def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) 
     random permutation of its symbols: which symbols land where is
     random while the piece sizes stay exact.
     """
-    K, F = config.K, config.F
-    if F is None:
-        raise ValueError("bit-level materialization needs config.F")
+    K = p.K
     if K > SUBSET_ENUM_CAP:
         raise ValueError(f"K > {SUBSET_ENUM_CAP} exceeds the subset enumeration cap")
-    if p.K != K:
-        raise ValueError("profile length disagrees with config.K")
+    if N < K:
+        raise ValueError("N must be at least K (nonredundant library)")
+    if F < 1:
+        raise ValueError("F must be a positive integer")
 
     masks = np.arange(1 << K)
     sizes = np.array([int(m).bit_count() for m in masks])
@@ -195,14 +195,14 @@ def materialize_partition(config: SystemConfig, p: PlacementProfile, seed: int) 
     counts = apportion(targets, F, caps)
 
     ss = np.random.SeedSequence(seed)
-    children = ss.spawn(config.N + 1)
-    data = np.random.default_rng(children[0]).integers(0, 256, size=(config.N, F), dtype=np.uint8)
+    children = ss.spawn(N + 1)
+    data = np.random.default_rng(children[0]).integers(0, 256, size=(N, F), dtype=np.uint8)
 
     layout = np.repeat(masks, counts).astype(np.uint16)
     if p.scheme == "decentralized":
-        holder = np.empty((config.N, F), dtype=np.uint16)
-        for fi in range(config.N):
+        holder = np.empty((N, F), dtype=np.uint16)
+        for fi in range(N):
             holder[fi, np.random.default_rng(children[fi + 1]).permutation(F)] = layout
     else:
-        holder = np.broadcast_to(layout, (config.N, F))
-    return PartitionMap(config=config, holder=holder, data=data)
+        holder = np.broadcast_to(layout, (N, F))
+    return PartitionMap(K=K, holder=holder, data=data)

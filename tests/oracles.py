@@ -29,7 +29,7 @@ def pieces(pm, file: int) -> list[np.ndarray]:
     that pm stores exactly at that cache subset."""
     row = pm.holder[file - 1]
     order = np.argsort(row, kind="stable")
-    ends = np.cumsum(np.bincount(row, minlength=1 << pm.config.K)).tolist()
+    ends = np.cumsum(np.bincount(row, minlength=1 << pm.K)).tolist()
     return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
@@ -100,7 +100,7 @@ def tuple_empirical_stats(demands) -> DemandStats:
                 dropped += 1
                 continue
             rhos.append(float(centered[i] @ centered[j] / (scale[i] * scale[j])))
-    if not rhos:
-        raise ValueError("all cache pairs have constant requests; correlations undefined")
-    return DemandStats(rho_max=max(rhos), rho_avg=float(np.mean(rhos)),
+    nan = float("nan")  # every pair constant: no correlation is defined
+    return DemandStats(rho_max=max(rhos) if rhos else nan,
+                       rho_avg=float(np.mean(rhos)) if rhos else nan,
                        L_avg=float(np.mean(set_distinct_counts(demands))), dropped_pairs=dropped)

@@ -16,7 +16,6 @@ from cachecast.bounds import average_bound, cutset_bound
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
-    SystemConfig,
     redundancy_pattern,
     redundancy_patterns,
 )
@@ -124,7 +123,7 @@ def test_acceptance_4_gap_reduction_table_nine_caches():
         bound = cutset_bound(K, L, N, m * N)
         r_na = rate_nonadaptive(profile, L, K)
 
-        pct = 100.0 * (r_na - simplified_plan(profile, L, K).rate) / (r_na - bound)
+        pct = 100.0 * (r_na - simplified_plan(profile, L, K)[1]) / (r_na - bound)
         worst = max(worst, abs(pct - table_simplified[mi]))
         if abs(pct - table_simplified[mi]) > 3.0:
             failures.append(f"simplified m={m}: {pct:.1f} vs {table_simplified[mi]}")
@@ -161,7 +160,7 @@ def test_acceptance_5_dominance_and_symmetric_equality():
 
         bound = cutset_bound(K, L, N, m * N)
         r_na = rate_nonadaptive(profile, L, K)
-        r_sp = simplified_plan(profile, L, K).rate
+        _, r_sp = simplified_plan(profile, L, K)
         _, r_ad = adaptive_plan(profile, d)
 
         worst_chain = max(worst_chain, bound - r_ad, r_ad - r_sp, r_sp - r_na)
@@ -196,7 +195,7 @@ def test_acceptance_6_sizewise_rule_optimality():
                               for s in range(1, K) if not picks[s - 1])
                         for picks in itertools.product((False, True), repeat=K - 1)
                     )
-                    worst = max(worst, abs(simplified_plan(profile, L, K).rate - best))
+                    worst = max(worst, abs(simplified_plan(profile, L, K)[1] - best))
     verdict(6, "size-class rule vs exhaustive search", worst <= 1e-9,
             f"worst dev {worst:.2e}")
     assert worst <= 1e-9
@@ -212,12 +211,11 @@ def test_acceptance_7_bit_level_decodability():
         for maker in (centralized_profile, decentralized_profile):
             for m in (0.2, 0.45):
                 profile = maker(K, m)
-                cfg = SystemConfig(K=K, N=N, m_ratio=m, F=F)
-                pm = materialize_partition(cfg, profile, seed=17)
+                pm = materialize_partition(profile, N, F, seed=17)
                 for _ in range(100):
                     d = DemandVector(tuple(int(v) for v in rng.integers(1, N + 1, size=K)))
                     L = redundancy_pattern(d).L
-                    schedule = build_messages(pm, profile, d)
+                    schedule = build_messages(pm, profile.fractions, d)
                     for k in range(1, K + 1):
                         got = decode(k, pm.cache_view(k, set(d.requests)), schedule)
                         if not np.array_equal(got, pm.data[d.requests[k - 1] - 1]):
@@ -288,7 +286,7 @@ def test_acceptance_9_average_gap_reductions():
             _, adaptive_cache[key_a] = adaptive_plan(profiles[m], canonical_demand(pattern))
         key_s = (m, pattern.L)
         if key_s not in simplified_cache:
-            simplified_cache[key_s] = simplified_plan(profiles[m], pattern.L, K).rate
+            _, simplified_cache[key_s] = simplified_plan(profiles[m], pattern.L, K)
         return adaptive_cache[key_a], simplified_cache[key_s]
 
     cells = {}

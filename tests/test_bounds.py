@@ -121,7 +121,7 @@ def test_converse_chain_over_every_pattern(K, kind, m, weights):
     for L in range(1, K + 1):
         bound = cutset_bound(K, L, N, m * N)
         converse = uncoded_converse(x, K, L)
-        simplified = simplified_plan(prof, L, K).rate
+        _, simplified = simplified_plan(prof, L, K)
         nonadaptive = rate_nonadaptive(prof, L, K)
         assert bound <= converse + 1e-9
         assert simplified <= nonadaptive + 1e-9

@@ -552,6 +552,36 @@ def test_simulate_collapsed_chains_report_nan_epsr(tmp_path, capsys):
     assert len(rows) == 3 and all(np.isfinite(float(r["rate"])) for r in rows)
 
 
+@pytest.mark.parametrize("seed", [1, 3, 5, 8])
+def test_simulate_consensus_on_one_file_reports_nan_correlations(tmp_path, capsys, seed):
+    # both chains settle on the same file, so every cache pair is constant
+    # and the correlations are undefined: NaN cells, not a failed run
+    prefix = tmp_path / "c"
+    assert main(["simulate", "--K", "3", "--N", "3", "--r", "1", "--chains", "2",
+                 "--samples", "20", "--burn-in", "10", "--m-ratio", "0.2",
+                 "--seed", str(seed), "--out", str(prefix)]) == 0
+    assert capsys.readouterr().err == "epsr: nan\n"
+    _, rows = read_csv(tmp_path / "c_stats.csv")
+    assert (rows[0]["rho_max"], rows[0]["rho_avg"], rows[0]["L_avg"]) == ("nan", "nan", "1")
+    _, rows = read_csv(tmp_path / "c_rates.csv")
+    assert [r["scheme"] for r in rows] == list(cli.SCHEMES)
+    assert all(r["rate"] == "1" for r in rows)
+
+
+@pytest.mark.parametrize("source", ["flag", "json"])
+def test_nan_zipf_exponent_is_refused(tmp_path, capsys, source):
+    prefix = str(tmp_path / "sim")
+    if source == "flag":
+        args = ["--K", "3", "--theta", "nan", "--m-ratio", "0.2"]
+    else:
+        conf = tmp_path / "c.json"
+        conf.write_text('{"K": 3, "theta": NaN, "m_ratio": 0.2}')
+        args = ["--config", str(conf)]
+    assert main(["simulate", *args, "--out", prefix]) == 1
+    assert capsys.readouterr().err == "error: theta: must be nonnegative\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["c.json"] if source == "json" else [])
+
+
 def test_simulate_accepts_edge_list_graph(tmp_path):
     graph = tmp_path / "line.txt"
     graph.write_text("1 2\n2 3\n")

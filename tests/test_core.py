@@ -8,25 +8,11 @@ import cachecast.core as core
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
-    SystemConfig,
     distinct_counts,
     partitions_into_parts,
     redundancy_pattern,
     redundancy_patterns,
 )
-
-
-def test_system_config_validation():
-    cfg = SystemConfig(K=4, N=10, m_ratio=0.3)
-    assert cfg.F is None
-    with pytest.raises(ValueError):
-        SystemConfig(K=0, N=10, m_ratio=0.3)
-    with pytest.raises(ValueError):
-        SystemConfig(K=4, N=3, m_ratio=0.3)  # fewer files than caches
-    with pytest.raises(ValueError):
-        SystemConfig(K=4, N=10, m_ratio=1.2)
-    with pytest.raises(ValueError):
-        SystemConfig(K=4, N=10, m_ratio=0.3, F=0)
 
 
 def test_demand_vector():
@@ -120,8 +106,8 @@ def test_public_names_are_pinned():
     assert sorted(cachecast.__all__) == [
         "CorrelationModel", "DecodeError", "DemandStats", "DemandVector",
         "LinearProgram", "LpNumericalError", "LpSolution", "Message",
-        "MessageSchedule", "PartitionMap", "PlacementProfile", "PopularityDist",
-        "RedundancyPattern", "SimplifiedPlan", "SystemConfig", "TransferPlan",
+        "MessageSchedule", "PartitionMap", "PlacementProfile",
+        "RedundancyPattern", "TransferPlan",
         "adaptive_plan", "apportion", "average_bound", "build_messages",
         "canonical_demand", "centralized_profile", "complete_graph",
         "conditional_pmf", "cutset_bound", "decentralized_profile", "decode",

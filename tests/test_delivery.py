@@ -13,7 +13,6 @@ from cachecast.cli import SCHEMES, _message_failures, _scheme_plan
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
-    SystemConfig,
     partitions_into_parts,
     redundancy_pattern,
 )
@@ -306,8 +305,8 @@ def test_simplified_matches_brute_force():
             for m in (0.1, 0.3, 0.5, 0.7, 0.9):
                 profile = maker(K, m)
                 for L in range(1, K + 1):
-                    plan = simplified_plan(profile, L, K)
-                    assert plan.rate == pytest.approx(
+                    _, rate = simplified_plan(profile, L, K)
+                    assert rate == pytest.approx(
                         brute_force_simplified(profile, L, K), abs=1e-9
                     ), (K, maker.__name__, m, L)
 
@@ -332,7 +331,7 @@ def test_dominance_chain():
         d = DemandVector(tuple(int(v) for v in rng.integers(1, K + 1, size=K)))
         L = redundancy_pattern(d).L
         r_na = rate_nonadaptive(prof, L, K)
-        r_sp = simplified_plan(prof, L, K).rate
+        _, r_sp = simplified_plan(prof, L, K)
         _, r_ad = adaptive_plan(prof, d)
         assert r_ad <= r_sp + 1e-7
         assert r_sp <= r_na + 1e-7
@@ -344,7 +343,7 @@ def test_all_distinct_collapses_to_nonadaptive():
         for m in (0.2, 0.55):
             for prof in (centralized_profile(K, m), decentralized_profile(K, m)):
                 r_na = rate_nonadaptive(prof, K, K)
-                assert simplified_plan(prof, K, K).rate == pytest.approx(r_na, abs=1e-12)
+                assert simplified_plan(prof, K, K)[1] == pytest.approx(r_na, abs=1e-12)
                 _, r_ad = adaptive_plan(prof, d)
                 assert r_ad == pytest.approx(r_na, abs=1e-9)
 
@@ -370,14 +369,14 @@ def test_adaptive_beats_sizewise_rule_on_balanced_split():
     prof = centralized_profile(8, 0.25)
     d = canonical_demand(RedundancyPattern((4, 4)))
     _, r_ad = adaptive_plan(prof, d)
-    r_sp = simplified_plan(prof, 2, 8).rate
+    _, r_sp = simplified_plan(prof, 2, 8)
     assert r_ad == pytest.approx(adaptive_rate_direct(prof, d), abs=1e-8)
     assert r_sp - r_ad > 0.14  # strict gap, about 0.143 at this m
     # while for instance three-way balanced splits show no gap at all
     prof9 = centralized_profile(9, 0.25)
     d9 = canonical_demand(RedundancyPattern((3, 3, 3)))
     _, r_ad9 = adaptive_plan(prof9, d9)
-    assert r_ad9 == pytest.approx(simplified_plan(prof9, 3, 9).rate, abs=1e-7)
+    assert r_ad9 == pytest.approx(simplified_plan(prof9, 3, 9)[1], abs=1e-7)
 
 
 def test_asymmetry_ordering_nine_caches():
@@ -659,7 +658,7 @@ def decode_reference(cache: int, cached, schedule: MessageSchedule) -> np.ndarra
 
 def roundtrip(pm, plan, d):
     schedule = build_messages(pm, plan, d)
-    for k in range(1, pm.config.K + 1):
+    for k in range(1, pm.K + 1):
         got = decode(k, pm.cache_view(k, set(d.requests)), schedule)
         want = pm.data[d.requests[k - 1] - 1]
         assert np.array_equal(got, want), f"cache {k} mismatch"
@@ -677,8 +676,7 @@ def test_bit_level_round_trip_property(K, data):
                                        solve_placement_lp]), label="placement")
     requests = data.draw(st.lists(st.integers(1, N), min_size=K, max_size=K), label="demand")
     prof = maker(K, m)
-    pm = materialize_partition(SystemConfig(K=K, N=N, m_ratio=m, F=F), prof,
-                               seed=data.draw(st.integers(0, 2**16), label="seed"))
+    pm = materialize_partition(prof, N, F, seed=data.draw(st.integers(0, 2**16), label="seed"))
     d = DemandVector(tuple(requests))
     L = redundancy_pattern(d).L
     for scheme in SCHEMES:
@@ -691,10 +689,9 @@ def test_roundtrip_identity_plan_matches_nonadaptive_rate():
     K, F = 4, 5000
     for maker in (centralized_profile, decentralized_profile):
         prof = maker(K, 0.35)
-        cfg = SystemConfig(K=K, N=5, m_ratio=0.35, F=F)
-        pm = materialize_partition(cfg, prof, seed=21)
+        pm = materialize_partition(prof, 5, F, seed=21)
         d = DemandVector((2, 1, 2, 5))
-        schedule = roundtrip(pm, prof, d)
+        schedule = roundtrip(pm, prof.fractions, d)
         analytic = rate_nonadaptive(prof, 3, K)
         assert abs(rate_of_schedule(schedule) - analytic) <= rounding_bound(K, 3, F)
 
@@ -702,15 +699,14 @@ def test_roundtrip_identity_plan_matches_nonadaptive_rate():
 def test_roundtrip_simplified_and_adaptive_plans():
     K, F = 5, 10_000
     prof = decentralized_profile(K, 0.22)
-    cfg = SystemConfig(K=K, N=5, m_ratio=0.22, F=F)
-    pm = materialize_partition(cfg, prof, seed=4)
+    pm = materialize_partition(prof, 5, F, seed=4)
     d = DemandVector((3, 3, 1, 3, 1))
     pattern = redundancy_pattern(d)
     L = pattern.L
 
-    plan = simplified_plan(prof, L, K)
+    plan, rate = simplified_plan(prof, L, K)
     schedule = roundtrip(pm, plan, d)
-    assert abs(rate_of_schedule(schedule) - plan.rate) <= rounding_bound(K, L, F)
+    assert abs(rate_of_schedule(schedule) - rate) <= rounding_bound(K, L, F)
 
     full, rate = adaptive_plan(prof, d)
     schedule = roundtrip(pm, full, d)
@@ -721,22 +717,20 @@ def test_roundtrip_balanced_split_adaptive():
     # bit-level certificate for the strict-improvement case above
     K, F = 8, 10_000
     prof = centralized_profile(K, 0.25)
-    cfg = SystemConfig(K=K, N=8, m_ratio=0.25, F=F)
-    pm = materialize_partition(cfg, prof, seed=13)
+    pm = materialize_partition(prof, 8, F, seed=13)
     d = canonical_demand(RedundancyPattern((4, 4)))
     plan, rate = adaptive_plan(prof, d)
     schedule = roundtrip(pm, plan, d)
     assert abs(rate_of_schedule(schedule) - rate) <= rounding_bound(K, 2, F)
-    assert rate_of_schedule(schedule) < simplified_plan(prof, 2, K).rate
+    assert rate_of_schedule(schedule) < simplified_plan(prof, 2, K)[1]
 
 
 def test_decode_detects_corruption():
     K, F = 3, 600
     prof = centralized_profile(K, 1 / 3)
-    cfg = SystemConfig(K=K, N=4, m_ratio=1 / 3, F=F)
-    pm = materialize_partition(cfg, prof, seed=8)
+    pm = materialize_partition(prof, 4, F, seed=8)
     d = DemandVector((1, 2, 3))
-    schedule = build_messages(pm, prof, d)
+    schedule = build_messages(pm, prof.fractions, d)
     mask, msg = next(iter(schedule.coded.items()))
     msg.payload[0] ^= 0xFF
     corrupted = []
@@ -754,10 +748,9 @@ def test_decode_detects_corruption():
 def test_decode_missing_message_reports_gap():
     K, F = 3, 600
     prof = centralized_profile(K, 1 / 3)
-    cfg = SystemConfig(K=K, N=4, m_ratio=1 / 3, F=F)
-    pm = materialize_partition(cfg, prof, seed=8)
+    pm = materialize_partition(prof, 4, F, seed=8)
     d = DemandVector((1, 2, 3))
-    schedule = build_messages(pm, prof, d)
+    schedule = build_messages(pm, prof.fractions, d)
     assert schedule.coded  # precondition for the deletion below
     mask = next(iter(schedule.coded))
     del schedule.coded[mask]
@@ -770,9 +763,9 @@ def _one_third_schedule():
     """K = 3 caches at t = 1 requesting files 1, 2, 3: message 0b011
     carries file 1 at cache 2's piece and file 2 at cache 1's."""
     prof = centralized_profile(3, 1 / 3)
-    pm = materialize_partition(SystemConfig(K=3, N=4, m_ratio=1 / 3, F=600), prof, seed=8)
+    pm = materialize_partition(prof, 4, 600, seed=8)
     d = DemandVector((1, 2, 3))
-    return pm, d, build_messages(pm, prof, d)
+    return pm, d, build_messages(pm, prof.fractions, d)
 
 
 def assert_decode_error(pm, d, schedule, cache, text):
@@ -849,7 +842,7 @@ def test_schedule_parts_are_the_kept_prefixes_of_the_pieces(K):
                                       (centralized_profile, decentralized_profile,
                                        solve_placement_lp)):
         prof = maker(K, 0.3)
-        pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.3, F=F), prof, seed=K)
+        pm = materialize_partition(prof, K + 1, F, seed=K)
         for _ in range(2):
             d = DemandVector(tuple(int(r) for r in rng.integers(1, K + 2, size=K)))
             by_file = {n: pieces(pm, n) for n in set(d.requests)}
@@ -934,7 +927,7 @@ def test_decode_matches_reference_on_tampered_schedules(data):
         label="tamper")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
     prof = maker(K, m)
-    pm = materialize_partition(SystemConfig(K=K, N=N, m_ratio=m, F=F), prof, seed=K + F)
+    pm = materialize_partition(prof, N, F, seed=K + F)
     plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d).L)
     schedule = build_messages(pm, plan, d)
     for kind in kinds:
@@ -955,7 +948,7 @@ def test_decode_matches_reference_on_missing_side_information():
     for K in range(2, 6):
         for maker in (centralized_profile, decentralized_profile, solve_placement_lp):
             prof = maker(K, 0.4)
-            pm = materialize_partition(SystemConfig(K=K, N=K + 1, m_ratio=0.4, F=90), prof, seed=K)
+            pm = materialize_partition(prof, K + 1, 90, seed=K)
             d = DemandVector(tuple(1 + k % (K - 1) for k in range(K)))  # one file twice
             for scheme in SCHEMES:
                 plan, _ = _scheme_plan(prof, scheme, d, redundancy_pattern(d).L)
@@ -984,8 +977,7 @@ def test_schedule_rate_accounts_uncoded_once_per_file():
     # two caches wanting the same uncached file share one uncoded message
     K, F = 2, 1000
     prof = centralized_profile(K, 0.0)
-    cfg = SystemConfig(K=K, N=3, m_ratio=0.0, F=F)
-    pm = materialize_partition(cfg, prof, seed=0)
+    pm = materialize_partition(prof, 3, F, seed=0)
     d = DemandVector((2, 2))
-    schedule = roundtrip(pm, prof, d)
+    schedule = roundtrip(pm, prof.fractions, d)
     assert rate_of_schedule(schedule) == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """Correlated demand sampling: conditionals, chains, and diagnostics."""
 
 import itertools
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from cachecast.demand import (
     BLOCK,
     CorrelationModel,
     DemandStats,
-    PopularityDist,
     _chain,
     _draw_index,
     _uniforms,
@@ -47,16 +47,16 @@ def uniform_model(K, N, r, adjacency=None):
 
 def test_zipf_pmf_values():
     uni = zipf_pmf(7, 0.0)
-    assert np.allclose(uni.pmf, np.full(7, 1 / 7))
+    assert np.allclose(uni, np.full(7, 1 / 7))
 
     two = zipf_pmf(2, 1.0)
-    assert two.pmf[0] == pytest.approx(2 / 3)
-    assert two.pmf[1] == pytest.approx(1 / 3)
+    assert two[0] == pytest.approx(2 / 3)
+    assert two[1] == pytest.approx(1 / 3)
 
     big = zipf_pmf(1000, 0.75)
-    assert big.pmf[0] / big.pmf[-1] == pytest.approx(177.8279410038923, rel=1e-12)
-    assert np.all(np.diff(big.pmf) <= 0)
-    assert big.pmf.sum() == pytest.approx(1.0)
+    assert big[0] / big[-1] == pytest.approx(177.8279410038923, rel=1e-12)
+    assert np.all(np.diff(big) <= 0)
+    assert big.sum() == pytest.approx(1.0)
 
 
 def test_popularity_validation():
@@ -64,12 +64,21 @@ def test_popularity_validation():
         zipf_pmf(0, 1.0)
     with pytest.raises(ValueError):
         zipf_pmf(5, -0.2)
-    with pytest.raises(ValueError):
-        PopularityDist(N=3, theta=0.0, pmf=np.array([0.5, 0.4, 0.2]))
-    with pytest.raises(ValueError):
-        PopularityDist(N=3, theta=0.0, pmf=np.array([0.5, 0.6, -0.1]))
-    with pytest.raises(ValueError):
-        PopularityDist(N=3, theta=0.0, pmf=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        zipf_pmf(5, float("nan"))
+    good = complete_graph(2)
+    model = CorrelationModel(adjacency=good, r=0.5, popularity=[0.25, 0.75])
+    assert model.popularity.dtype == float and model.popularity.shape == (2,)
+    for pmf, text in (([0.5, 0.4, 0.2], "sum to 1"),
+                      ([0.5, 0.6, -0.1], "nonnegative"),
+                      ([0.5, np.nan, 0.5], "finite"),
+                      ([0.5, np.inf, -np.inf], "finite"),
+                      ([np.nan] * 3, "finite"),
+                      ([], "1-d"),
+                      ([[0.5, 0.5]], "1-d"),
+                      ([[0.5], [0.5]], "1-d")):
+        with pytest.raises(ValueError, match=text):
+            CorrelationModel(adjacency=good, r=0.5, popularity=np.array(pmf))
 
 
 def test_correlation_model_validation():
@@ -97,9 +106,9 @@ def test_conditional_pmf_basics():
     model = uniform_model(4, 10, 0.0)
     d = DemandVector((1, 2, 3, 4))
     out = conditional_pmf(1, d, model)
-    assert np.allclose(out, model.popularity.pmf)
+    assert np.allclose(out, model.popularity)
     out[0] = 99.0  # must be a copy, not a view into the model
-    assert model.popularity.pmf[0] == pytest.approx(0.1)
+    assert model.popularity[0] == pytest.approx(0.1)
 
     rng = np.random.default_rng(3)
     model = uniform_model(5, 12, 0.6)
@@ -109,9 +118,18 @@ def test_conditional_pmf_basics():
             pmf = conditional_pmf(k, d, model)
             assert np.all(pmf >= 0)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-    for k in (0, 6):
-        with pytest.raises(ValueError, match="out of range"):
-            conditional_pmf(k, d, model)
+
+
+def test_conditional_pmf_checks_its_arguments_first():
+    # at r = 0 too, where the answer is the base law whatever the demand
+    for r in (0.0, 0.6):
+        model = uniform_model(3, 5, r)
+        for k in (0, 4, 99):
+            with pytest.raises(ValueError, match="out of range"):
+                conditional_pmf(k, DemandVector((1, 2, 3)), model)
+        for requests in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="requests, model has 3 caches"):
+                conditional_pmf(1, DemandVector(requests), model)
 
 
 def test_conditional_pmf_consensus_absorbs_at_full_copying():
@@ -144,7 +162,7 @@ def test_conditional_pmf_isolated_cache_uses_base_law():
     adj[0, 1] = adj[1, 0] = True  # cache 3 has no neighbours
     model = uniform_model(3, 8, 0.9, adjacency=adj)
     pmf = conditional_pmf(3, DemandVector((1, 1, 5)), model)
-    assert np.allclose(pmf, model.popularity.pmf)
+    assert np.allclose(pmf, model.popularity)
 
 
 def two_cache_consensus_probability(r, N):
@@ -325,7 +343,7 @@ def reference_sample(model, count, burn_in, seed):
     np.cumsum(conditional_pmf(...)), and a DemandVector per draw; the last
     count sweeps as a (count, K) array."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    current = DemandVector(tuple(_draw_index(model.popularity.pmf, rng.random())
+    current = DemandVector(tuple(_draw_index(model.popularity, rng.random())
                                  for _ in range(model.K)))
     history = [current]
     for _ in range(burn_in + count):
@@ -384,12 +402,12 @@ def test_fast_draw_matches_exact_path(case):
         cdf = np.cumsum(pmf)
         # uniforms that put the exact path's threshold on (or next to) a
         # cdf step: near the copy-set files, the ends, and random spots
-        steps = {0, model.popularity.N - 2} | set(spots)
+        steps = {0, model.popularity.shape[0] - 2} | set(spots)
         for f in set(requests):
             steps |= {f - 2, f - 1, f}
         edge = set()
         for i in steps:
-            if 0 <= i < model.popularity.N - 1:
+            if 0 <= i < model.popularity.shape[0] - 1:
                 U = float(cdf[i] / cdf[-1])
                 edge |= {U, float(np.nextafter(U, 0.0)), float(np.nextafter(U, 1.0))}
         edge = sorted(u for u in edge if u < 1.0)
@@ -445,8 +463,10 @@ def test_empirical_stats_hand_case():
 
     with pytest.raises(ValueError):
         empirical_stats(np.array([[1, 2]]))
-    with pytest.raises(ValueError):
-        empirical_stats(np.array([[1, 1], [1, 1]]))
+    # every pair constant: the correlations are undefined, not an error
+    stats = empirical_stats(np.array([[1, 1], [1, 1]]))
+    assert np.isnan(stats.rho_max) and np.isnan(stats.rho_avg)
+    assert stats.dropped_pairs == 1 and stats.L_avg == 1.0
 
 
 @st.composite
@@ -485,14 +505,10 @@ def test_array_summaries_equal_per_vector_oracles(arr, m):
         assert epsr(stat) == epsr(want)
     if flat.shape[0] < 2:
         return
-    try:
-        want_stats = tuple_empirical_stats(demands)
-    except ValueError:
-        with pytest.raises(ValueError, match="constant"):
-            empirical_stats(flat)
-        return
-    assert empirical_stats(flat) == want_stats
-    assert empirical_stats(arr) == want_stats
+    want_stats = astuple(tuple_empirical_stats(demands))
+    for got in (empirical_stats(flat), empirical_stats(arr)):
+        # exactly equal, NaN (every pair constant) included
+        assert np.array_equal(astuple(got), want_stats, equal_nan=True)
 
 
 def test_load_edge_list(tmp_path):

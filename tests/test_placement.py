@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachecast.core import SystemConfig
 from cachecast.placement import (
+    SUBSET_ENUM_CAP,
     apportion,
     centralized_profile,
     decentralized_profile,
@@ -58,7 +58,7 @@ def validate_profile(p, K: int, m_ratio: float) -> ProfileCheck:
     )
 
 
-def eager_pieces(config: SystemConfig, p, seed: int) -> list[dict]:
+def eager_pieces(p, N: int, F: int, seed: int) -> list[dict]:
     """Reference partition: per file, {mask: ascending symbol indices} over
     the nonempty masks, built slice by slice from the rounded subset counts.
 
@@ -66,14 +66,14 @@ def eager_pieces(config: SystemConfig, p, seed: int) -> list[dict]:
     ascending-mask order; the decentralized one cuts a seeded permutation
     of each file's symbols, one spawned stream per file.
     """
-    K, F = config.K, config.F
+    K = p.K
     masks = np.arange(1 << K)
     sizes = np.array([int(m).bit_count() for m in masks])
     counts = apportion(p.fractions[sizes] * F, F, np.full(masks.shape[0], F, dtype=np.int64))
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    children = np.random.SeedSequence(seed).spawn(config.N + 1)
+    children = np.random.SeedSequence(seed).spawn(N + 1)
     pieces = []
-    for fi in range(config.N):
+    for fi in range(N):
         order = np.arange(F)
         if p.scheme == "decentralized":
             order = np.random.default_rng(children[fi + 1]).permutation(F)
@@ -219,8 +219,7 @@ def test_apportion_largest_remainder_tie_break():
 
 def test_materialize_two_caches_half():
     # K=2, m=1/2, F=2: one symbol per cache, nothing uncached
-    cfg = SystemConfig(K=2, N=2, m_ratio=0.5, F=2)
-    pm = materialize_partition(cfg, centralized_profile(2, 0.5), seed=0)
+    pm = materialize_partition(centralized_profile(2, 0.5), 2, 2, seed=0)
     for file in (1, 2):
         by_mask = pieces(pm, file)
         assert list(by_mask[0b01]) == [0]
@@ -230,8 +229,7 @@ def test_materialize_two_caches_half():
 
 def test_materialize_three_caches_third():
     # K=3, m=1/3, F=6: two symbols per singleton subset
-    cfg = SystemConfig(K=3, N=3, m_ratio=1 / 3, F=6)
-    pm = materialize_partition(cfg, centralized_profile(3, 1 / 3), seed=0)
+    pm = materialize_partition(centralized_profile(3, 1 / 3), 3, 6, seed=0)
     for file in (1, 2, 3):
         sizes = {mask: pieces(pm, file)[mask].size for mask in (1, 2, 4)}
         assert sizes == {1: 2, 2: 2, 4: 2}
@@ -242,8 +240,7 @@ def test_materialize_partitions_every_symbol_once():
         ("centralized", centralized_profile(4, 0.37)),
         ("decentralized", decentralized_profile(4, 0.37)),
     ):
-        cfg = SystemConfig(K=4, N=5, m_ratio=0.37, F=500)
-        pm = materialize_partition(cfg, profile, seed=9)
+        pm = materialize_partition(profile, 5, 500, seed=9)
         for file in range(1, 6):
             seen = np.zeros(500, dtype=int)
             for idx in pieces(pm, file):
@@ -255,8 +252,7 @@ def test_materialize_partitions_every_symbol_once():
 def test_materialize_sizes_track_fractions():
     K, F = 5, 10_000
     for profile in (centralized_profile(K, 0.42), decentralized_profile(K, 0.42)):
-        cfg = SystemConfig(K=K, N=5, m_ratio=0.42, F=F)
-        pm = materialize_partition(cfg, profile, seed=3)
+        pm = materialize_partition(profile, 5, F, seed=3)
         for file in (1, 4):
             by_size = np.zeros(K + 1)
             for mask, idx in enumerate(pieces(pm, file)):
@@ -269,8 +265,7 @@ def test_materialize_sizes_track_fractions():
 def test_materialize_capacity():
     K, N, F = 5, 6, 2000
     for profile in (centralized_profile(K, 0.3), decentralized_profile(K, 0.3)):
-        cfg = SystemConfig(K=K, N=N, m_ratio=0.3, F=F)
-        pm = materialize_partition(cfg, profile, seed=1)
+        pm = materialize_partition(profile, N, F, seed=1)
         for cache in range(1, K + 1):
             # rounding can move at most one symbol per subset per file
             assert pm.stored_symbols(cache) <= 0.3 * N * F + N * 2**K
@@ -278,8 +273,7 @@ def test_materialize_capacity():
 
 def test_materialize_centralized_shared_slices():
     # every file is cut identically, so coded pieces align symbol-for-symbol
-    cfg = SystemConfig(K=3, N=4, m_ratio=0.4, F=300)
-    pm = materialize_partition(cfg, centralized_profile(3, 0.4), seed=5)
+    pm = materialize_partition(centralized_profile(3, 0.4), 4, 300, seed=5)
     ref = pieces(pm, 1)
     for file in (2, 3, 4):
         for mask, idx in enumerate(pieces(pm, file)):
@@ -287,8 +281,7 @@ def test_materialize_centralized_shared_slices():
 
 
 def test_materialize_decentralized_files_differ():
-    cfg = SystemConfig(K=4, N=4, m_ratio=0.5, F=4000)
-    pm = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=7)
+    pm = materialize_partition(decentralized_profile(4, 0.5), 4, 4000, seed=7)
     differing = sum(
         1
         for a, b in zip(pieces(pm, 1), pieces(pm, 2))
@@ -297,11 +290,28 @@ def test_materialize_decentralized_files_differ():
     assert differing > 0
 
 
+def test_materialize_partition_validation():
+    pm = materialize_partition(centralized_profile(4, 0.3), 4, 1, seed=0)
+    assert pm.K == 4 and pm.data.shape == (4, 1)
+    with pytest.raises(ValueError, match="N must be at least K"):
+        materialize_partition(centralized_profile(4, 0.3), 3, 10, seed=0)
+    with pytest.raises(ValueError, match="F must be"):
+        materialize_partition(centralized_profile(4, 0.3), 10, 0, seed=0)
+    with pytest.raises(ValueError, match="enumeration cap"):
+        materialize_partition(centralized_profile(SUBSET_ENUM_CAP + 1, 0.3), 20, 10, seed=0)
+    # the rest of what a system needs, K >= 1 and m_ratio in [0, 1], the
+    # profile checks
+    with pytest.raises(ValueError, match="K >= 1"):
+        centralized_profile(0, 0.3)
+    for maker in PLACEMENTS:
+        with pytest.raises(ValueError, match="m_ratio"):
+            maker(4, 1.2)
+
+
 def test_materialize_deterministic_in_seed():
-    cfg = SystemConfig(K=4, N=4, m_ratio=0.5, F=1000)
-    a = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=11)
-    b = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=11)
-    c = materialize_partition(cfg, decentralized_profile(4, 0.5), seed=12)
+    a = materialize_partition(decentralized_profile(4, 0.5), 4, 1000, seed=11)
+    b = materialize_partition(decentralized_profile(4, 0.5), 4, 1000, seed=11)
+    c = materialize_partition(decentralized_profile(4, 0.5), 4, 1000, seed=12)
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(a.holder, b.holder)
     assert any(not np.array_equal(x, y) for x, y in zip(pieces(a, 2), pieces(c, 2)))
@@ -312,10 +322,9 @@ def test_pieces_match_eager_dicts():
         for F in sorted({1, 2**K - 1, 500}):
             for maker in PLACEMENTS:
                 for m in (0.0, 0.3, 1.0):
-                    cfg = SystemConfig(K=K, N=K, m_ratio=m, F=F)
                     profile = maker(K, m)
-                    pm = materialize_partition(cfg, profile, seed=K * F)
-                    ref = eager_pieces(cfg, profile, seed=K * F)
+                    pm = materialize_partition(profile, K, F, seed=K * F)
+                    ref = eager_pieces(profile, K, F, seed=K * F)
                     for file in range(1, K + 1):
                         got = pieces(pm, file)
                         assert len(got) == 2**K
@@ -325,22 +334,20 @@ def test_pieces_match_eager_dicts():
 
 
 def test_shared_holder_is_one_read_only_row():
-    cfg = SystemConfig(K=4, N=50, m_ratio=0.3, F=2000)
     for maker in (centralized_profile, solve_placement_lp):
-        pm = materialize_partition(cfg, maker(4, 0.3), seed=1)
+        pm = materialize_partition(maker(4, 0.3), 50, 2000, seed=1)
         assert pm.holder.shape == (50, 2000) and pm.holder.dtype == np.uint16
         assert not pm.holder.flags.writeable
         assert pm.holder.strides[0] == 0  # every file shares the same row
-    pm = materialize_partition(cfg, decentralized_profile(4, 0.3), seed=1)
+    pm = materialize_partition(decentralized_profile(4, 0.3), 50, 2000, seed=1)
     assert pm.holder.flags.writeable and pm.holder.flags.owndata
 
 
 def test_cache_view_consistent_with_pieces():
-    cfg = SystemConfig(K=3, N=3, m_ratio=0.4, F=200)
     for maker in PLACEMENTS:
         profile = maker(3, 0.4)
-        pm = materialize_partition(cfg, profile, seed=2)
-        ref = eager_pieces(cfg, profile, seed=2)
+        pm = materialize_partition(profile, 3, 200, seed=2)
+        ref = eager_pieces(profile, 3, 200, seed=2)
         for cache in (1, 2, 3):
             bit = 1 << (cache - 1)
             view = pm.cache_view(cache, {1, 3})
