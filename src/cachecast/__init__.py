@@ -49,7 +49,6 @@ from .demand import (
     load_edge_list,
     mean_request_index,
     sample_chains,
-    sample_demands,
     zipf_pmf,
 )
 from .lp import LinearProgram, LpNumericalError, LpSolution, solve
@@ -103,7 +102,6 @@ __all__ = [
     "redundancy_pattern",
     "redundancy_patterns",
     "sample_chains",
-    "sample_demands",
     "simplified_plan",
     "solve",
     "solve_placement_lp",

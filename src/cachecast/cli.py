@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -153,6 +154,8 @@ class ScenarioConfig:
             errors.append("burn_in: must be nonnegative")
         if self.samples < 1:
             errors.append("samples: must be at least 1")
+        if self.seed < 0:
+            errors.append("seed: must be nonnegative")
         if self.F is not None and self.F < 1:
             errors.append("F: must be at least 1")
         if self.jobs != 1:
@@ -375,9 +378,7 @@ def _run_simulate(cfg: ScenarioConfig):
 
     stats = empirical_stats(samples)
     if cfg.chains >= 2:
-        stat = mean_request_index(chain_samples)
-        # chains that each hold one value (e.g. at consensus) leave R-hat undefined
-        rhat = epsr(stat) if np.ptp(stat, axis=1).any() else float("nan")
+        rhat = epsr(mean_request_index(chain_samples))
         print(f"epsr: {rhat:.6g}", file=sys.stderr)
     stats_path = _emit_csv(f"{prefix}_stats.csv",
                            ("r", "theta", "rho_max", "rho_avg", "L_avg"),
@@ -523,6 +524,8 @@ def parse_m_ratio(text: str) -> list:
             start, step, end = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"m_ratio: grid start:step:end needs numbers, got {text!r}") from None
+        if not all(math.isfinite(v) for v in (start, step, end)):
+            raise ConfigError(f"m_ratio: grid start:step:end needs finite numbers, got {text!r}")
         if step <= 0:
             raise ConfigError("m_ratio: grid step must be positive")
         values = []

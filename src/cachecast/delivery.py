@@ -372,7 +372,6 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
 class Message:
     """One coded multicast: XOR of the members' kept pieces, zero-padded."""
 
-    mask: int
     payload: np.ndarray
 
 
@@ -470,7 +469,7 @@ def build_messages(pm: PartitionMap, plan, d: DemandVector) -> MessageSchedule:
     for k, f in enumerate(d.requests):
         sel = bit == k
         buf[_ranges(at[of[sel]], n[sel])] ^= pm.data[f - 1][kept[f][0][_ranges(start[sel], n[sel])]]
-    coded = {mask: Message(mask=mask, payload=buf[a:a + m])
+    coded = {mask: Message(payload=buf[a:a + m])
              for mask, a, m in zip(masks.tolist(), at.tolist(), plen.tolist()) if m}
     return MessageSchedule(demand=d, F=F, coded=coded, uncoded=uncoded, kept=kept)
 

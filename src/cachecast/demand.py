@@ -303,9 +303,9 @@ def gibbs_sweep(current: DemandVector, model: CorrelationModel,
     Each cache draws from its conditional given the latest values of all
     other coordinates, so updates within a sweep see the sweep's earlier
     redraws. Returns the new demand vector. This is the one-sweep case of
-    the chain kernel that sample_demands and sample_chains run: the same
-    K uniforms, the same draws, bit for bit those of the exact path,
-    conditional_pmf plus np.cumsum.
+    the chain kernel that sample_chains runs: the same K uniforms, the
+    same draws, bit for bit those of the exact path, conditional_pmf plus
+    np.cumsum.
     """
     requests = list(current.requests)
     _chain(model, requests, _uniforms(rng, model.K))
@@ -330,25 +330,15 @@ def _sample(model: CorrelationModel, count: int, burn_in: int, seeds) -> np.ndar
     return out
 
 
-def sample_demands(model: CorrelationModel, count: int, burn_in: int, seed) -> np.ndarray:
-    """Run one Gibbs chain and return `count` post-burn-in demand vectors.
-
-    The chain is initialised by independent draws from the base
-    popularity, then burn_in sweeps are discarded, then the next `count`
-    sweep results are returned as the rows of a (count, K) int array.
-    `seed` may be an integer or a numpy SeedSequence (the latter lets
-    callers hand out spawned substreams for parallel chains).
-    """
-    return _sample(model, count, burn_in, [seed])[0]
-
-
 def sample_chains(model: CorrelationModel, chains: int, count: int, burn_in: int,
                   seed) -> np.ndarray:
     """Run several independent chains from spawned substreams of one seed.
 
     Returns a (chains, count, K) int array whose [i] holds chain i's
-    demand vectors: those of sample_demands with the i-th spawned
-    SeedSequence, whatever order the chains run in.
+    demand vectors. Chain i draws from the i-th spawned SeedSequence, so
+    its rows do not depend on the order the chains run in. Each chain
+    starts from K base-popularity draws, discards burn_in sweeps and
+    keeps the next count.
     """
     if chains < 1:
         raise ValueError("need at least one chain")
@@ -376,7 +366,9 @@ def epsr(chains) -> float:
     With W the mean within-chain sample variance and B/T the variance of
     the chain means, the pooled posterior variance estimate is
     V = ((T - 1) / T) W + B / T and R-hat is sqrt(V / W). Values near 1
-    indicate the chains have forgotten their starting points.
+    indicate the chains have forgotten their starting points. When every
+    chain holds one value (e.g. at consensus) W is 0 and R-hat undefined,
+    so the result is NaN.
     """
     arr = np.asarray(chains, dtype=float)
     if arr.ndim != 2:
@@ -384,9 +376,9 @@ def epsr(chains) -> float:
     m, T = arr.shape
     if m < 2 or T < 2:
         raise ValueError("need at least 2 chains and 2 samples per chain")
+    if not np.ptp(arr, axis=1).any():
+        return float("nan")
     within = float(np.mean(np.var(arr, axis=1, ddof=1)))
-    if within == 0.0:
-        raise ValueError("degenerate chains: zero within-chain variance")
     means_var = float(np.var(np.mean(arr, axis=1), ddof=1))
     pooled = (T - 1) / T * within + means_var
     return float(np.sqrt(pooled / within))

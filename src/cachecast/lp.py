@@ -3,7 +3,10 @@
 Minimizes c.v subject to E v = f, A v <= b and per-variable bounds
 lo <= v <= hi.  The solver is a two-phase primal simplex on a dense
 tableau with native bounded variables (bounds never become rows), which
-keeps the planner LPs small.  Pivoting is deterministic: Dantzig's rule
+keeps the planner LPs small.  Phase 1 adds an artificial column only for
+a row that cannot start on a feasible slack.  Every LP takes this one
+path; without rows, each improving column flips to its cheaper bound.
+Pivoting is deterministic: Dantzig's rule
 with lowest-index tie-breaks, switching to Bland's anti-cycling rule
 while a degenerate plateau persists, so repeated calls on identical
 input walk the identical path.
@@ -156,11 +159,12 @@ def _scores(z, status, open_):
     return np.where(can, size, -1.0)
 
 
-def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
+def _simplex_phase(tab: _Tableau, c, max_iter):
     """Run primal simplex to optimality for costs c.
 
-    allowed marks columns eligible to enter.  Returns (status, iters):
-    status 'optimal' or 'unbounded'.
+    A column may enter when its bounds leave it room to move, so fixed
+    variables, and artificials once solve pins them at 0, never do.
+    Returns (status, iters): status 'optimal' or 'unbounded'.
 
     An iteration touches only the nonzeros of the entering column (ratio
     test, basic values) and of the pivot row (pivot, reduced costs,
@@ -181,7 +185,7 @@ def _simplex_phase(tab: _Tableau, c, allowed, max_iter):
     """
     M, status = tab.M, tab.status
     z = tab.reduced_costs(c)
-    enterable = allowed & ((tab.hi - tab.lo) > 0)  # fixed variables never enter
+    enterable = (tab.hi - tab.lo) > 0
     open_ = enterable.copy()
     open_[tab.basis] = False
     score = _scores(z, status, open_)
@@ -271,9 +275,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve lp to optimality by two-phase simplex.  Deterministic for
     identical inputs.
 
-    Fixed variables (lo == hi) never enter the basis, and a row without
-    a nonzero stays inert, or makes phase 1 report infeasibility when
-    its right-hand side violates it.
+    The tableau holds the n structural columns, one slack per inequality
+    row, then one artificial per row that cannot start on a feasible
+    slack, in row order, so equality row i owns column n + mi + i.  An
+    LP without rows runs the same loop.  Fixed variables (lo == hi)
+    never enter the basis, and a row without a nonzero stays inert, or
+    makes phase 1 report infeasibility when its right-hand side violates
+    it.
 
     Raises LpNumericalError if the solution fails the 1e-9 residual
     check (the solver never returns a silently-wrong optimum).
@@ -281,28 +289,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     n = lp.n_vars
     me, mi = lp.E.shape[0], lp.A.shape[0]
     m = me + mi
-    if m == 0:
-        # pure box problem: each variable sits at its cheaper bound
-        x = np.where(lp.c > 0, lp.lo, np.where(lp.c < 0, lp.hi, 0.0))
-        zero_cost = lp.c == 0
-        x[zero_cost] = np.clip(0.0, lp.lo[zero_cost], lp.hi[zero_cost])
-        if not np.all(np.isfinite(x)):
-            return LpSolution("unbounded", -np.inf)
-        return LpSolution("optimal", float(lp.c @ x), x)
-
-    rows = np.vstack([lp.E, lp.A])
-    rhs = np.concatenate([lp.f, lp.b])
-
-    nslack = mi
-    ncol = n + nslack + m  # structural + slacks + one artificial per row
-    M = np.zeros((m, ncol))
-    M[:, :n] = rows
-    lo = np.concatenate([lp.lo, np.zeros(nslack), np.zeros(m)])
-    hi = np.concatenate([lp.hi, np.full(nslack, np.inf), np.full(m, np.inf)])
-    M[np.arange(me, m), np.arange(n, n + nslack)] = 1.0
-
-    tab = _Tableau(M, lo, hi)
-    resid = rhs - rows @ lp.lo  # every column starts at its lower bound
+    resid = np.concatenate([lp.f - lp.E @ lp.lo, lp.b - lp.A @ lp.lo])  # columns start at lo
 
     # an inequality row with resid >= 0 starts with its slack basic at a
     # feasible value; every other row gets an artificial
@@ -310,12 +297,25 @@ def solve(lp: LinearProgram) -> LpSolution:
     slack_ok[me:] = resid[me:] >= 0.0
     slack_rows = np.flatnonzero(slack_ok)
     art_rows = np.flatnonzero(~slack_ok)
+    first_art = n + mi  # structural and slack columns come first
+    ncol = first_art + art_rows.size
+    if ncol == 0:
+        return LpSolution("optimal", 0.0, np.zeros(0))  # no variables, no rows
+
+    M = np.zeros((m, ncol))
+    M[:me, :n] = lp.E
+    M[me:, :n] = lp.A
+    M[np.arange(me, m), np.arange(n, first_art)] = 1.0
     # where resid < 0 the artificial column is -e_i; the reduced row flips
     # sign so the basic column stays an identity column
     flip = resid < 0
     M[flip] = -M[flip]
-    art_cols = n + nslack + art_rows
+    art_cols = np.arange(first_art, ncol)
     M[art_rows, art_cols] = 1.0
+    lo = np.concatenate([lp.lo, np.zeros(ncol - n)])
+    hi = np.concatenate([lp.hi, np.full(ncol - n, np.inf)])
+
+    tab = _Tableau(M, lo, hi)
     tab.basis[slack_rows] = n + slack_rows - me
     tab.basis[art_rows] = art_cols
     tab.xB[slack_rows] = resid[slack_rows]
@@ -323,11 +323,11 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     max_iter = 50 * (m + ncol) + 5000
 
+    it1 = 0
     if art_cols.size:
         c1 = np.zeros(ncol)
         c1[art_cols] = 1.0
-        allowed = np.ones(ncol, dtype=bool)
-        status, it1 = _simplex_phase(tab, c1, allowed, max_iter)
+        status, it1 = _simplex_phase(tab, c1, max_iter)
         if status != "optimal":
             raise LpNumericalError("phase 1 reported unbounded; bad problem data")
         if float(c1 @ tab.values()) > 1e-7:
@@ -336,9 +336,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         tab.hi[art_cols] = 0.0
         tab.lo[art_cols] = 0.0
         # rows still holding an artificial, in the artificials' order
-        held = np.flatnonzero(tab.basis >= n + nslack)
+        held = np.flatnonzero(tab.basis >= first_art)
         for row in held[np.argsort(tab.basis[held])].tolist():
-            pivots = np.abs(tab.M[row, :n + nslack])
+            pivots = np.abs(tab.M[row, :first_art])
             k = int(np.argmax(pivots))
             if pivots[k] > PIVOT_TOL:
                 out = tab.basis[row]
@@ -350,14 +350,10 @@ def solve(lp: LinearProgram) -> LpSolution:
                 tab.xB[row] = entering_val
             # else: numerically redundant row; the artificial stays basic
             # at zero and its row is (near-)zero elsewhere, which is inert
-    else:
-        it1 = 0
 
     c2 = np.zeros(ncol)
     c2[:n] = lp.c
-    allowed = np.ones(ncol, dtype=bool)
-    allowed[n + nslack:] = False
-    status, it2 = _simplex_phase(tab, c2, allowed, max_iter)
+    status, it2 = _simplex_phase(tab, c2, max_iter)
     if status == "unbounded":
         return LpSolution("unbounded", -np.inf, iterations=it1 + it2)
 

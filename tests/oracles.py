@@ -4,7 +4,7 @@ import numpy as np
 
 from cachecast.bounds import cutset_bound
 from cachecast.core import DemandVector
-from cachecast.demand import DemandStats
+from cachecast.demand import DemandStats, _sample
 from cachecast.lp import FEAS_TOL, LinearProgram
 
 
@@ -22,6 +22,13 @@ def peak_rate_decentralized(K: int, m_ratio: float) -> float:
     if q == 0.0:
         return float(K)
     return K * (1.0 - q) * (1.0 - (1.0 - q) ** K) / (K * q)
+
+
+def sample_demands(model, count: int, burn_in: int, seed) -> np.ndarray:
+    """One Gibbs chain's count post-burn-in demand vectors, as a (count, K)
+    int array: the stream sample_chains runs for each spawned seed.  seed
+    may be an integer or a SeedSequence."""
+    return _sample(model, count, burn_in, [seed])[0]
 
 
 def pieces(pm, file: int) -> list[np.ndarray]:

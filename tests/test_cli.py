@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 from dataclasses import fields
 
@@ -50,6 +51,34 @@ def test_parse_m_ratio():
     for text in ("0,1", "a:b:c"):
         with pytest.raises(ConfigError, match="m_ratio:.*start:step:end"):
             parse_m_ratio(text)
+
+
+def test_parse_m_ratio_refuses_non_finite_grids(tmp_path, capsys, monkeypatch):
+    # a NaN or infinite step ended the grid after its first point
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--K", "3", "--m-ratio", "0:nan:1", "--pattern", "2,1", "--out", out]) == 1
+    assert "m_ratio:" in capsys.readouterr().err
+    # an infinite end or start never ended it; past 10,000 points the
+    # grid fails here instead of growing until memory runs out
+    points = itertools.count()
+
+    def bounded_round(value, digits):
+        assert next(points) < 10_000, "the grid never ends"
+        return round(value, digits)
+
+    monkeypatch.setattr(cli, "round", bounded_round, raising=False)
+    for text in ("nan:0.1:1", "0:inf:1", "0:0.1:inf", "-inf:0.1:1"):
+        with pytest.raises(ConfigError, match="m_ratio:.*finite"):
+            parse_m_ratio(text)
+
+
+def test_negative_seed_is_refused(tmp_path, capsys):
+    # numpy refused it with a bare message in simulate and verify, and
+    # sweep, which draws nothing, ran
+    for command in ("sweep", "simulate", "verify"):
+        assert main([command, "--K", "3", "--N", "30", "--m-ratio", "0.2", "--seed", "-1",
+                     "--out", str(tmp_path / command)]) == 1
+        assert "seed: must be nonnegative" in capsys.readouterr().err
 
 
 def test_scenario_validation_aggregates_field_errors():

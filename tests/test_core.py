@@ -115,7 +115,7 @@ def test_public_names_are_pinned():
         "load_edge_list", "materialize_partition", "mean_request_index",
         "partitions_into_parts", "rate_nonadaptive", "rate_of_schedule",
         "redundancy_pattern", "redundancy_patterns", "sample_chains",
-        "sample_demands", "simplified_plan", "solve", "solve_placement_lp",
-        "transfer_cutoff", "zipf_pmf",
+        "simplified_plan", "solve", "solve_placement_lp", "transfer_cutoff",
+        "zipf_pmf",
     ]
     assert all(hasattr(cachecast, name) for name in cachecast.__all__)

@@ -206,6 +206,14 @@ def test_pure_box_problem():
     assert sol.value == pytest.approx(-17.0)
 
 
+def test_row_less_lp_is_unbounded_below_an_infinite_bound():
+    # no rows: each improving column flips to its cheaper bound, which
+    # for the second column is +inf
+    lp = LinearProgram(c=[1.0, -1.0], E=np.zeros((0, 2)), f=np.zeros(0), A=np.zeros((0, 2)),
+                       b=np.zeros(0), lo=[0.0, 0.0], hi=[1.0, np.inf])
+    assert solve(lp).status == "unbounded"
+
+
 def test_equality_only_square_system():
     lp = LinearProgram(
         c=np.array([1.0, 2.0]),
@@ -396,7 +404,7 @@ def pivot_reference(self, row, col):
     self.M[row, col] = 1.0
 
 
-def simplex_phase_reference(tab, c, allowed, max_iter, events):
+def simplex_phase_reference(tab, c, max_iter, events):
     """``_simplex_phase`` before it went sparse: dense eligibility and
     ratio tests at every iteration.  Adds to events "bland" when Bland's
     rule picks a column and "refresh" when the reduced costs are
@@ -405,7 +413,7 @@ def simplex_phase_reference(tab, c, allowed, max_iter, events):
     z = tab.reduced_costs(c)
     degen_run = 0
     iters = 0
-    enterable = allowed & ((tab.hi - tab.lo) > 0)  # fixed variables never enter
+    enterable = (tab.hi - tab.lo) > 0  # fixed variables never enter
     basic_mask = np.zeros(tab.ncol, dtype=bool)
     basic_mask[tab.basis] = True
     while iters < max_iter:
@@ -558,6 +566,29 @@ def adaptive_lps(Ks=range(1, 9), makers=(centralized_profile, decentralized_prof
                         for pattern in partitions_into_parts(K, L):
                             adaptive_plan(prof, canonical_demand(pattern))
     return lps
+
+
+def test_tableau_holds_artificials_only_for_rows_that_start_with_one(monkeypatch):
+    # the K=8 adaptive LPs: an inequality row whose slack starts feasible
+    # (resid >= 0 with every column at its lower bound) gets no artificial
+    # column, so the tableau is n + mi + (rows that start with one) wide
+    widths = []
+    init = lp_mod._Tableau.__init__
+
+    def recording_init(tab, M, lo, hi):
+        widths.append(M.shape[1])
+        init(tab, M, lo, hi)
+
+    monkeypatch.setattr(lp_mod._Tableau, "__init__", recording_init)
+    lps = adaptive_lps(Ks=(8,), makers=(centralized_profile,))
+    assert len(widths) == len(lps) > 0
+    slack_started = 0
+    for lp, width in zip(lps, widths):
+        mi = lp.A.shape[0]
+        started = int(np.count_nonzero(lp.b - lp.A @ lp.lo >= 0.0))
+        assert width == lp.n_vars + mi + (lp.E.shape[0] + mi - started)
+        slack_started += started
+    assert slack_started > 0
 
 
 def _outcome(solver, lp):
