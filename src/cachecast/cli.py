@@ -411,13 +411,12 @@ def _run_simulate(cfg: ScenarioConfig):
 MESSAGE_SLACK = 1.0 + 1e-6
 
 
-def _message_failures(label: str, schedule, kept) -> list:
+def _message_failures(schedule, fractions) -> list:
     """Coded messages and uncoded parts further than MESSAGE_SLACK symbols
-    from F times the plan's kept fraction; ``kept(file)`` gives a file's
-    fractions over all masks."""
+    from F times the plan's kept fraction, unlabelled; ``fractions`` maps
+    each requested file to its kept fractions over all masks."""
     d, F = schedule.demand, schedule.F
     masks = np.arange(1 << d.K)
-    fractions = {n: kept(n) for n in set(d.requests)}
     # each coded message is as long as its longest member
     longest = np.full(masks.shape[0], -np.inf)
     for k, n in enumerate(d.requests):
@@ -427,16 +426,32 @@ def _message_failures(label: str, schedule, kept) -> list:
     got = np.zeros(masks.shape[0], dtype=np.int64)  # 0 where no message was sent
     got[list(schedule.coded)] = [msg.payload.shape[0] for msg in schedule.coded.values()]
     coded = (masks & (masks - 1)) != 0  # two or more members
-    failures = [f"{label}: coded message {mask} has {got[mask]} symbols "
-                f"vs analytic {want[mask]:.6g}"
+    failures = [f"coded message {mask} has {got[mask]} symbols vs analytic {want[mask]:.6g}"
                 for mask in np.flatnonzero(coded & (np.abs(got - want) > MESSAGE_SLACK)).tolist()]
     for n in sorted(fractions):
         want = F * fractions[n][0]
         got = schedule.uncoded[n][1].shape[0] if n in schedule.uncoded else 0
         if abs(got - want) > MESSAGE_SLACK:
-            failures.append(f"{label}: uncoded part of file {n} has {got} symbols "
-                            f"vs analytic {want:.6g}")
+            failures.append(f"uncoded part of file {n} has {got} symbols vs analytic {want:.6g}")
     return failures
+
+
+def _check_schedule(partition, views, plan, d: DemandVector, fractions) -> tuple:
+    """Build plan's schedule for d and decode it at every cache: (achieved
+    rate, unlabelled failures), the message-length failures first, then
+    each cache's decode failure in cache order.  The schedule is freed on
+    return."""
+    schedule = build_messages(partition, plan, d)
+    failures = _message_failures(schedule, fractions)
+    for k, view in enumerate(views, start=1):
+        try:
+            got = decode(k, view, schedule)
+        except DecodeError as exc:
+            failures.append(f"cache {k} decode error: {exc}")
+            continue
+        if not np.array_equal(got, partition.data[d.requests[k - 1] - 1]):
+            failures.append(f"cache {k} reconstructed wrong bits")
+    return rate_of_schedule(schedule), failures
 
 
 def _run_verify(cfg: ScenarioConfig) -> list:
@@ -445,7 +460,10 @@ def _run_verify(cfg: ScenarioConfig) -> list:
     cap = _cap(cfg)
     if not cap and cfg.K > SUBSET_ENUM_CAP:
         cap = [f"K: bit-level verification requires K <= {SUBSET_ENUM_CAP}"]
-    _refuse(_unused(cfg, "verify", "pattern") + cap)
+    errors = _unused(cfg, "verify", "pattern") + cap
+    if len(cfg.m_ratio) > 1:
+        errors.append(f"m_ratio: verify checks one point, got a grid of {len(cfg.m_ratio)}")
+    _refuse(errors)
     failures = []
     lines = []
     m = cfg.m_ratio[0]
@@ -464,29 +482,31 @@ def _run_verify(cfg: ScenarioConfig) -> list:
         # apportion rounds every coded message and every distinct file's
         # uncoded part to within one symbol of its analytic length
         slack = (2**cfg.K - cfg.K - 1 + L) / cfg.F
+        files = sorted(set(d.requests))
+        # the schedule, and so every check on it, depends on the plan only
+        # through the requested files' kept fractions: schemes whose
+        # fractions are exactly equal share one build and decode
+        checked = []  # (fractions, achieved, failures) per distinct plan
+        # one schedule is live at a time, inside _check_schedule; the
+        # views are freed before the next demand's, or the overlap sets
+        # the peak memory
         views = [partition.cache_view(k, set(d.requests)) for k in range(1, cfg.K + 1)]
         for scheme in cfg.delivery:
             plan, analytic = _scheme_plan(profile, scheme, d, L)
-            schedule = build_messages(partition, plan, d)
-            achieved = rate_of_schedule(schedule)
-            failures += _message_failures(f"{scheme} demand {d.requests}", schedule,
-                                          _plan_accessor(plan, d, cfg.K))
-            for k, view in enumerate(views, start=1):
-                try:
-                    got = decode(k, view, schedule)
-                except DecodeError as exc:
-                    failures.append(f"{scheme} demand {d.requests}: cache {k} decode error: {exc}")
-                    continue
-                if not np.array_equal(got, partition.data[d.requests[k - 1] - 1]):
-                    failures.append(f"{scheme} demand {d.requests}: cache {k} reconstructed wrong bits")
+            kept = _plan_accessor(plan, d, cfg.K)
+            fractions = {n: kept(n) for n in files}
+            for seen, achieved, found in checked:
+                if all(np.array_equal(seen[n], fractions[n]) for n in files):
+                    break
+            else:
+                achieved, found = _check_schedule(partition, views, plan, d, fractions)
+                checked.append((fractions, achieved, found))
+            label = f"{scheme} demand {d.requests}"
+            failures += [f"{label}: {text}" for text in found]
             if abs(achieved - analytic) > slack:
-                failures.append(f"{scheme} demand {d.requests}: schedule rate {achieved:.6g} "
+                failures.append(f"{label}: schedule rate {achieved:.6g} "
                                 f"vs analytic {analytic:.6g} exceeds slack {slack:.6g}")
-            lines.append(f"{scheme} demand {d.requests}: rate {achieved:.6g} analytic {analytic:.6g}")
-            # the demand's K views stay alive across schemes, so free each
-            # schedule before the next is built, and the views before the
-            # next demand's, or the overlap sets the peak memory
-            del schedule
+            lines.append(f"{label}: rate {achieved:.6g} analytic {analytic:.6g}")
         del views
 
     report = "\n".join(lines + (["FAIL:"] + failures if failures else ["PASS"])) + "\n"

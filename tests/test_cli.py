@@ -436,6 +436,28 @@ def test_verify_decode_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "FAIL:" in report.read_text()
     assert "verification failed" in capsys.readouterr().err
+    # five padding symbols also fail message 3's length and the rate slack
+    # (5/200 > 3/200); the three schemes share one schedule here, yet each
+    # reports its own failures under its own label, in the order message
+    # lengths, decodes by cache, rate slack
+    exact = cli.build_messages
+
+    def padded(pm, plan, d):
+        schedule = exact(pm, plan, d)
+        msg = schedule.coded[3]
+        msg.payload = np.concatenate([msg.payload, np.zeros(5, dtype=np.uint8)])
+        return schedule
+
+    monkeypatch.setattr(cli, "build_messages", padded)
+    assert main(["verify", "--K", "2", "--N", "4", "--m-ratio", "0.5",
+                 "--F", "200", "--demands", "1,2", "--out", str(report)]) == 3
+    lines = report.read_text().splitlines()
+    assert lines[3:] == ["FAIL:"] + [
+        f"{scheme} demand (1, 2): {text}" for scheme in cli.SCHEMES for text in (
+            "coded message 3 has 105 symbols vs analytic 100",
+            "cache 1 reconstructed wrong bits",
+            "cache 2 reconstructed wrong bits",
+            "schedule rate 0.525 vs analytic 0.5 exceeds slack 0.015")]
 
 
 def test_verify_checks_each_message_length(tmp_path, monkeypatch):
@@ -456,8 +478,113 @@ def test_verify_checks_each_message_length(tmp_path, monkeypatch):
                  "--F", "3", "--demands", "1,2", "--out", str(report)])
     assert code == 3
     text = report.read_text()
-    assert "coded message 3 has 3 symbols vs analytic 1.5" in text
+    # all three schemes keep the same fractions at L = K = 2, so they
+    # share the padded schedule, and each reports it
+    for scheme in cli.SCHEMES:
+        assert f"{scheme} demand (1, 2): coded message 3 has 3 symbols vs analytic 1.5" in text
     assert "exceeds slack" not in text
+
+
+def test_verify_refuses_an_m_ratio_grid(tmp_path, capsys):
+    # verify runs one placement; a grid used to verify its first point only
+    report = tmp_path / "verify.txt"
+    args = ["verify", "--K", "2", "--N", "4", "--F", "100", "--out", str(report)]
+    assert main([*args, "--m-ratio", "0.1:0.1:0.3"]) == 1
+    assert "m_ratio: verify checks one point, got a grid of 3" in capsys.readouterr().err
+    assert not report.exists()
+    assert main([*args, "--m-ratio", "0.5:0.1:0.5"]) == 0  # a one-point grid runs
+
+
+def _kept_fractions(plan, d):
+    kept = delivery._plan_accessor(plan, d, d.K)
+    return [kept(n) for n in sorted(set(d.requests))]
+
+
+def _same_plan(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("flags, shared", [
+    # L = K: every scheme keeps the profile's fractions
+    (["--K", "4", "--m-ratio", "0.5", "--demands", "1,2,3,4"], [1]),
+    # L = 2 < K/2: the three schemes keep three different plans
+    (["--K", "5", "--m-ratio", "0.3", "--demands", "1,1,1,1,2"], [3]),
+    # twenty random demands of both kinds; the adaptive plan of some
+    # differs from the others by float noise only, which is distinct too
+    (["--K", "5", "--m-ratio", "0.3", "--seed", "0"], None),
+], ids=["shared", "distinct", "seeded"])
+@pytest.mark.parametrize("broken", [False, True], ids=["pass", "fail"])
+def test_verify_builds_and_decodes_each_distinct_plan_once(tmp_path, monkeypatch, flags,
+                                                           shared, broken):
+    base = ["verify", "--N", "6", "--F", "200", "--placement", "centralized", *flags]
+    K = int(flags[1])
+    if broken:
+        # a failure at every odd cache, so the FAIL lines are compared too
+        exact_decode = cli.decode
+
+        def failing(k, view, schedule):
+            if k % 2:
+                raise delivery.DecodeError(f"synthetic failure at cache {k}")
+            return exact_decode(k, view, schedule)
+
+        monkeypatch.setattr(cli, "decode", failing)
+    alone = {}
+    for scheme in cli.SCHEMES:
+        path = tmp_path / f"{scheme}.txt"
+        assert main([*base, "--delivery", scheme, "--out", str(path)]) == (3 if broken else 0)
+        alone[scheme] = path.read_text().splitlines()
+
+    # each build and decode is tagged with the demand being planned, by
+    # position, as a random demand may repeat
+    built, decodes, plans = [], [], []
+    build, decode, scheme_plan = cli.build_messages, cli.decode, cli._scheme_plan
+    per_demand = len(cli.SCHEMES)
+
+    def counting_build(pm, plan, d):
+        built.append(((len(plans) - 1) // per_demand, _kept_fractions(plan, d)))
+        return build(pm, plan, d)
+
+    def counting_decode(k, view, schedule):
+        decodes.append((len(plans) - 1) // per_demand)
+        return decode(k, view, schedule)
+
+    def recording_plan(profile, scheme, d, L):
+        plan = scheme_plan(profile, scheme, d, L)
+        plans.append(_kept_fractions(plan[0], d))
+        return plan
+
+    monkeypatch.setattr(cli, "build_messages", counting_build)
+    monkeypatch.setattr(cli, "decode", counting_decode)
+    monkeypatch.setattr(cli, "_scheme_plan", recording_plan)
+    report = tmp_path / "all.txt"
+    assert main([*base, "--out", str(report)]) == (3 if broken else 0)
+    lines = report.read_text().splitlines()
+
+    # line for line, each scheme reports (rates, then failures) what it
+    # reports alone
+    assert ("FAIL:" in lines) == broken and (lines[-1] == "PASS") != broken
+    for scheme, own in alone.items():
+        mine = [line for line in lines if line.startswith(f"{scheme} demand ")]
+        assert mine == [line for line in own if line.startswith(f"{scheme} demand ")]
+        assert len(mine) > 0
+
+    # per demand, one build for each distinct plan, and K decodes of each
+    distinct_counts = []
+    for i in range(len(plans) // per_demand):
+        distinct = []
+        for kept in plans[i * per_demand:(i + 1) * per_demand]:
+            if not any(_same_plan(kept, seen) for seen in distinct):
+                distinct.append(kept)
+        mine = [kept for at, kept in built if at == i]
+        assert len(mine) == len(distinct)
+        assert all(any(_same_plan(kept, seen) for seen in mine) for kept in distinct)
+        assert decodes.count(i) == K * len(distinct)
+        distinct_counts.append(len(distinct))
+    assert len(built) == sum(distinct_counts) and len(decodes) == K * len(built)
+    if shared is not None:
+        assert distinct_counts == shared
+    else:
+        assert min(distinct_counts) == 1 and max(distinct_counts) > 1
 
 
 def test_verify_rate_slack_is_the_rounding_bound(tmp_path, monkeypatch):

@@ -393,8 +393,9 @@ def test_solve_matches_hand_reduced_solve(lp):
 
 # --- the dense loop that the sparse one replaced, as an oracle --------------
 
-def pivot_reference(self, row, col):
-    """``_Tableau.pivot`` before it went sparse: a full m x ncol update."""
+def pivot_reference(self, row, col, rows):
+    """``_Tableau.pivot`` before it went sparse: a full m x ncol update,
+    so col's nonzero rows are not needed and ``rows`` is ignored."""
     piv = self.M[row, col]
     self.M[row] /= piv
     colvals = self.M[:, col].copy()
@@ -480,7 +481,7 @@ def simplex_phase_reference(tab, c, max_iter, events):
         basic_mask[out_var] = False
         basic_mask[j] = True
         tab.xB[leave_row] = entering_val
-        tab.pivot(leave_row, j)
+        tab.pivot(leave_row, j, None)
         z = z - z[j] * tab.M[leave_row]
         z[j] = 0.0
         if iters % 512 == 0:
@@ -496,6 +497,61 @@ def solve_reference(lp, events):
         mp.setattr(lp_mod, "_simplex_phase", functools.partial(simplex_phase_reference, events=events))
         mp.setattr(lp_mod._Tableau, "pivot", pivot_reference)
         return solve(lp)
+
+
+def held_artificial_lps():
+    """LPs whose phase 1 ends with an artificial basic at zero.
+
+    In the first, x3 is fixed at 0, so it never enters; phase 1 leaves
+    row 1 minus row 0, whose only nonzero is x3, holding its artificial,
+    and the drive-out loop pivots x3 in.  In the second, row 1 repeats
+    row 0, so it is zero outside its artificial, which stays basic."""
+    E = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    fixed = LinearProgram(c=np.array([1.0, 2.0, 0.0]), E=E, f=np.ones(2), A=np.zeros((0, 3)),
+                          b=np.zeros(0), lo=np.zeros(3), hi=np.array([1.0, 1.0, 0.0]))
+    E = np.array([[1.0, 1.0], [1.0, 1.0]])
+    redundant = LinearProgram(c=np.array([1.0, 2.0]), E=E, f=np.ones(2), A=np.zeros((0, 2)),
+                              b=np.zeros(0), lo=np.zeros(2), hi=np.ones(2))
+    return [fixed, redundant]
+
+
+def _drive_out_trace(lp, phase, pivot):
+    """Solve lp through the given phase loop and pivot: (outcome, rows
+    holding an artificial after phase 1, (row, column) of each pivot made
+    between the two phases)."""
+    held, drive_outs = [], []
+    phases = {"started": 0, "ended": 0}
+
+    def recording_phase(tab, c, max_iter):
+        phases["started"] += 1
+        out = phase(tab, c, max_iter)
+        phases["ended"] += 1
+        if phases["ended"] == 1:  # phase 1: only artificials cost
+            held.extend(np.flatnonzero(c[tab.basis] > 0).tolist())
+        return out
+
+    def recording_pivot(tab, row, col, rows):
+        if phases["started"] == phases["ended"] == 1:
+            drive_outs.append((row, col))
+        return pivot(tab, row, col, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_mod, "_simplex_phase", recording_phase)
+        mp.setattr(lp_mod._Tableau, "pivot", recording_pivot)
+        outcome = _outcome(solve, lp)
+    return outcome, held, drive_outs
+
+
+def test_dense_reference_drives_out_held_artificials():
+    # Same bytes through the loop after phase 1 that pivots a structural
+    # column into each row still holding an artificial.
+    dense = functools.partial(simplex_phase_reference, events=set())
+    for lp, drive_outs in zip(held_artificial_lps(), ([(1, 2)], [])):
+        ref = _drive_out_trace(lp, dense, pivot_reference)
+        assert ref[1:] == ([1], drive_outs)
+        assert ref[0][0] == "optimal"
+        assert _drive_out_trace(lp, lp_mod._simplex_phase, lp_mod._Tableau.pivot) == ref
+        assert _outcome(solve, lp) == ref[0]
 
 
 def cone_lp(rng, n=30, m=60):
