@@ -23,7 +23,10 @@ exact path with the same uniform. The samples are therefore those of the
 plain inverse-cdf sampler, bit for bit. One loop runs a whole chain with
 the draw inlined, taking its uniforms from the generator a bounded block
 at a time and writing the kept sweeps into an int array, one row per
-demand vector.
+demand vector. Caches with equal closed neighbourhoods share one copy
+set, and the loop keeps each such set sorted as the chain runs: a draw
+that changes a request updates the sets that contain its cache, instead
+of every draw rebuilding its own.
 
 The base popularity is Zipf with exponent theta (theta = 0 is uniform).
 Convergence of the chains is monitored with the estimated potential scale
@@ -41,10 +44,9 @@ reproducible bit for bit from one integer seed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain, cycle
-from operator import itemgetter
 
 import numpy as np
 
@@ -80,9 +82,11 @@ class CorrelationModel:
     The sampler's tables are built once here: the base cdf as a list, a
     times it (a = 1 - r), and for each copy-set size s the products
     (r / s) * t, t = 0..s, and the total mass a * cdf[-1] + (r / s) * s;
-    per cache, an itemgetter of its closed neighbourhood's requests (None
-    where it draws from the base law: no neighbours, or r = 0); and the
-    rounding guard of the fast draw.
+    the neighbourhood groups, one per distinct closed neighbourhood
+    (all K caches of the complete graph form one), as each cache's group
+    (None where it draws from the base law: no neighbours, or r = 0),
+    each group's member caches and, per cache, the groups that contain
+    it; and the rounding guard of the fast draw.
     """
 
     adjacency: np.ndarray
@@ -91,7 +95,9 @@ class CorrelationModel:
     _cdf: list = field(init=False, repr=False, compare=False)
     _acdf: list = field(init=False, repr=False, compare=False)
     _mass: tuple = field(init=False, repr=False, compare=False)
-    _closed: tuple = field(init=False, repr=False, compare=False)
+    _group: tuple = field(init=False, repr=False, compare=False)
+    _members: tuple = field(init=False, repr=False, compare=False)
+    _touch: tuple = field(init=False, repr=False, compare=False)
     _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -122,9 +128,16 @@ class CorrelationModel:
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_acdf", acdf)
         object.__setattr__(self, "_mass", (None,) + tuple((rt, acdf[-1] + rt[-1]) for rt in rts))
-        object.__setattr__(self, "_closed", tuple(
-            itemgetter(k, *np.flatnonzero(row).tolist()) if r > 0.0 and row.any() else None
-            for k, row in enumerate(adj)))
+        groups = {}  # closed neighbourhood -> group index, in first-seen order
+        closed = adj | np.eye(adj.shape[0], dtype=bool)
+        object.__setattr__(self, "_group", tuple(
+            groups.setdefault(tuple(np.flatnonzero(row).tolist()), len(groups))
+            if r > 0.0 and adj[k].any() else None
+            for k, row in enumerate(closed)))
+        object.__setattr__(self, "_members", tuple(groups))
+        object.__setattr__(self, "_touch", tuple(
+            tuple(g for g, members in enumerate(groups) if k in members)
+            for k in range(adj.shape[0])))
         object.__setattr__(self, "_guard", 10 * (pmf.shape[0] + 3) * 2.0**-53)
 
     @property
@@ -258,24 +271,35 @@ def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
     (0, 1) it bisects the base cdf per run of indices between copy-set
     files and keeps the index when the uniform clears the rounding guard
     on both sides; otherwise, and at r = 1, it takes the exact path.
+
+    Each neighbourhood group's copy set lives in this call only: a
+    request count per file and the sorted distinct files, with the
+    sentinel N + 1 last, built from requests at the start. A draw that
+    changes cache k's request updates the groups that contain k.
     """
-    cdf, acdf, mass, closed = model._cdf, model._acdf, model._mass, model._closed
+    cdf, acdf, mass, group, touch = model._cdf, model._acdf, model._mass, model._group, model._touch
     a, fast, top, guard = 1.0 - model.r, model.r < 1.0, cdf[-1], model._guard
     last, N1 = model.K - 1, len(cdf) - 1
+    counts, copies = [], []
+    for members in model._members:
+        count = {}
+        for j in members:
+            count[requests[j]] = count.get(requests[j], 0) + 1
+        counts.append(count)
+        copies.append(sorted(count) + [N1 + 2])
     row = -skip
     rows = 0 if out is None else out.shape[0]
     for u, k in zip(uniforms, chain(range(first, model.K), cycle(range(model.K)))):
-        g = closed[k]
+        g = group[k]
         if g is None:
             requests[k] = min(bisect_right(cdf, u * top), N1) + 1
         else:
             i = None
             if fast:
-                files = sorted(set(g(requests)))
-                rt, total = mass[len(files)]
+                files = copies[g]
+                rt, total = mass[len(files) - 1]
                 x = u * total
                 lo = t = 0
-                files.append(N1 + 2)
                 # indices lo .. hi - 1 see t copy-set files; file f sits at index f - 1
                 for hi in files:
                     hi -= 1
@@ -289,7 +313,21 @@ def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
                     t += 1
             if i is None:
                 i = _draw_index(conditional_pmf(k + 1, DemandVector(tuple(requests)), model), u) - 1
-            requests[k] = i + 1
+            old, new = requests[k], i + 1
+            if new != old:
+                requests[k] = new
+                for h in touch[k]:
+                    count, files = counts[h], copies[h]
+                    if count[old] == 1:
+                        del count[old]
+                        del files[bisect_left(files, old)]
+                    else:
+                        count[old] -= 1
+                    if new in count:
+                        count[new] += 1
+                    else:
+                        count[new] = 1
+                        insort(files, new)
         if k == last:
             if 0 <= row < rows:
                 out[row] = requests

@@ -228,6 +228,14 @@ def test_sampling_is_deterministic_per_seed():
     assert np.array_equal(a, b)
     c = sample_demands(model, count=50, burn_in=20, seed=10)
     assert not np.array_equal(a, c)
+    # the copy sets a chain keeps belong to that chain alone: a sweep run
+    # between two runs of the same chains leaves no trace in the model
+    first = sample_chains(model, chains=3, count=50, burn_in=20, seed=9)
+    gibbs_sweep(DemandVector((1, 1, 2, 3)), model, np.random.default_rng(0))
+    assert np.array_equal(sample_chains(model, chains=3, count=50, burn_in=20, seed=9), first)
+    for table in (model._group, model._members, model._touch):
+        assert isinstance(table, tuple)
+    assert all(isinstance(t, tuple) for t in model._members + model._touch)
 
 
 def test_sample_chains_spawns_independent_streams():
@@ -367,23 +375,59 @@ def test_sampler_matches_reference_sweep():
         path[a, b] = path[b, a] = True  # cache 5 is isolated
     cases += [(star, 40, 0.8, 2.0), (complete_graph(3), 3, 0.6, 0.0), (complete_graph(4), 1, 0.5, 0.0)]
     cases += [(complete_graph(1), 30, 0.8, 0.5), (path, 25, 0.6, 0.75), (path, 25, 1.0, 0.0)]
+    # caches that share a closed neighbourhood share one copy set, and
+    # others do not; with N in {2, 3} the copy sets empty and refill often
+    triangles = np.zeros((6, 6), dtype=bool)
+    triangles[:3, :3] = triangles[3:, 3:] = complete_graph(3)
+    k4_less = complete_graph(4)
+    k4_less[0, 1] = k4_less[1, 0] = False  # caches 3 and 4 see every cache, 1 and 2 do not
+    cases += [(g, N, r, theta) for g in (triangles, k4_less) for N in (2, 3, 40)
+              for r, theta in ((0.7, 0.0), (0.9, 1.2))]
     for adj, N, r, theta in cases:
         model = CorrelationModel(adjacency=adj, r=r, popularity=zipf_pmf(N, theta))
         got = sample_demands(model, count=150, burn_in=30, seed=31)
         want = reference_sample(model, count=150, burn_in=30, seed=31)
         assert np.array_equal(got, want), (adj.shape[0], N, r, theta)
+    assert CorrelationModel(adjacency=triangles, r=0.5, popularity=zipf_pmf(2, 0.0))._group \
+        == (0, 0, 0, 1, 1, 1)
+    assert CorrelationModel(adjacency=k4_less, r=0.5, popularity=zipf_pmf(2, 0.0))._group \
+        == (0, 1, 2, 2)
 
 
-@st.composite
-def draw_cases(draw):
-    K = draw(st.integers(1, 6))
-    N = draw(st.sampled_from(sorted({1, 2, K, 1000})))
+def draw_graph(draw, K):
+    """A random symmetric K x K adjacency with one cache cut off, or none."""
     adj = np.zeros((K, K), dtype=bool)
     for a, b in itertools.combinations(range(K), 2):
         adj[a, b] = adj[b, a] = draw(st.booleans())
     lonely = draw(st.integers(0, K))  # cut every edge of this cache (0: none)
     if lonely:
         adj[lonely - 1, :] = adj[:, lonely - 1] = False
+    return adj
+
+
+@st.composite
+def chain_cases(draw):
+    K = draw(st.integers(1, 6))
+    adj = draw_graph(draw, K)
+    N = draw(st.sampled_from([1, 2, 3, 7, 200]))
+    r = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    theta = draw(st.sampled_from([0.0, 0.75]))
+    return CorrelationModel(adjacency=adj, r=r, popularity=zipf_pmf(N, theta)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain_cases())
+def test_sampler_matches_reference_on_random_graphs(case):
+    model, seed = case
+    got = sample_demands(model, count=40, burn_in=5, seed=seed)
+    assert np.array_equal(got, reference_sample(model, count=40, burn_in=5, seed=seed))
+
+
+@st.composite
+def draw_cases(draw):
+    K = draw(st.integers(1, 6))
+    N = draw(st.sampled_from(sorted({1, 2, K, 1000})))
+    adj = draw_graph(draw, K)
     r = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1 - 1e-9)))
     theta = draw(st.sampled_from([0.0, 0.75, 2.0]))
     requests = draw(st.lists(st.integers(1, N), min_size=K, max_size=K))
