@@ -330,14 +330,9 @@ def _graph_for(cfg: ScenarioConfig) -> np.ndarray:
     if cfg.graph == "complete":
         return complete_graph(cfg.K)
     try:
-        adj = load_edge_list(cfg.graph)
+        return load_edge_list(cfg.graph, cfg.K)
     except OSError as exc:
         raise ConfigError(f"graph: cannot read {cfg.graph}: {exc}") from None
-    if adj.shape[0] > cfg.K:
-        raise ConfigError(f"graph: edge list names cache {adj.shape[0]} but K={cfg.K}")
-    full = np.zeros((cfg.K, cfg.K), dtype=bool)
-    full[: adj.shape[0], : adj.shape[0]] = adj
-    return full
 
 
 def _out_prefix(out: str | None, fallback: str) -> str:

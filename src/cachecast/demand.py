@@ -14,19 +14,20 @@ stationary law.
 conditional_pmf is the specification of one draw: invert the cdf of the
 conditional pmf at one uniform. The sampler does not build that pmf. Its
 cdf is (1 - r) times the base cdf plus r / s for each of the s copy-set
-files at or below the index, so a bisection of the base cdf per run of
-indices between copy-set files finds the draw in O(K log N); the model
-builds the products and sums this takes once. The answer is kept only
-when the uniform lies farther than a rounding guard of order N * 2**-53
-from the cdf on both sides of it; otherwise the draw is redone on the
-exact path with the same uniform. The samples are therefore those of the
-plain inverse-cdf sampler, bit for bit. One loop runs a whole chain with
-the draw inlined, taking its uniforms from the generator a bounded block
-at a time and writing the kept sweeps into an int array, one row per
-demand vector. Caches with equal closed neighbourhoods share one copy
-set, and the loop keeps each such set sorted as the chain runs: a draw
-that changes a request updates the sets that contain its cache, instead
-of every draw rebuilding its own.
+files at or below the index. The model builds that scaled base cdf and
+the other products and sums once, so a bisection of the scaled base cdf
+per run of indices between copy-set files finds the draw in O(K log N),
+for any r. The answer is kept only when the uniform lies farther than a
+rounding guard of order N * 2**-53 from the cdf on both sides of it;
+otherwise the draw is redone on the exact path with the same uniform.
+The samples are therefore those of the plain inverse-cdf sampler, bit
+for bit. One loop runs a whole chain with the draw inlined, taking its
+uniforms from the generator a bounded block at a time and writing the
+kept sweeps into an int array, one row per demand vector. Caches with
+equal closed neighbourhoods share one copy set, and the loop keeps each
+such set sorted as the chain runs: a draw that changes a request updates
+the sets that contain its cache, instead of every draw rebuilding its
+own.
 
 The base popularity is Zipf with exponent theta (theta = 0 is uniform).
 Convergence of the chains is monitored with the estimated potential scale
@@ -154,15 +155,14 @@ def complete_graph(K: int) -> np.ndarray:
     return adj
 
 
-def load_edge_list(path) -> np.ndarray:
-    """Read an undirected edge list file into an adjacency matrix.
+def load_edge_list(path, K: int) -> np.ndarray:
+    """Read an undirected edge list file into a K x K adjacency matrix.
 
     Each non-empty, non-comment line holds two 1-based cache indices
-    separated by whitespace or a comma. The matrix size is the largest
-    index seen.
+    separated by whitespace or a comma. Caches the list never names have
+    no edges; a line naming a cache above K is an error.
     """
-    edges = []
-    top = 0
+    adj = np.zeros((K, K), dtype=bool)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -177,16 +177,13 @@ def load_edge_list(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: cache indices must be integers") from None
             if a < 1 or b < 1:
                 raise ValueError(f"{path}:{lineno}: cache indices are 1-based")
+            if max(a, b) > K:
+                raise ValueError(f"{path}:{lineno}: edge list names cache {max(a, b)} but K={K}")
             if a == b:
                 raise ValueError(f"{path}:{lineno}: self-loops are not allowed")
-            edges.append((a, b))
-            top = max(top, a, b)
-    if top == 0:
+            adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
+    if not adj.any():
         raise ValueError(f"{path}: no edges found")
-    adj = np.zeros((top, top), dtype=bool)
-    for a, b in edges:
-        adj[a - 1, b - 1] = True
-        adj[b - 1, a - 1] = True
     return adj
 
 
@@ -245,7 +242,9 @@ def _draw_index(pmf: np.ndarray, u: float) -> int:
 # lies more than the guard above C(i - 1) and below C(i), the exact path's
 # cdf, which is non-decreasing, crosses its threshold between i - 1 and i
 # as well, so both paths return i; the exact path's clamp to N - 1 never
-# applies, since its cdf at i <= N - 1 exceeds its threshold.
+# applies, since its cdf at i <= N - 1 exceeds its threshold.  The fast
+# path bisects the acdf floats a * B[i] its guard reads and never divides
+# by a, so no step needs a > 0: r = 1 (a = 0) is inside the proof.
 
 
 def _uniforms(rng: np.random.Generator, n: int):
@@ -267,10 +266,10 @@ def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
     and wrap around, each from its conditional given the latest requests.
     Each time cache K has drawn, one sweep ends; the sweeps after the
     first `skip` are written to the rows of out, in order, while rows
-    remain. A draw is _draw_index(conditional_pmf(...), u): for r in
-    (0, 1) it bisects the base cdf per run of indices between copy-set
-    files and keeps the index when the uniform clears the rounding guard
-    on both sides; otherwise, and at r = 1, it takes the exact path.
+    remain. A draw is _draw_index(conditional_pmf(...), u): it bisects
+    the scaled base cdf per run of indices between copy-set files and
+    keeps the index when the uniform clears the rounding guard on both
+    sides; otherwise it takes the exact path.
 
     Each neighbourhood group's copy set lives in this call only: a
     request count per file and the sorted distinct files, with the
@@ -278,7 +277,7 @@ def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
     changes cache k's request updates the groups that contain k.
     """
     cdf, acdf, mass, group, touch = model._cdf, model._acdf, model._mass, model._group, model._touch
-    a, fast, top, guard = 1.0 - model.r, model.r < 1.0, cdf[-1], model._guard
+    top, guard = cdf[-1], model._guard
     last, N1 = model.K - 1, len(cdf) - 1
     counts, copies = [], []
     for members in model._members:
@@ -294,23 +293,22 @@ def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
         if g is None:
             requests[k] = min(bisect_right(cdf, u * top), N1) + 1
         else:
+            files = copies[g]
+            rt, total = mass[len(files) - 1]
+            x = u * total
             i = None
-            if fast:
-                files = copies[g]
-                rt, total = mass[len(files) - 1]
-                x = u * total
-                lo = t = 0
-                # indices lo .. hi - 1 see t copy-set files; file f sits at index f - 1
-                for hi in files:
-                    hi -= 1
-                    if lo < hi and acdf[hi - 1] + rt[t] > x:
-                        i = bisect_right(cdf, (x - rt[t]) / a, lo, hi - 1)
-                        if not (acdf[i] + rt[t] - x > guard and (
-                                i == 0 or x - (acdf[i - 1] + rt[t - (i == lo)]) > guard)):
-                            i = None
-                        break
-                    lo = hi
-                    t += 1
+            lo = t = 0
+            # indices lo .. hi - 1 see t copy-set files; file f sits at index f - 1
+            for hi in files:
+                hi -= 1
+                if lo < hi and acdf[hi - 1] + rt[t] > x:
+                    i = bisect_right(acdf, x - rt[t], lo, hi - 1)
+                    if not (acdf[i] + rt[t] - x > guard and (
+                            i == 0 or x - (acdf[i - 1] + rt[t - (i == lo)]) > guard)):
+                        i = None
+                    break
+                lo = hi
+                t += 1
             if i is None:
                 i = _draw_index(conditional_pmf(k + 1, DemandVector(tuple(requests)), model), u) - 1
             old, new = requests[k], i + 1

@@ -754,6 +754,18 @@ def test_simulate_accepts_edge_list_graph(tmp_path):
                  "--graph", str(graph), "--out", str(prefix)]) == 1
 
 
+def test_edge_list_beyond_K_is_refused_before_allocation(tmp_path, capsys):
+    # the index on line 2 would need an exabyte-sized matrix if the list
+    # were sized by its largest index before the check against K
+    graph = tmp_path / "far.txt"
+    graph.write_text("1 2\n2 1000000000\n")
+    assert main(["simulate", "--K", "4", "--N", "10", "--m-ratio", "0.2",
+                 "--graph", str(graph), "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {graph}:2: edge list names cache 1000000000 but K=4\n"
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == [graph]
+
+
 @pytest.mark.parametrize("case", ["missing", "not-an-integer"])
 def test_unreadable_graph_is_a_configuration_error(tmp_path, capsys, case):
     graph = tmp_path / "edges.txt"

@@ -382,7 +382,7 @@ def test_sampler_matches_reference_sweep():
     k4_less = complete_graph(4)
     k4_less[0, 1] = k4_less[1, 0] = False  # caches 3 and 4 see every cache, 1 and 2 do not
     cases += [(g, N, r, theta) for g in (triangles, k4_less) for N in (2, 3, 40)
-              for r, theta in ((0.7, 0.0), (0.9, 1.2))]
+              for r, theta in ((0.7, 0.0), (0.9, 1.2), (1.0, 0.0))]
     for adj, N, r, theta in cases:
         model = CorrelationModel(adjacency=adj, r=r, popularity=zipf_pmf(N, theta))
         got = sample_demands(model, count=150, burn_in=30, seed=31)
@@ -392,6 +392,18 @@ def test_sampler_matches_reference_sweep():
         == (0, 0, 0, 1, 1, 1)
     assert CorrelationModel(adjacency=k4_less, r=0.5, popularity=zipf_pmf(2, 0.0))._group \
         == (0, 1, 2, 2)
+
+
+def test_full_copying_never_falls_back():
+    # at r = 1 the base law has no mass and the copy sets carry it all;
+    # the draws still bisect the scaled base cdf, and no uniform of this
+    # seeded chain lies within the rounding guard of a cdf step
+    model = CorrelationModel(adjacency=complete_graph(8), r=1.0, popularity=zipf_pmf(1000, 0.0))
+    want = reference_sample(model, count=200, burn_in=50, seed=7)
+    with mock.patch.object(demand, "conditional_pmf", wraps=conditional_pmf) as spy:
+        got = sample_demands(model, count=200, burn_in=50, seed=7)
+    assert np.array_equal(got, want)
+    assert spy.call_count == 0
 
 
 def draw_graph(draw, K):
@@ -466,8 +478,6 @@ def test_fast_draw_matches_exact_path(case):
             assert drawn[k - 1] == _draw_index(pmf, U), (k, U)
             if model.r == 0.0 or isolated:
                 assert spy.call_count == 0  # the base cdf itself, no fallback
-            elif model.r == 1.0:
-                assert spy.call_count == 1  # r = 1 stays on the exact path
             elif U in edge:
                 # within the rounding guard of a cdf step: the fallback must
                 # decide, or the check above proves nothing there
@@ -561,23 +571,29 @@ def test_array_summaries_equal_per_vector_oracles(arr, m):
 def test_load_edge_list(tmp_path):
     path = tmp_path / "ring.txt"
     path.write_text("# three cache ring\n1 2\n2,3\n3 1  # closing edge\n\n")
-    adj = load_edge_list(path)
+    adj = load_edge_list(path, 3)
     assert adj.shape == (3, 3)
     assert np.array_equal(adj, complete_graph(3))
+    # caches the list never names have no edges
+    adj = load_edge_list(path, 5)
+    assert adj.shape == (5, 5)
+    assert np.array_equal(adj[:3, :3], complete_graph(3)) and not adj[3:].any()
+    with pytest.raises(ValueError, match="ring.txt:3: edge list names cache 3 but K=2"):
+        load_edge_list(path, 2)
 
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
-        load_edge_list(bad)
+        load_edge_list(bad, 3)
 
     bad.write_text("0 2\n")
     with pytest.raises(ValueError, match="1-based"):
-        load_edge_list(bad)
+        load_edge_list(bad, 3)
 
     bad.write_text("2 2\n")
     with pytest.raises(ValueError, match="self-loop"):
-        load_edge_list(bad)
+        load_edge_list(bad, 3)
 
     bad.write_text("# nothing here\n")
     with pytest.raises(ValueError, match="no edges"):
-        load_edge_list(bad)
+        load_edge_list(bad, 3)
