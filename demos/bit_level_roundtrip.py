@@ -31,7 +31,7 @@ L = pattern.L
 print(f"K={K} caches, N={N} files of F={F} symbols, m={M_RATIO}")
 print(f"demand {DEMAND.requests}: {L} distinct files, pattern {pattern}")
 
-stored = partition.stored_symbols(1)
+stored = np.count_nonzero(partition.holder & 1)  # symbols whose subset mask names cache 1
 print(f"cache 1 stores {stored} symbols = {stored / F:.3f} file units "
       f"(budget {M_RATIO * N:.1f})")
 

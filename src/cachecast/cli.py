@@ -431,16 +431,18 @@ def _message_failures(schedule, fractions) -> list:
     return failures
 
 
-def _check_schedule(partition, views, plan, d: DemandVector, fractions) -> tuple:
+def _check_schedule(partition, plan, d: DemandVector, fractions) -> tuple:
     """Build plan's schedule for d and decode it at every cache: (achieved
     rate, unlabelled failures), the message-length failures first, then
-    each cache's decode failure in cache order.  The schedule is freed on
-    return."""
+    each cache's decode failure in cache order.  Each cache's view of the
+    demand's files is built just before its decode and dropped after it,
+    and the schedule is freed on return, so at most one of each is live."""
     schedule = build_messages(partition, plan, d)
     failures = _message_failures(schedule, fractions)
-    for k, view in enumerate(views, start=1):
+    files = set(d.requests)
+    for k in range(1, d.K + 1):
         try:
-            got = decode(k, view, schedule)
+            got = decode(k, partition.cache_view(k, files), schedule)
         except DecodeError as exc:
             failures.append(f"cache {k} decode error: {exc}")
             continue
@@ -482,10 +484,6 @@ def _run_verify(cfg: ScenarioConfig) -> list:
         # through the requested files' kept fractions: schemes whose
         # fractions are exactly equal share one build and decode
         checked = []  # (fractions, achieved, failures) per distinct plan
-        # one schedule is live at a time, inside _check_schedule; the
-        # views are freed before the next demand's, or the overlap sets
-        # the peak memory
-        views = [partition.cache_view(k, set(d.requests)) for k in range(1, cfg.K + 1)]
         for scheme in cfg.delivery:
             plan, analytic = _scheme_plan(profile, scheme, d, L)
             kept = _plan_accessor(plan, d, cfg.K)
@@ -494,7 +492,7 @@ def _run_verify(cfg: ScenarioConfig) -> list:
                 if all(np.array_equal(seen[n], fractions[n]) for n in files):
                     break
             else:
-                achieved, found = _check_schedule(partition, views, plan, d, fractions)
+                achieved, found = _check_schedule(partition, plan, d, fractions)
                 checked.append((fractions, achieved, found))
             label = f"{scheme} demand {d.requests}"
             failures += [f"{label}: {text}" for text in found]
@@ -502,7 +500,6 @@ def _run_verify(cfg: ScenarioConfig) -> list:
                 failures.append(f"{label}: schedule rate {achieved:.6g} "
                                 f"vs analytic {analytic:.6g} exceeds slack {slack:.6g}")
             lines.append(f"{label}: rate {achieved:.6g} analytic {analytic:.6g}")
-        del views
 
     report = "\n".join(lines + (["FAIL:"] + failures if failures else ["PASS"])) + "\n"
     path = _emit(cfg.out, [report])

@@ -32,7 +32,9 @@ import numpy as np
 
 from .lp import LinearProgram, LpNumericalError, solve
 
-SUBSET_ENUM_CAP = 12  # bit-level work enumerates all 2^K subsets; masks fit uint16
+# bit-level work enumerates all 2^K subsets; masks are uint8 up to K = 8
+# and uint16 up to this cap
+SUBSET_ENUM_CAP = 12
 
 
 @dataclass
@@ -145,10 +147,13 @@ class PartitionMap:
     """Symbol-level realization of a profile for bit-level delivery.
 
     ``holder`` has shape (N, F): ``holder[file - 1, i]`` is the bitmask of
-    the cache subset that stores symbol i of that file (0: no cache).
-    Under a shared (non-decentralized) placement it is a read-only view of
-    one row.  ``data`` holds the pseudo-random file contents, one row per
-    file, so ``data.shape`` is (N, F).  K is the number of caches.
+    the cache subset that stores symbol i of that file (0: no cache), in
+    the narrowest unsigned type that holds every K-bit mask
+    (``np.min_scalar_type((1 << K) - 1)``: uint8 up to K = 8, uint16
+    above).  Under a shared (non-decentralized) placement it is a
+    read-only view of one row.  ``data`` holds the pseudo-random file
+    contents, one row per file, so ``data.shape`` is (N, F).  K is the
+    number of caches.
     """
 
     K: int
@@ -163,9 +168,6 @@ class PartitionMap:
             held = ((self.holder[n - 1] >> (cache - 1)) & 1).astype(bool)
             out[n] = (held, self.data[n - 1] * held)
         return out
-
-    def stored_symbols(self, cache: int) -> int:
-        return int(np.count_nonzero(self.holder & (1 << (cache - 1))))
 
 
 def materialize_partition(p: PlacementProfile, N: int, F: int, seed: int) -> PartitionMap:
@@ -198,9 +200,9 @@ def materialize_partition(p: PlacementProfile, N: int, F: int, seed: int) -> Par
     children = ss.spawn(N + 1)
     data = np.random.default_rng(children[0]).integers(0, 256, size=(N, F), dtype=np.uint8)
 
-    layout = np.repeat(masks, counts).astype(np.uint16)
+    layout = np.repeat(masks, counts).astype(np.min_scalar_type((1 << K) - 1))
     if p.scheme == "decentralized":
-        holder = np.empty((N, F), dtype=np.uint16)
+        holder = np.empty((N, F), dtype=layout.dtype)
         for fi in range(N):
             holder[fi, np.random.default_rng(children[fi + 1]).permutation(F)] = layout
     else:

@@ -40,6 +40,11 @@ def pieces(pm, file: int) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def stored_symbols(pm, cache: int) -> int:
+    """How many symbols, over all files, pm stores at cache."""
+    return int(np.count_nonzero(pm.holder & (1 << (cache - 1))))
+
+
 def hand_reduced(lp):
     """lp without fixed variables, emptied rows and implied singleton
     inequality rows, or None if an emptied row is violated."""

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -21,6 +22,7 @@ from cachecast.cli import (
     run_scenario,
 )
 from cachecast.lp import LpNumericalError, solve
+from cachecast.placement import PartitionMap
 
 
 def read_csv(path):
@@ -585,6 +587,53 @@ def test_verify_builds_and_decodes_each_distinct_plan_once(tmp_path, monkeypatch
         assert distinct_counts == shared
     else:
         assert min(distinct_counts) == 1 and max(distinct_counts) > 1
+
+
+def test_verify_keeps_one_cache_view_alive_at_a_time(tmp_path, monkeypatch):
+    # within each schedule, cache k's view is built just before its decode
+    # and is gone before cache k + 1's view is built
+    K = 4
+    events, views = [], []
+    build, decode, cache_view = cli.build_messages, cli.decode, PartitionMap.cache_view
+
+    def spied_build(pm, plan, d):
+        events.append("build")
+        return build(pm, plan, d)
+
+    def spied_view(self, cache, files):
+        assert all(ref() is None for ref in views)  # every earlier view is freed
+        view = cache_view(self, cache, files)
+        views.append(weakref.ref(next(iter(view.values()))[0]))
+        events.append(("view", cache))
+        return view
+
+    def spied_decode(k, view, schedule):
+        events.append(("decode", k))
+        return decode(k, view, schedule)
+
+    monkeypatch.setattr(cli, "build_messages", spied_build)
+    monkeypatch.setattr(PartitionMap, "cache_view", spied_view)
+    monkeypatch.setattr(cli, "decode", spied_decode)
+    report = tmp_path / "verify.txt"
+    assert main(["verify", "--K", str(K), "--N", "6", "--m-ratio", "0.3", "--F", "200",
+                 "--placement", "decentralized", "--samples", "4", "--seed", "1",
+                 "--out", str(report)]) == 0
+    assert report.read_text().endswith("PASS\n")
+    per_schedule = [e for k in range(1, K + 1) for e in (("view", k), ("decode", k))]
+    builds = events.count("build")
+    assert builds >= 4 and events == (["build"] + per_schedule) * builds
+
+
+@pytest.mark.parametrize("K", [9, 12])
+@pytest.mark.parametrize("placement", ["centralized", "decentralized", "lp"])
+def test_verify_round_trip_with_uint16_masks(tmp_path, K, placement):
+    # above K = 8 the subset masks no longer fit a byte
+    report = tmp_path / "verify.txt"
+    assert main(["verify", "--K", str(K), "--N", str(K + 2), "--m-ratio", "0.3",
+                 "--F", "300", "--placement", placement, "--samples", "3", "--seed", "5",
+                 "--out", str(report)]) == 0
+    lines = report.read_text().splitlines()
+    assert lines[-1] == "PASS" and len(lines) == 3 * len(cli.SCHEMES) + 1
 
 
 def test_verify_rate_slack_is_the_rounding_bound(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from cachecast.placement import (
     solve_placement_lp,
 )
 
-from oracles import pieces
+from oracles import pieces, stored_symbols
 
 PLACEMENTS = (centralized_profile, decentralized_profile, solve_placement_lp)
 PROFILE_TOL = 1e-9
@@ -268,7 +268,7 @@ def test_materialize_capacity():
         pm = materialize_partition(profile, N, F, seed=1)
         for cache in range(1, K + 1):
             # rounding can move at most one symbol per subset per file
-            assert pm.stored_symbols(cache) <= 0.3 * N * F + N * 2**K
+            assert stored_symbols(pm, cache) <= 0.3 * N * F + N * 2**K
 
 
 def test_materialize_centralized_shared_slices():
@@ -336,11 +336,21 @@ def test_pieces_match_eager_dicts():
 def test_shared_holder_is_one_read_only_row():
     for maker in (centralized_profile, solve_placement_lp):
         pm = materialize_partition(maker(4, 0.3), 50, 2000, seed=1)
-        assert pm.holder.shape == (50, 2000) and pm.holder.dtype == np.uint16
+        assert pm.holder.shape == (50, 2000) and pm.holder.dtype == np.uint8
         assert not pm.holder.flags.writeable
         assert pm.holder.strides[0] == 0  # every file shares the same row
     pm = materialize_partition(decentralized_profile(4, 0.3), 50, 2000, seed=1)
     assert pm.holder.flags.writeable and pm.holder.flags.owndata
+
+
+@pytest.mark.parametrize("K", [8, 9, 12])
+@pytest.mark.parametrize("maker", PLACEMENTS)
+def test_holder_is_the_narrowest_mask_type(K, maker):
+    # uint8 holds every mask up to K = 8, uint16 beyond, up to the cap
+    pm = materialize_partition(maker(K, 0.3), K, 1 << K, seed=K)
+    assert pm.holder.dtype == np.min_scalar_type((1 << K) - 1)
+    assert pm.holder.dtype == (np.uint8 if K <= 8 else np.uint16)
+    assert 1 << (K - 1) <= int(pm.holder.max()) < 1 << K  # cache K's bit survives
 
 
 def test_cache_view_consistent_with_pieces():
@@ -364,7 +374,7 @@ def test_cache_view_consistent_with_pieces():
                 assert np.array_equal(held, expect)
                 assert np.array_equal(vals[held], pm.data[file - 1][held])
                 assert np.all(vals[~held] == 0)
-            assert pm.stored_symbols(cache) == stored
+            assert stored_symbols(pm, cache) == stored
 
 
 _weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=40)
