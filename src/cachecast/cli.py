@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import core
 from .bounds import GAP_TOL, average_bound, cutset_bound, gap_reduction
 from .core import (
     DemandVector,
@@ -341,18 +342,15 @@ def _out_prefix(out: str | None, fallback: str) -> str:
     return out[:-4] if out.endswith(".csv") else out
 
 
-# The samples CSV is formatted and written this many rows at a time, so
-# the text and Python ints of every sample are never alive at once.
-_BLOCK_ROWS = 1 << 14
-
-
 def _sample_csv(samples):
-    """The samples CSV of an (n, K) request array, in blocks of text."""
+    """The samples CSV of an (n, K) request array, in blocks of
+    ``core._BLOCK_ROWS`` rows of text."""
     K = samples.shape[1]
     yield ",".join(["sample_index"] + [f"d_{k}" for k in range(1, K + 1)]) + "\n"
     line = ",".join(["%d"] * (K + 1)) + "\n"  # sample index, then the K requests
-    for start in range(0, samples.shape[0], _BLOCK_ROWS):
-        block = samples[start:start + _BLOCK_ROWS].tolist()
+    rows = core._BLOCK_ROWS
+    for start in range(0, samples.shape[0], rows):
+        block = samples[start:start + rows].tolist()
         yield "".join([line % (i, *d) for i, d in enumerate(block, start=start + 1)])
 
 

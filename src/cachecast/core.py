@@ -75,15 +75,22 @@ def redundancy_pattern(d: DemandVector) -> RedundancyPattern:
     return RedundancyPattern(tuple(sorted(counts.values(), reverse=True)))
 
 
+# Rows taken at a time by every row-wise pass over a sample array (the
+# sorts here and the samples CSV), so that the sorted copy, the Python
+# tuples or the text of one block, not of every row, are alive at once.
+_BLOCK_ROWS = 1 << 8
+
+
 def distinct_counts(samples) -> np.ndarray:
     """Number of distinct files in each row of a (..., K) int demand array."""
-    rows = np.sort(samples, axis=-1)
-    return 1 + np.count_nonzero(rows[..., 1:] != rows[..., :-1], axis=-1)
-
-
-# Rows keyed at a time by redundancy_patterns, so that the Python tuples
-# of one block, not of every row, are alive at once.
-_BLOCK_ROWS = 1 << 14
+    samples = np.asarray(samples)
+    rows = samples.reshape(-1, samples.shape[-1])
+    out = np.empty(rows.shape[0], dtype=np.intp)
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = np.sort(rows[start:start + _BLOCK_ROWS], axis=1)
+        steps = block[:, 1:] != block[:, :-1]
+        out[start:start + block.shape[0]] = 1 + np.count_nonzero(steps, axis=1)
+    return out.reshape(samples.shape[:-1])
 
 
 def redundancy_patterns(samples) -> tuple[list[RedundancyPattern], np.ndarray]:

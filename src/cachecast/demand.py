@@ -54,7 +54,7 @@ import numpy as np
 from .core import DemandVector, distinct_counts
 
 PMF_TOL = 1e-12
-BLOCK = 1 << 13  # uniforms per rng.random call of the chain kernel
+BLOCK = 1 << 10  # uniforms per rng.random call of the chain kernel
 
 
 def zipf_pmf(N: int, theta: float) -> np.ndarray:
@@ -446,7 +446,6 @@ def empirical_stats(samples) -> DemandStats:
     if rows.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     K = rows.shape[1]
-    # before the float copy, so that distinct_counts' sorted copy is gone
     L_avg = float(np.mean(distinct_counts(samples)))
     # one float row per cache, centred in place: at most it and centered**2
     # are alive at once

@@ -1,5 +1,9 @@
 """Reference implementations shared by several test modules."""
 
+import itertools
+from fractions import Fraction
+from math import comb, prod
+
 import numpy as np
 
 from cachecast.bounds import cutset_bound
@@ -22,6 +26,24 @@ def peak_rate_decentralized(K: int, m_ratio: float) -> float:
     if q == 0.0:
         return float(K)
     return K * (1.0 - q) * (1.0 - (1.0 - q) ** K) / (K * q)
+
+
+def adaptive_coefficients(ks) -> list[Fraction]:
+    """Exact coefficients of the adaptive rate, sum_s x_s coeff[s] over
+    subset sizes s = 0..K, for requester group sizes ks.
+
+    A coded message to s + 1 caches with a_j members in group j, one of
+    prod_j C(k_j, a_j) such messages, is either sent (cost 1) or its pieces
+    go uncoded, where piece (i, a - e_i) serves the k_i - a_i + 1 members
+    of group i outside its subset: cost t(a) = sum_i a_i / (k_i - a_i + 1).
+    Each message costs the cheaper of the two.
+    """
+    coeff = [Fraction(0)] * (sum(ks) + 1)
+    for a in itertools.product(*(range(k + 1) for k in ks)):
+        if any(a):
+            t = sum(Fraction(ai, k - ai + 1) for k, ai in zip(ks, a))
+            coeff[sum(a) - 1] += prod(comb(k, ai) for k, ai in zip(ks, a)) * min(Fraction(1), t)
+    return coeff
 
 
 def sample_demands(model, count: int, burn_in: int, seed) -> np.ndarray:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -13,7 +14,7 @@ import pytest
 import cachecast.cli as cli
 import cachecast.core as core
 from cachecast import delivery
-from cachecast.bounds import cutset_bound, gap_reduction
+from cachecast.bounds import average_bound, cutset_bound, gap_reduction
 from cachecast.cli import (
     ConfigError,
     ScenarioConfig,
@@ -21,6 +22,7 @@ from cachecast.cli import (
     parse_m_ratio,
     run_scenario,
 )
+from cachecast.demand import CorrelationModel, complete_graph, sample_chains, zipf_pmf
 from cachecast.lp import LpNumericalError, solve
 from cachecast.placement import PartitionMap
 
@@ -703,9 +705,9 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_simulate_bytes_do_not_depend_on_the_row_block(tmp_path, capsys, monkeypatch):
-    # The samples CSV is written, and the sample rows keyed into patterns,
-    # a block of rows at a time; 7-row blocks cross 128 block boundaries
-    # over these 900 rows, and no output byte may move.
+    # The samples CSV is written, and the sample rows counted and keyed
+    # into patterns, a block of rows at a time; 7-row blocks cross 128
+    # block boundaries over these 900 rows, and no output byte may move.
     def run(name):
         assert main(["simulate", "--K", "6", "--N", "200", "--chains", "3", "--burn-in", "20",
                      "--samples", "300", "--m-ratio", "0.1:0.2:0.5", "--r", "0.9",
@@ -714,9 +716,28 @@ def test_simulate_bytes_do_not_depend_on_the_row_block(tmp_path, capsys, monkeyp
                 for part in ("samples", "stats", "rates")}
 
     whole = run("whole")
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(core, "_BLOCK_ROWS", 7)
     assert run("blocks") == whole
+
+
+def test_simulate_passes_over_the_samples_hold_one_block():
+    # At simulate's default size, 5 chains x 1,000 samples at K = 8, the
+    # samples CSV, the pattern pass and the mean bound each hold one block
+    # of rows at a time; over the whole array at once they peaked at 2.1,
+    # 1.8 and 0.5 MiB.
+    model = CorrelationModel(adjacency=complete_graph(8), r=0.9, popularity=zipf_pmf(1000, 0.0))
+    samples = sample_chains(model, chains=5, count=1000, burn_in=150, seed=0).reshape(-1, 8)
+    passes = {"samples CSV": lambda: sum(map(len, cli._sample_csv(samples))),
+              "patterns": lambda: core.redundancy_patterns(samples),
+              "mean bound": lambda: average_bound(samples, 1000, 75.0, 8)}
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20, (name, peak)
 
 
 def test_sparse_graph_simulate_bytes_are_pinned(tmp_path, capsys):

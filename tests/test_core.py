@@ -70,6 +70,20 @@ def test_redundancy_patterns_in_blocks_match_one_block(monkeypatch):
     assert redundancy_patterns(rows[:0])[1].shape == (0,)
 
 
+def test_distinct_counts_in_blocks_match_one_block(monkeypatch):
+    # rows are counted a block at a time into one array of the input's
+    # leading shape; blocks of 3 split every input below but the last two
+    rows = np.random.default_rng(5).integers(1, 5, size=(20, 4))
+    inputs = [rows, rows[:6].reshape(2, 2, 6), rows[7], rows[:0]]
+    whole = [distinct_counts(a) for a in inputs]
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 3)
+    for a, want in zip(inputs, whole):
+        got = distinct_counts(a)
+        assert got.dtype == np.intp and got.shape == a.shape[:-1]
+        assert np.array_equal(got, want)
+    assert whole[2].shape == () and whole[3].shape == (0,)
+
+
 def test_partitions_into_parts_enumeration():
     nine_three = [p.counts for p in partitions_into_parts(9, 3)]
     assert nine_three == [

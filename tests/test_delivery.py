@@ -40,7 +40,13 @@ from cachecast.placement import (
     solve_placement_lp,
 )
 
-from oracles import hand_reduced, peak_rate_centralized, peak_rate_decentralized, pieces
+from oracles import (
+    adaptive_coefficients,
+    hand_reduced,
+    peak_rate_centralized,
+    peak_rate_decentralized,
+    pieces,
+)
 
 
 def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
@@ -520,15 +526,18 @@ def _random_symmetric_profile(K, weights):
     return PlacementProfile(w / (sizes @ w), "random")
 
 
+# one weight of _random_symmetric_profile: some size classes stay empty
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-2, 1.0))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_adaptive_rate_equals_direct_lp_property(data):
     K = data.draw(st.integers(1, 5), label="K")
     kind = data.draw(st.sampled_from(["centralized", "decentralized", "random"]), label="kind")
     if kind == "random":
-        weight = st.one_of(st.just(0.0), st.floats(1e-2, 1.0))
         prof = _random_symmetric_profile(
-            K, data.draw(st.lists(weight, min_size=K + 1, max_size=K + 1), label="weights"))
+            K, data.draw(st.lists(_WEIGHT, min_size=K + 1, max_size=K + 1), label="weights"))
     else:
         m = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), label="m")
         prof = (centralized_profile if kind == "centralized" else decentralized_profile)(K, m)
@@ -539,6 +548,52 @@ def test_adaptive_rate_equals_direct_lp_property(data):
     d = DemandVector(tuple(labels[i] for i in picks))
     _, rate = adaptive_plan(prof, d)
     assert abs(rate - adaptive_rate_direct(prof, d)) <= 1e-8, (prof.fractions, d.requests)
+
+
+def _patterns_up_to(K_max):
+    return [p for K in range(1, K_max + 1) for L in range(1, K + 1)
+            for p in partitions_into_parts(K, L)]
+
+
+def _assert_rate_is_coefficient_row(profiles, patterns):
+    for pattern in patterns:
+        coeff = np.array([float(c) for c in adaptive_coefficients(pattern.counts)])
+        d = canonical_demand(pattern)
+        for prof in profiles(pattern.K):
+            rate = adaptive_plan(prof, d)[1]
+            assert abs(rate - prof.fractions @ coeff) <= 1e-9, (pattern.counts, prof.fractions)
+
+
+def test_adaptive_rate_is_linear_in_the_profile():
+    # The adaptive LP's optimum is x @ coeff with coefficients that depend
+    # on the pattern alone (oracles.adaptive_coefficients), for every one
+    # of the 66 patterns with K <= 8.
+    patterns = _patterns_up_to(8)
+    assert len(patterns) == 66
+    _assert_rate_is_coefficient_row(
+        lambda K: [maker(K, m) for maker in (centralized_profile, decentralized_profile)
+                   for m in (0.1, 0.3, 0.55, 0.8)], patterns)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(weights=st.lists(_WEIGHT, min_size=9, max_size=9))
+def test_adaptive_rate_is_linear_in_random_profiles(weights):
+    _assert_rate_is_coefficient_row(lambda K: [_random_symmetric_profile(K, weights)],
+                                    _patterns_up_to(8))
+
+
+def test_adaptive_coefficients_equal_the_nonadaptive_row_where_every_message_is_sent():
+    # Every t(a) >= 1 for |a| >= 2, as at L = K, where t(a) = |a|, so no
+    # message is worth splitting: L at s = 0, then C(K, s + 1), exactly.
+    def nonadaptive_row(K, L):
+        return [L] + [comb(K, s + 1) for s in range(1, K + 1)]
+
+    for K in range(1, 9):
+        assert adaptive_coefficients((1,) * K) == nonadaptive_row(K, K)
+    assert adaptive_coefficients((2, 1)) == nonadaptive_row(3, 2)
+    assert adaptive_coefficients((3,)) == nonadaptive_row(3, 1)
+    # while two groups of four split some pairs: t((2, 0)) = 2/3
+    assert adaptive_coefficients((4, 4))[1] < comb(8, 2)
 
 
 def test_transfer_plan_validation():
