@@ -25,10 +25,8 @@ Two planners implement that idea:
   distinct file's uncoded part ships once.  The LP is solved exactly in
   a symmetry-reduced form (caches requesting the same file are
   interchangeable, as are files requested equally often), which keeps
-  the problem tiny even at the K = 12 enumeration cap.  Its
-  ``TransferPlan`` stores one value per orbit of (file, subset) pairs
-  and expands a file's kept fractions only when asked, so a caller that
-  needs just the rate never pays for the L * 2^K expansion.
+  the problem tiny even at the K = 12 enumeration cap.  Its optimal
+  plan has a closed form, message by message (``TransferPlan``).
 
 The adaptive LP's columns and their order, its objective, class rows and
 epigraph pairs depend only on the requester group sizes, not on the
@@ -68,8 +66,6 @@ from .core import DemandVector, RedundancyPattern
 from .lp import LinearProgram, LpNumericalError, solve
 from .placement import PartitionMap, PlacementProfile, SUBSET_ENUM_CAP, apportion
 
-PLAN_TOL = 1e-9
-
 
 class DecodeError(RuntimeError):
     """A cache could not reconstruct its file from schedule + storage."""
@@ -77,63 +73,67 @@ class DecodeError(RuntimeError):
 
 @dataclass
 class TransferPlan:
-    """Kept fraction y for every (distinct file, subset mask) pair,
-    stored per orbit and resolved one file at a time.
+    """The adaptive kept fraction of every (distinct file, subset mask)
+    pair, resolved one file at a time.
 
-    ``y`` holds one kept fraction per y column of the demand shape's
-    ``_layout``, in column order: the pairs of one orbit are
-    interchangeable under the demand's symmetries and keep the same
-    fraction.  ``kept(file)`` expands one file's orbits over every mask.
-    The uncoded entry is the mask-0 fraction; per file the fractions sum
-    to one, and no kept fraction exceeds the placed fraction of its subset
-    size.  Both are checked over the orbits when the plan is built.
+    The piece of file n at subset S, n requested by group i, serves the
+    messages S + {k} for n's requesters k outside S, all of composition
+    a = comp(S) + e_i over the requester groups.  Sent coded, such a
+    message costs 1; split, t(a) = sum_j a_j / (k_j - a_j + 1), as each of
+    its a_j pieces of group j's file ships uncoded once and serves one
+    message for each of the k_j - a_j + 1 requesters of that file outside
+    the piece's subset.  So the piece keeps x_|S| iff t(a) >= 1 (ties
+    keep) or no message uses it, and moves to the uncoded part otherwise.
+    The mask-0 entry is x_0 plus, over sizes s ascending, the number of
+    moved masks of size s times x_s: a plan that moves nothing equals the
+    profile bit for bit.
     """
 
     demand: DemandVector
     profile: PlacementProfile
-    y: np.ndarray
 
-    def __post_init__(self):
+    @functools.cached_property
+    def _tables(self):
+        """Per requested file its group, the requester group sizes, and
+        the composition and size of every mask."""
         files, ks = _demand_groups(self.demand)
-        lay = _layout(tuple(ks))
-        self.y = y = np.asarray(self.y, dtype=float)
-        if y.shape != lay.e_w.shape:
-            raise ValueError(f"demand {self.demand.requests} needs {lay.e_w.shape[0]} "
-                             f"kept fractions, got shape {y.shape}")
-        classes = sorted(set(ks))
-        owner = [files[ks.index(k)] for k in classes]  # a file of each class row
-        row = lay.e_at // lay.c.shape[0]  # class row of each y column
-        cap = np.array(self.profile.fractions, dtype=float)
-        cap[0] = 1.0
-        bad = np.flatnonzero((y < -PLAN_TOL) | (y > cap[lay.size[:y.shape[0]]] + 1e-7))
-        if bad.size:
-            raise ValueError(f"kept fraction out of range for file {owner[row[bad[0]]]}, "
-                             f"column {bad[0]}")
-        for n, total in zip(owner, np.bincount(row, lay.e_w * y).tolist()):
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"kept fractions for file {n} sum to {total}, not 1")
-        self._lay, self._ks = lay, ks
-        self._row = [classes.index(k) for k in ks]
-        self._group = {n: i for i, n in enumerate(files)}
-        self._bit_group = np.array([self._group[n] for n in self.demand.requests])
+        group = {n: i for i, n in enumerate(files)}
+        steps = np.eye(len(ks), dtype=np.int64)[[group[n] for n in self.demand.requests]]
+        comp = _mask_sums(steps)
+        return group, np.array(ks), comp, comp.sum(axis=1)
 
     def kept(self, file: int) -> np.ndarray:
-        """The file's kept fractions over masks 0..2^K - 1 (zeros if unrequested),
-        read at its class representative's columns: swapping two groups of
-        equal size maps the orbits of one onto those of the other."""
-        i = self._group.get(file)
+        """The file's kept fractions over masks 0..2^K - 1 (zeros if unrequested)."""
+        group, ks, comp, size = self._tables
+        i = group.get(file)
         if i is None:
             return np.zeros(1 << self.demand.K)
-        rep = self._ks.index(self._ks[i])
-        strides = self._lay.strides.copy()
-        strides[[i, rep]] = strides[[rep, i]]
-        comp = _mask_sums(strides[self._bit_group])
-        return self.y[self._lay.column[self._row[i], comp]]
+        used = np.flatnonzero(comp[1:, i] < ks[i]) + 1  # masks whose piece a message uses
+        a = comp[used]
+        a[:, i] += 1
+        moved = used[~_coded(ks, a)]
+        x = self.profile.fractions
+        out = x[size]
+        out[moved] = 0.0
+        counts = np.bincount(size[moved], minlength=x.shape[0])
+        out[0] = sum((counts[1:] * x[1:]).tolist(), x[0])  # summed by size, ascending
+        return out
+
+
+def _coded(ks: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Whether each message composition a (rows, a <= ks elementwise) is
+    sent coded: t(a) = sum_j a_j / (k_j - a_j + 1) >= 1, ties included.
+    Evaluated in integers as sum_j a_j prod_{l != j} d_l >= prod_l d_l with
+    d = ks - a + 1 >= 1; every product is at most prod_l (k_l + 1) <= 2^K."""
+    d = ks - a + 1
+    full = d.prod(axis=-1, keepdims=True)
+    return (a * (full // d)).sum(axis=-1) >= full[..., 0]
 
 
 def _mask_sums(steps) -> np.ndarray:
     """For every mask 0..2^len(steps) - 1, the sum of steps[b] over its set bits b."""
-    out = np.zeros(1 << len(steps), dtype=np.int64)
+    steps = np.asarray(steps, dtype=np.int64)
+    out = np.zeros((1 << len(steps),) + steps.shape[1:], dtype=np.int64)
     for b, step in enumerate(steps):
         out[1 << b:2 << b] = out[:1 << b] + step
     return out
@@ -209,9 +209,7 @@ class _Layout:
     sorted orbit order.  Each y column has one nonzero in E, in its own
     group-size class row; epigraph row r reads y[a_y[r]] - z[a_z[r]] <= 0.
     Column j is capped at x[size[j]], with x[0] read as 1 (a z column
-    takes its members' cap).  ``column[r, i]`` is the y column of class
-    row r's first group at composition i, which is sum(a * strides) for
-    counts a.  All arrays are read-only.
+    takes its members' cap).  All arrays are read-only.
     """
 
     c: np.ndarray
@@ -221,8 +219,6 @@ class _Layout:
     e_w: np.ndarray
     a_y: np.ndarray
     a_z: np.ndarray
-    column: np.ndarray
-    strides: np.ndarray
 
 
 def _row_numbers(rows: np.ndarray):
@@ -304,8 +300,6 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
         e_w=np.bincount(column, weights=np.tile(weight, len(classes)), minlength=n_y),
         a_y=members[keep],
         a_z=n_y + np.repeat(np.arange(zs.shape[0]), keep.sum(axis=1)),
-        column=column.reshape(len(classes), ncomp),
-        strides=strides,
     )
     for arr in vars(layout).values():
         if isinstance(arr, np.ndarray):
@@ -314,9 +308,11 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
 
 
 def adaptive_plan(p: PlacementProfile, d: DemandVector):
-    """Optimal per-(file, subset) transfer plan by linear programming.
+    """The adaptive transfer plan and its rate, by linear programming.
 
-    Returns (TransferPlan, rate).  The LP minimizes
+    Returns (TransferPlan, rate).  The plan is the t(a) >= 1 keep rule
+    (see ``TransferPlan``), an optimum of the LP the rate comes from.  The
+    LP minimizes
 
         sum_{n in D} y_n(empty) + sum_{|S| >= 2} max_{k in S} y_{d_k}(S \\ {k})
 
@@ -360,9 +356,7 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
 
     x_all = np.zeros(n)
     x_all[live] = sol.assignment
-    # clipped into [0, cap]: orbits capped at 0 keep exactly nothing
-    y = np.minimum(np.maximum(x_all[:n_y], 0.0), hi[:n_y])
-    return TransferPlan(demand=d, profile=p, y=y), float(lay.c @ x_all)
+    return TransferPlan(demand=d, profile=p), float(lay.c @ x_all)
 
 
 # --- bit-level realization -------------------------------------------------

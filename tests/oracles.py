@@ -1,5 +1,6 @@
 """Reference implementations shared by several test modules."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, prod
@@ -28,22 +29,65 @@ def peak_rate_decentralized(K: int, m_ratio: float) -> float:
     return K * (1.0 - q) * (1.0 - (1.0 - q) ** K) / (K * q)
 
 
+def split_cost(ks, a) -> Fraction:
+    """t(a) = sum_i a_i / (k_i - a_i + 1), exactly: what a coded message
+    with a_i members in requester group i (of size k_i) costs when its
+    pieces go uncoded instead, as piece (i, a - e_i) serves the
+    k_i - a_i + 1 members of group i outside its subset."""
+    return sum((Fraction(ai, k - ai + 1) for k, ai in zip(ks, a)), Fraction(0))
+
+
+@functools.cache
+def _sent(ks: tuple, a: tuple) -> bool:
+    return split_cost(ks, a) >= 1
+
+
 def adaptive_coefficients(ks) -> list[Fraction]:
     """Exact coefficients of the adaptive rate, sum_s x_s coeff[s] over
     subset sizes s = 0..K, for requester group sizes ks.
 
     A coded message to s + 1 caches with a_j members in group j, one of
     prod_j C(k_j, a_j) such messages, is either sent (cost 1) or its pieces
-    go uncoded, where piece (i, a - e_i) serves the k_i - a_i + 1 members
-    of group i outside its subset: cost t(a) = sum_i a_i / (k_i - a_i + 1).
-    Each message costs the cheaper of the two.
+    go uncoded (cost ``split_cost``).  Each message costs the cheaper of
+    the two.
     """
     coeff = [Fraction(0)] * (sum(ks) + 1)
     for a in itertools.product(*(range(k + 1) for k in ks)):
         if any(a):
-            t = sum(Fraction(ai, k - ai + 1) for k, ai in zip(ks, a))
-            coeff[sum(a) - 1] += prod(comb(k, ai) for k, ai in zip(ks, a)) * min(Fraction(1), t)
+            coeff[sum(a) - 1] += (prod(comb(k, ai) for k, ai in zip(ks, a))
+                                  * min(Fraction(1), split_cost(ks, a)))
     return coeff
+
+
+def adaptive_kept(x, requests, file) -> list[float]:
+    """The adaptive plan's kept fractions of file over masks 0..2^K - 1,
+    mask by mask: the piece at mask S keeps x_|S| if no message uses it
+    (every requester of file is in S) or its message orbit, the
+    composition of S plus the piece's own requester, has split_cost >= 1;
+    otherwise it keeps 0.  Mask 0 keeps x_0 plus, over sizes s ascending,
+    the number of moved masks of size s times x_s.  x is a list of floats.
+    """
+    K = len(requests)
+    groups = sorted(set(requests))
+    ks = [requests.count(n) for n in groups]
+    gmasks = [sum(1 << k for k, r in enumerate(requests) if r == n) for n in groups]
+    kept = [0.0] * (1 << K)
+    if file not in groups:
+        return kept
+    i = groups.index(file)
+    moved = [0] * (K + 1)
+    for mask in range(1, 1 << K):
+        a = [(mask & g).bit_count() for g in gmasks]
+        a[i] += 1
+        size = mask.bit_count()
+        if a[i] > ks[i] or _sent(tuple(ks), tuple(a)):
+            kept[mask] = x[size]
+        else:
+            moved[size] += 1
+    kept[0] = x[0]
+    for s in range(1, K + 1):
+        kept[0] += moved[s] * x[s]
+    return kept
 
 
 def sample_demands(model, count: int, burn_in: int, seed) -> np.ndarray:

@@ -408,23 +408,35 @@ def test_verify_defaults_to_twenty_spot_checks(tmp_path):
     assert len(lines) == 20 * 3 + 1  # 20 demands x 3 schemes, then the verdict
 
 
-@pytest.mark.parametrize("flags, digest", [
+@pytest.mark.parametrize("flags, digest, builds", [
     (["--K", "6", "--N", "10", "--m-ratio", "0.35", "--F", "500",
       "--placement", "centralized", "--seed", "0"],
-     "754eb68c11fe7c56ea8401c6553e1677f46ef735b79aefbf81620cf80951f425"),
+     "754eb68c11fe7c56ea8401c6553e1677f46ef735b79aefbf81620cf80951f425", 20),
     (["--K", "5", "--N", "8", "--m-ratio", "0.3", "--F", "20", "--placement", "lp", "--seed", "1"],
-     "9e9e55a5401580b948b7d2c5ae0ac6830c02b52506fe14988cc9e40fea3e4e4d"),
+     "9e9e55a5401580b948b7d2c5ae0ac6830c02b52506fe14988cc9e40fea3e4e4d", 22),
     (["--K", "4", "--N", "6", "--m-ratio", "0.3", "--F", "3",
       "--placement", "decentralized", "--seed", "2"],
-     "cf7c2fc9cd3eea0464d905cb62311b790d5168e4c90a9a44e7ab169ca4d48268"),
+     "cf7c2fc9cd3eea0464d905cb62311b790d5168e4c90a9a44e7ab169ca4d48268", 20),
 ], ids=["centralized", "lp", "decentralized"])
-def test_verify_bytes_are_pinned(tmp_path, flags, digest):
+def test_verify_bytes_are_pinned(tmp_path, monkeypatch, flags, digest, builds):
     # Twenty demands under all three schemes per placement, with F from
     # well above 2^K down to F < 2^K. The digests were recorded at commit
     # 8f8e186, so a plan or schedule change that moves one symbol fails here.
+    # The build counts pin, summed over the demands, how many of each
+    # demand's three plans are distinct: an adaptive plan that moves
+    # nothing is the profile's, bit for bit, and shares its schedule.
+    built = []
+    build = cli.build_messages
+
+    def counting_build(pm, plan, d):
+        built.append(d)
+        return build(pm, plan, d)
+
+    monkeypatch.setattr(cli, "build_messages", counting_build)
     report = tmp_path / "verify.txt"
     assert main(["verify", *flags, "--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert len(built) == builds
 
 
 def test_verify_requires_symbol_count(capsys):
@@ -513,8 +525,8 @@ def _same_plan(a, b):
     (["--K", "4", "--m-ratio", "0.5", "--demands", "1,2,3,4"], [1]),
     # L = 2 < K/2: the three schemes keep three different plans
     (["--K", "5", "--m-ratio", "0.3", "--demands", "1,1,1,1,2"], [3]),
-    # twenty random demands of both kinds; the adaptive plan of some
-    # differs from the others by float noise only, which is distinct too
+    # twenty random demands of both kinds: where every message is worth
+    # sending, the adaptive plan is the profile's fractions bit for bit
     (["--K", "5", "--m-ratio", "0.3", "--seed", "0"], None),
 ], ids=["shared", "distinct", "seeded"])
 @pytest.mark.parametrize("broken", [False, True], ids=["pass", "fail"])

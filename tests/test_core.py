@@ -1,10 +1,15 @@
 """Domain types and combinatorial helpers, and the package's public names."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cachecast
 import cachecast.core as core
+from cachecast import delivery
 from cachecast.core import (
     DemandVector,
     RedundancyPattern,
@@ -133,3 +138,19 @@ def test_public_names_are_pinned():
         "zipf_pmf",
     ]
     assert all(hasattr(cachecast, name) for name in cachecast.__all__)
+
+
+def test_traced_names_stay_plain_functions():
+    # perfbench's tracer wraps these attributes from outside and refuses
+    # anything but a plain function, so a src/ change that turns one into
+    # a class, a partial or a bound method breaks every traced benchmark
+    # run; TransferPlan must stay a class for _plan_accessor's isinstance
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.targets()
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert inspect.isfunction(inspect.getattr_static(owner, attr)), (owner, attr, name)
+    assert isinstance(inspect.getattr_static(delivery, "TransferPlan"), type)

@@ -42,10 +42,12 @@ from cachecast.placement import (
 
 from oracles import (
     adaptive_coefficients,
+    adaptive_kept,
     hand_reduced,
     peak_rate_centralized,
     peak_rate_decentralized,
     pieces,
+    split_cost,
 )
 
 
@@ -403,38 +405,111 @@ def test_canonical_demand():
     assert redundancy_pattern(d).counts == (3, 2, 1)
 
 
+def check_plan_against_lp(prof, d, where):
+    """The plan of adaptive_plan(prof, d) is the t(a) >= 1 keep rule: bit
+    for bit the exact oracle's (oracles.adaptive_kept), within 1e-9 of the
+    unreduced LP's own optimum pair by pair, a partition of every file
+    within the caps, and it costs the LP's rate to 1e-9 pair by pair."""
+    K = d.K
+    plan, rate = adaptive_plan(prof, d)
+    x = prof.fractions
+    files = set(d.requests)
+    kept = {file: plan.kept(file) for file in files}
+    for file in files:
+        assert np.array_equal(kept[file], adaptive_kept(x.tolist(), d.requests, file)), \
+            (where, file)
+        assert abs(kept[file].sum() - 1.0) <= 1e-9, (where, file)
+    for (file, mask), y in eager_fractions(prof, d).items():
+        assert abs(kept[file][mask] - y) <= 1e-9, (where, file, mask)
+        cap = 1.0 if mask == 0 else float(x[mask.bit_count()])
+        assert 0.0 <= kept[file][mask] <= cap + 1e-9, (where, file, mask)
+    # each coded message costs its longest part
+    masks = np.arange(1 << K)
+    member = (masks[:, None] >> np.arange(K) & 1).astype(bool)
+    parts = np.stack([kept[n][masks ^ (1 << k)] for k, n in enumerate(d.requests)], axis=1)
+    longest = np.where(member, parts, 0.0).max(axis=1)
+    cost = sum(kept[file][0] for file in files) + longest[member.sum(axis=1) >= 2].sum()
+    assert cost == pytest.approx(rate, abs=1e-9), where
+
+
 def test_lazy_plan_matches_eager_expansion():
+    # The LP is not the plan's source, so the plan meets the LP's optimum
+    # to rounding (1e-9) and the exact oracle bit for bit.
     rng = np.random.default_rng(2024)
     makers = (centralized_profile, decentralized_profile, solve_placement_lp)
-    for K in range(1, 8):
+    for K in range(1, 9):
         # 0 and 1 are the edges, 2/K an integer t, 0.3 a non-integer one
         for m in sorted({0.0, 0.3, min(2 / K, 1.0), 1.0}):
             for maker in makers:
                 prof = maker(K, m)
-                x = prof.fractions
                 for L in range(1, K + 1):
                     for pattern in partitions_into_parts(K, L):
                         # scattered requester groups and file labels
                         reqs = [f + 10 for f in canonical_demand(pattern).requests]
                         d = DemandVector(tuple(reqs[i] for i in rng.permutation(K)))
-                        plan, rate = adaptive_plan(prof, d)
-                        eager = eager_fractions(prof, d)
-                        where = (K, m, maker.__name__, pattern.counts)
-                        kept = {file: plan.kept(file) for file in set(d.requests)}
-                        for (file, mask), y in eager.items():
-                            assert kept[file][mask] == y, (where, file, mask)  # bit for bit
-                            cap = 1.0 if mask == 0 else float(x[mask.bit_count()])
-                            assert -1e-9 <= y <= cap + 1e-7, (where, file, mask)
-                        for file in set(d.requests):
-                            total = sum(eager[(file, mask)] for mask in range(1 << K))
-                            assert abs(total - 1.0) <= 1e-6, where
-                        # the pair-level plan costs what the LP reported
-                        cost = sum(eager[(file, 0)] for file in set(d.requests))
-                        for mask in range(1 << K):
-                            if mask.bit_count() >= 2:
-                                cost += max(eager[(d.requests[k - 1], mask & ~(1 << (k - 1)))]
-                                            for k in range(1, K + 1) if mask >> (k - 1) & 1)
-                        assert cost == pytest.approx(rate, abs=1e-9), where
+                        check_plan_against_lp(prof, d, (K, m, maker.__name__, pattern.counts))
+
+
+def test_keep_rule_matches_the_lp_at_the_cap():
+    rng = np.random.default_rng(12)
+    patterns = [pattern for L in range(1, 13) for pattern in partitions_into_parts(12, L)]
+    for pick in rng.choice(len(patterns), size=6, replace=False).tolist():
+        pattern = patterns[pick]
+        d = DemandVector(tuple(rng.permutation(canonical_demand(pattern).requests).tolist()))
+        for prof in (centralized_profile(12, 0.1), decentralized_profile(12, 0.3)):
+            check_plan_against_lp(prof, d, (prof.scheme, pattern.counts))
+
+
+def test_keep_rule_integer_test_equals_the_exact_one():
+    # t(a) >= 1 on every composition of every pattern with K <= 12
+    seen = 0
+    for pattern in _patterns_up_to(12):
+        ks = pattern.counts
+        comps = np.indices([k + 1 for k in ks]).reshape(len(ks), -1).T
+        coded = delivery._coded(np.array(ks), comps).tolist()
+        assert coded == [split_cost(ks, a) >= 1 for a in comps.tolist()], ks
+        seen += len(coded)
+    assert seen > 20_000
+
+
+def test_keep_rule_ties_keep():
+    # pattern (2, 2): a = (1, 1) has t = 1/2 + 1/2 = 1, a tie, and keeps
+    prof = centralized_profile(4, 0.25)  # x_1 = 1/4, all else 0
+    plan, _ = adaptive_plan(prof, DemandVector((1, 1, 2, 2)))
+    assert delivery._coded(np.array([2, 2]), np.array([[1, 1]])).tolist() == [True]
+    # file 1's piece at cache 3's bit serves message {1, 3} or {2, 3}
+    assert plan.kept(1)[0b0100] == plan.kept(2)[0b0001] == 0.25
+    assert plan.kept(1)[0] == 0.0
+    # pattern (4, 4): a = (2, 0) has t = 2/3, so file 1's piece at one of
+    # its own requesters moves to the uncoded part, while at two of them
+    # a = (3, 0) has t = 3/2 and the piece keeps x_2
+    prof = decentralized_profile(8, 0.3)  # every x_s > 0
+    plan, _ = adaptive_plan(prof, canonical_demand(RedundancyPattern((4, 4))))
+    assert delivery._coded(np.array([4, 4]), np.array([[2, 0], [3, 0]])).tolist() == [False, True]
+    kept = plan.kept(1)
+    assert kept[0b0000_0001] == 0.0
+    assert kept[0b0000_0011] == prof.fractions[2]
+
+
+def test_adaptive_plan_keeps_the_profile_where_every_message_is_sent():
+    # Where every message orbit has t(a) >= 1 (as at L = K), the plan moves
+    # nothing and its fractions are the profile's, bit for bit, so verify
+    # shares one schedule between the adaptive and the nonadaptive plan.
+    sent = [pattern for pattern in _patterns_up_to(8)
+            if all(split_cost(pattern.counts, a) >= 1
+                   for a in itertools.product(*(range(k + 1) for k in pattern.counts))
+                   if sum(a) >= 2)]
+    assert {(1,) * K for K in range(1, 9)} < {p.counts for p in sent}
+    assert (4, 4) not in {p.counts for p in sent}
+    makers = (centralized_profile, decentralized_profile, solve_placement_lp)
+    for pattern in sent:
+        K = pattern.K
+        d = canonical_demand(pattern)
+        for prof in [maker(K, m) for maker in makers for m in (0.1, 0.3, 0.55, 0.8)]:
+            plan, _ = adaptive_plan(prof, d)
+            by_mask = prof.fractions[[mask.bit_count() for mask in range(1 << K)]]
+            for file in set(d.requests):
+                assert np.array_equal(plan.kept(file), by_mask), (pattern.counts, prof.scheme)
 
 
 def _capture_solves(monkeypatch):
@@ -452,22 +527,19 @@ def _capture_solves(monkeypatch):
 
 def check_against_full_lp(seen, prof, d):
     """adaptive_plan hands solve the full builder's LP without its fixed
-    columns, emptied rows and implied singleton rows, and its value and
-    plan equal those of the unreduced full LP, solved as it is."""
+    columns, emptied rows and implied singleton rows, and its value equals
+    that of the unreduced full LP, solved as it is."""
     seen.clear()
-    plan, rate = adaptive_plan(prof, d)
+    _, rate = adaptive_plan(prof, d)
     assert len(seen) == 1  # one solve per plan
     lp, sol = seen[0]
-    ref, var_index = full_adaptive_lp(prof, d)
+    ref, _ = full_adaptive_lp(prof, d)
     reduced = hand_reduced(ref)
     for name in ("c", "E", "f", "A", "b", "lo", "hi"):
         assert np.array_equal(getattr(lp, name), getattr(reduced, name)), name
     ref_sol = solve(ref)
     assert rate == ref_sol.value  # bit-equal
     assert np.array_equal(sol.assignment, ref_sol.assignment[ref.lo != ref.hi])
-    y = ref_sol.assignment
-    clipped = [min(max(float(y[j]), 0.0), float(ref.hi[j])) for j in range(len(var_index))]
-    assert plan.y.tolist() == clipped
 
 
 @pytest.mark.parametrize("K", range(1, 9))
@@ -600,33 +672,15 @@ def test_transfer_plan_validation():
     prof = centralized_profile(3, 1 / 3)
     d = DemandVector((1, 1, 2))  # file 1 by a group of two, file 2 by one cache
     x1 = float(prof.fractions[1])
-    # each file keeps its three singleton subsets whole and nothing else;
-    # orbit keys: (own group size, own count, other groups' (size, count) pairs)
-    col = full_adaptive_lp(prof, d)[1]
-    good = np.zeros(len(col))
-    for key in ((2, 1, ((1, 0),)), (2, 0, ((1, 1),)), (1, 1, ((2, 0),)), (1, 0, ((2, 1),))):
-        good[col[key]] = x1
-    plan = TransferPlan(demand=d, profile=prof, y=good)
+    # every message is worth sending, so each file keeps its three
+    # singleton subsets whole and nothing else
+    plan = TransferPlan(demand=d, profile=prof)
     kept1, kept2 = plan.kept(1), plan.kept(2)
     assert kept1[0b001] == kept1[0b010] == kept1[0b100] == x1
     assert kept2[0b001] == kept2[0b010] == kept2[0b100] == x1
     assert kept1[0] == 0.0
     assert kept2[0b011] == 0.0
     assert not plan.kept(3).any() and plan.kept(3).shape == (8,)  # file nobody requested
-
-    with pytest.raises(ValueError, match=f"needs {len(col)} kept fractions"):
-        TransferPlan(demand=d, profile=prof, y=good[:-1])
-
-    bad_sum = good.copy()
-    bad_sum[col[(2, 1, ((1, 0),))]] = 0.0  # file 1 no longer sums to 1
-    with pytest.raises(ValueError, match="file 1 sum to"):
-        TransferPlan(demand=d, profile=prof, y=bad_sum)
-
-    over_cap = good.copy()
-    over_cap[col[(1, 1, ((2, 0),))]] = x1 + 0.5  # mask 0b100 of file 2
-    over_cap[col[(1, 0, ((2, 1),))]] = x1 - 0.25  # masks 0b001 and 0b010 of file 2
-    with pytest.raises(ValueError, match="out of range for file 2"):
-        TransferPlan(demand=d, profile=prof, y=over_cap)
 
 
 def schedule_parts(schedule: MessageSchedule, mask: int) -> list:
