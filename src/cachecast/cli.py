@@ -86,26 +86,31 @@ class ScenarioConfig:
     """Everything needed to run one experiment.
 
     m_ratio is a list (a one-point grid for single values). Every field
-    has a command-line flag of the same name (underscores as dashes).
+    has a command-line flag of the same name (underscores as dashes),
+    with the help text of its metadata.
     """
 
     K: int
     N: int = 1000
-    m_ratio: list = field(default_factory=list)
-    placement: str = "centralized"
-    delivery: tuple = SCHEMES
-    demands: tuple | None = None
-    pattern: tuple | None = None
+    m_ratio: list = field(default_factory=list, metadata={"help": "value or start:step:end grid"})
+    placement: str = field(default="centralized", metadata={"help": "/".join(PLACEMENTS)})
+    delivery: tuple = field(default=SCHEMES,
+                            metadata={"help": "comma-separated subset of " + ",".join(SCHEMES)})
+    demands: tuple | None = field(default=None,
+                                  metadata={"help": "comma-separated requested file indices"})
+    pattern: tuple | None = field(default=None,
+                                  metadata={"help": "comma-separated distinct-file request counts"})
     r: float = 0.0
     theta: float = 0.0
     chains: int = 5
     burn_in: int = 150
     samples: int = 1000
-    graph: str = "complete"
+    graph: str = field(default="complete", metadata={"help": "complete, or path to an edge-list file"})
     seed: int = 0
     F: int | None = None
-    out: str | None = None
-    jobs: int = 1  # only 1, so that old command lines still parse
+    out: str | None = field(default=None, metadata={"help": "output CSV path (simulate: path prefix)"})
+    # only 1, so that old command lines still parse
+    jobs: int = field(default=1, metadata={"help": "must be 1: grid points run serially"})
 
     def validate(self) -> None:
         errors = [e for e in (_type_error(f, getattr(self, f.name)) for f in fields(self)) if e]
@@ -177,9 +182,17 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _kinds(f) -> list:
+    """The type names of a field's annotation, such as ['int', 'None']."""
+    return [k.strip() for k in f.type.split("|")]
+
+
+_NUMBERS = {"int": int, "float": float}
+
+
 def _type_error(f, value) -> str | None:
     """'field: expected ...' if value does not match the field's annotation."""
-    kinds = [k.strip() for k in f.type.split("|")]
+    kinds = _kinds(f)
     if value is None and "None" in kinds:
         return None
     if kinds[0] in ("list", "tuple"):
@@ -188,7 +201,7 @@ def _type_error(f, value) -> str | None:
             return None
         want = f"a list of {_TYPE_NAMES[elem][1]}"
     else:
-        kind = {"int": int, "float": float, "str": str}[kinds[0]]
+        kind = _NUMBERS.get(kinds[0], str)
         if _has_type(value, kind):
             return None
         want = _TYPE_NAMES[kind][0]
@@ -404,10 +417,12 @@ def _run_simulate(cfg: ScenarioConfig):
 MESSAGE_SLACK = 1.0 + 1e-6
 
 
-def _message_failures(schedule, fractions) -> list:
-    """Coded messages and uncoded parts further than MESSAGE_SLACK symbols
-    from F times the plan's kept fraction, unlabelled; ``fractions`` maps
-    each requested file to its kept fractions over all masks."""
+def _message_failures(schedule, fractions) -> tuple:
+    """(the plan's cost, unlabelled failures): the cost, in files, is the
+    sum of the coded messages' and the uncoded parts' kept fractions, and
+    the failures are the coded messages and uncoded parts further than
+    MESSAGE_SLACK symbols from F times them.  ``fractions`` maps each
+    requested file to its kept fractions over all masks."""
     d, F = schedule.demand, schedule.F
     masks = np.arange(1 << d.K)
     # each coded message is as long as its longest member
@@ -421,22 +436,25 @@ def _message_failures(schedule, fractions) -> list:
     coded = (masks & (masks - 1)) != 0  # two or more members
     failures = [f"coded message {mask} has {got[mask]} symbols vs analytic {want[mask]:.6g}"
                 for mask in np.flatnonzero(coded & (np.abs(got - want) > MESSAGE_SLACK)).tolist()]
+    cost = float(longest[coded].sum())
     for n in sorted(fractions):
+        cost += fractions[n][0]
         want = F * fractions[n][0]
         got = schedule.uncoded[n][1].shape[0] if n in schedule.uncoded else 0
         if abs(got - want) > MESSAGE_SLACK:
             failures.append(f"uncoded part of file {n} has {got} symbols vs analytic {want:.6g}")
-    return failures
+    return cost, failures
 
 
 def _check_schedule(partition, plan, d: DemandVector, fractions) -> tuple:
     """Build plan's schedule for d and decode it at every cache: (achieved
-    rate, unlabelled failures), the message-length failures first, then
-    each cache's decode failure in cache order.  Each cache's view of the
-    demand's files is built just before its decode and dropped after it,
-    and the schedule is freed on return, so at most one of each is live."""
+    rate, plan cost, unlabelled failures), the message-length failures
+    first, then each cache's decode failure in cache order.  Each cache's
+    view of the demand's files is built just before its decode and
+    dropped after it, and the schedule is freed on return, so at most one
+    of each is live."""
     schedule = build_messages(partition, plan, d)
-    failures = _message_failures(schedule, fractions)
+    cost, failures = _message_failures(schedule, fractions)
     files = set(d.requests)
     for k in range(1, d.K + 1):
         try:
@@ -446,7 +464,7 @@ def _check_schedule(partition, plan, d: DemandVector, fractions) -> tuple:
             continue
         if not np.array_equal(got, partition.data[d.requests[k - 1] - 1]):
             failures.append(f"cache {k} reconstructed wrong bits")
-    return rate_of_schedule(schedule), failures
+    return rate_of_schedule(schedule), cost, failures
 
 
 def _run_verify(cfg: ScenarioConfig) -> list:
@@ -481,19 +499,22 @@ def _run_verify(cfg: ScenarioConfig) -> list:
         # the schedule, and so every check on it, depends on the plan only
         # through the requested files' kept fractions: schemes whose
         # fractions are exactly equal share one build and decode
-        checked = []  # (fractions, achieved, failures) per distinct plan
+        checked = []  # (fractions, achieved, cost, failures) per distinct plan
         for scheme in cfg.delivery:
             plan, analytic = _scheme_plan(profile, scheme, d, L)
             kept = _plan_accessor(plan, d, cfg.K)
             fractions = {n: kept(n) for n in files}
-            for seen, achieved, found in checked:
+            for seen, achieved, cost, found in checked:
                 if all(np.array_equal(seen[n], fractions[n]) for n in files):
                     break
             else:
-                achieved, found = _check_schedule(partition, plan, d, fractions)
-                checked.append((fractions, achieved, found))
+                achieved, cost, found = _check_schedule(partition, plan, d, fractions)
+                checked.append((fractions, achieved, cost, found))
             label = f"{scheme} demand {d.requests}"
             failures += [f"{label}: {text}" for text in found]
+            # the plan must cost what its scheme's analytic rate says, at any F
+            if abs(cost - analytic) > 1e-9 * max(1.0, analytic):
+                failures.append(f"{label}: plan cost {cost:.6g} vs analytic {analytic:.6g}")
             if abs(achieved - analytic) > slack:
                 failures.append(f"{label}: schedule rate {achieved:.6g} "
                                 f"vs analytic {analytic:.6g} exceeds slack {slack:.6g}")
@@ -506,22 +527,23 @@ def _run_verify(cfg: ScenarioConfig) -> list:
     return [path]
 
 
-_RUNNERS = {
-    "placement": _run_placement,
-    "rate": _run_rate,
-    "bound": _run_bound,
-    "sweep": _run_sweep,
-    "simulate": _run_simulate,
-    "verify": _run_verify,
+# subcommand -> (runner, help)
+_COMMANDS = {
+    "placement": (_run_placement, "cache-content profiles over an m-ratio grid"),
+    "rate": (_run_rate, "delivery rates for one demand vector or pattern"),
+    "bound": (_run_bound, "cutset lower bounds"),
+    "sweep": (_run_sweep, "rate curves over an m-ratio grid"),
+    "simulate": (_run_simulate, "Gibbs-sampled correlated demands and average rates"),
+    "verify": (_run_verify, "bit-level build/decode round-trip"),
 }
 
 
 def run_scenario(cfg: ScenarioConfig, command: str = "sweep"):
     """Validate cfg and run one subcommand, returning the artifact paths."""
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise ConfigError(f"command: unknown subcommand {command}")
     cfg.validate()
-    return _RUNNERS[command](cfg)
+    return _COMMANDS[command][0](cfg)
 
 
 def parse_m_ratio(text: str) -> list:
@@ -569,33 +591,13 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cachecast", description="Coded-caching rate experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("placement", "cache-content profiles over an m-ratio grid"),
-        ("rate", "delivery rates for one demand vector or pattern"),
-        ("bound", "cutset lower bounds"),
-        ("sweep", "rate curves over an m-ratio grid"),
-        ("simulate", "Gibbs-sampled correlated demands and average rates"),
-        ("verify", "bit-level build/decode round-trip"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON scenario file; flags override its values")
-        p.add_argument("--K", type=int, dest="K")
-        p.add_argument("--N", type=int, dest="N")
-        p.add_argument("--m-ratio", dest="m_ratio", help="value or start:step:end grid")
-        p.add_argument("--placement", choices=PLACEMENTS)
-        p.add_argument("--delivery", help="comma-separated subset of nonadaptive,simplified,adaptive")
-        p.add_argument("--demands", help="comma-separated requested file indices")
-        p.add_argument("--pattern", help="comma-separated distinct-file request counts")
-        p.add_argument("--r", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--chains", type=int)
-        p.add_argument("--burn-in", type=int, dest="burn_in")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--F", type=int, dest="F")
-        p.add_argument("--graph", help="complete, or path to an edge-list file")
-        p.add_argument("--out", help="output CSV path (simulate: path prefix)")
-        p.add_argument("--jobs", type=int, help="must be 1: grid points run serially")
+        for f in fields(ScenarioConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=_NUMBERS.get(_kinds(f)[0]),
+                           help=f.metadata.get("help"))
     return parser
 
 
@@ -645,10 +647,7 @@ def _config_from_args(args) -> ScenarioConfig:
     pattern = values.get("pattern")
     if isinstance(pattern, tuple) and all(_has_type(c, int) for c in pattern):
         values["pattern"] = tuple(sorted(pattern, reverse=True))
-    try:
-        return ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"config: {exc}") from None
+    return ScenarioConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -19,14 +19,15 @@ Two planners implement that idea:
 * ``simplified_plan`` transfers whole subset-size classes: every class
   up to a cutoff size (K - L) // (L + 1) moves into the uncoded part.
   This closed form is optimal among per-size-class transfer choices.
-* ``adaptive_plan`` optimizes the kept fraction y of every (file,
-  subset) pair by linear programming: minimize the total message load
-  where each coded message costs the max of its constituents and each
-  distinct file's uncoded part ships once.  The LP is solved exactly in
-  a symmetry-reduced form (caches requesting the same file are
-  interchangeable, as are files requested equally often), which keeps
-  the problem tiny even at the K = 12 enumeration cap.  Its optimal
-  plan has a closed form, message by message (``TransferPlan``).
+* ``adaptive_plan`` takes its rate from a linear program over the kept
+  fraction y of every (file, subset) pair: minimize the total message
+  load where each coded message costs the max of its constituents and
+  each distinct file's uncoded part ships once.  The LP is solved
+  exactly in a symmetry-reduced form (caches requesting the same file
+  are interchangeable, as are files requested equally often), which
+  keeps the problem tiny even at the K = 12 enumeration cap.  Its plan
+  comes from a keep rule, message by message (``TransferPlan``), which
+  is an optimum of that LP.
 
 The adaptive LP's columns and their order, its objective, class rows and
 epigraph pairs depend only on the requester group sizes, not on the
@@ -215,7 +216,7 @@ class _Layout:
     c: np.ndarray
     size: np.ndarray
     e_rows: int
-    e_at: np.ndarray  # flat index into E of each y column's entry
+    e_row: np.ndarray  # the class row of each y column's entry in E
     e_w: np.ndarray
     a_y: np.ndarray
     a_z: np.ndarray
@@ -296,7 +297,7 @@ def _layout(ks: tuple[int, ...]) -> _Layout:
         c=c,
         size=np.concatenate([size[comp], size[rep] - 1]).astype(np.int8),
         e_rows=len(classes),
-        e_at=row * n + np.arange(n_y),
+        e_row=row,
         e_w=np.bincount(column, weights=np.tile(weight, len(classes)), minlength=n_y),
         a_y=members[keep],
         a_z=n_y + np.repeat(np.arange(zs.shape[0]), keep.sum(axis=1)),
@@ -328,11 +329,9 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
         raise ValueError("profile length disagrees with demand length")
     if K > SUBSET_ENUM_CAP:
         raise ValueError(f"K > {SUBSET_ENUM_CAP} exceeds the subset enumeration cap")
-    x = np.maximum(np.asarray(p.fractions, dtype=float), 0.0)
-
     ks = tuple(_demand_groups(d)[1])
     lay = _layout(ks)
-    cap = x.copy()
+    cap = p.fractions.copy()
     cap[0] = 1.0
     hi = cap[lay.size]
     # columns capped at 0 are fixed there; an epigraph row goes with its
@@ -342,7 +341,7 @@ def adaptive_plan(p: PlacementProfile, d: DemandVector):
     n, n_y = lay.c.shape[0], lay.e_w.shape[0]
     ys = np.flatnonzero(live[:n_y])
     E = np.zeros((lay.e_rows, int(at[-1]) + 1))
-    E[lay.e_at[ys] // n, at[ys]] = lay.e_w[ys]
+    E[lay.e_row[ys], at[ys]] = lay.e_w[ys]
     rows = np.flatnonzero(live[lay.a_y])
     m = rows.shape[0]
     A = np.zeros((m, E.shape[1]))

@@ -50,6 +50,8 @@ class PlacementProfile:
             raise ValueError("profile needs entries for sizes 0..K with K >= 1")
         if not np.all(np.isfinite(self.fractions)):
             raise ValueError("profile fractions must be finite")
+        if np.any(self.fractions < 0):
+            raise ValueError("profile fractions must be nonnegative")
 
     @property
     def K(self) -> int:
@@ -82,15 +84,8 @@ def decentralized_profile(K: int, m_ratio: float) -> PlacementProfile:
     if not 0.0 <= m_ratio <= 1.0:
         raise ValueError("m_ratio must lie in [0, 1]")
     q = m_ratio
-    x = np.zeros(K + 1)
-    if q == 0.0:
-        x[0] = 1.0
-    elif q == 1.0:
-        x[K] = 1.0
-    else:
-        s = np.arange(K + 1)
-        x = q ** s * (1.0 - q) ** (K - s)
-    return PlacementProfile(x, "decentralized")
+    s = np.arange(K + 1)
+    return PlacementProfile(q ** s * (1.0 - q) ** (K - s), "decentralized")
 
 
 def solve_placement_lp(K: int, m_ratio: float) -> PlacementProfile:
@@ -133,10 +128,9 @@ def apportion(targets: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
     if deficit:
         order = np.lexsort((np.arange(targets.shape[0]), -(targets - base)))
         while deficit:
-            # one pass: a unit each to the first entries in order with room
+            # one pass: a unit each to the first entries in order with room;
+            # sum(caps) >= total leaves room for the whole deficit
             room = order[base[order] < caps[order]][:deficit]
-            if not room.size:
-                raise ValueError("caps cannot absorb the requested total")
             base[room] += 1
             deficit -= room.size
     return base

@@ -2,11 +2,15 @@
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 import json
+import shlex
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +26,12 @@ from cachecast.cli import (
     parse_m_ratio,
     run_scenario,
 )
+from cachecast.core import DemandVector
 from cachecast.demand import CorrelationModel, complete_graph, sample_chains, zipf_pmf
 from cachecast.lp import LpNumericalError, solve
-from cachecast.placement import PartitionMap
+from cachecast.placement import PartitionMap, centralized_profile, materialize_partition
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -55,6 +62,8 @@ def test_parse_m_ratio():
     for text in ("0,1", "a:b:c"):
         with pytest.raises(ConfigError, match="m_ratio:.*start:step:end"):
             parse_m_ratio(text)
+    with pytest.raises(ConfigError, match="m_ratio: empty grid"):
+        parse_m_ratio("0.5:0.1:0.2")
 
 
 def test_parse_m_ratio_refuses_non_finite_grids(tmp_path, capsys, monkeypatch):
@@ -112,12 +121,108 @@ def test_scenario_validation_aggregates_field_errors():
         run_scenario(cfg, "rate")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"N": 0}, "N: must be at least 1"),
+    ({"m_ratio": []}, "m_ratio: required"),
+    ({"placement": "sideways"}, "placement: must be one of centralized/decentralized/lp"),
+    ({"delivery": ()}, "delivery: need at least one scheme"),
+    ({"demands": (1, 31, 2)}, "demands: file indices must lie in 1..30"),
+    ({"pattern": (3, 0)}, "pattern: counts must be positive"),
+    ({"r": 1.5}, "r: must lie in [0, 1]"),
+    ({"chains": 0}, "chains: must be at least 1"),
+    ({"burn_in": -1}, "burn_in: must be nonnegative"),
+    ({"samples": 0}, "samples: must be at least 1"),
+    ({"F": 0}, "F: must be at least 1"),
+])
+def test_validation_names_the_field(change, message):
+    cfg = ScenarioConfig(**{"K": 3, "N": 30, "m_ratio": [0.2], **change})
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert str(exc.value) == message
+
+
+def test_run_scenario_refuses_an_unknown_command():
+    with pytest.raises(ConfigError, match="^command: unknown subcommand warp$"):
+        run_scenario(ScenarioConfig(K=3, m_ratio=[0.2]), "warp")
+
+
 def test_every_config_field_has_a_flag():
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     want = {f.name for f in fields(ScenarioConfig)}
     for name, parser in sub.choices.items():
         assert {a.dest for a in parser._actions} - {"help", "config"} == want, name
+
+    # the flags, their conversions and their help as the command line has
+    # always had them, read off ScenarioConfig's fields
+    assert list(sub.choices) == list(cli._COMMANDS)
+    assert [a.help for a in sub._choices_actions] == [
+        "cache-content profiles over an m-ratio grid",
+        "delivery rates for one demand vector or pattern", "cutset lower bounds",
+        "rate curves over an m-ratio grid", "Gibbs-sampled correlated demands and average rates",
+        "bit-level build/decode round-trip"]
+    ints = {"K", "N", "chains", "burn_in", "samples", "seed", "F", "jobs"}
+    helps = {"m_ratio": "value or start:step:end grid",
+             "placement": "centralized/decentralized/lp",
+             "delivery": "comma-separated subset of nonadaptive,simplified,adaptive",
+             "demands": "comma-separated requested file indices",
+             "pattern": "comma-separated distinct-file request counts",
+             "graph": "complete, or path to an edge-list file",
+             "out": "output CSV path (simulate: path prefix)",
+             "jobs": "must be 1: grid points run serially"}
+    for parser in sub.choices.values():
+        flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+        for dest, action in flags.items():
+            assert action.option_strings == ["--" + dest.replace("_", "-")]
+            kind = int if dest in ints else float if dest in ("r", "theta") else None
+            assert action.type is kind, dest
+            assert action.help == helps.get(dest) and action.choices is None, dest
+            assert action.default is None, dest
+
+
+@pytest.mark.parametrize("source", ["flag", "json"])
+def test_placement_is_checked_by_validate_alone(tmp_path, capsys, source):
+    # a flag and a config file get the same message for the same bad value
+    if source == "flag":
+        args = ["--K", "3", "--m-ratio", "0.2", "--placement", "sideways"]
+    else:
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"K": 3, "m_ratio": 0.2, "placement": "sideways"}))
+        args = ["--config", str(conf)]
+    assert main(["sweep", *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: placement: must be one of centralized/decentralized/lp\n")
+
+
+def _documented_command_lines(source):
+    """The cachecast argument lists of README's "Command line" section, or
+    of every perfbench workload job at each of its program seeds."""
+    if source == "README":
+        text = (ROOT / "README.md").read_text()
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        return [shlex.split(line)[1:] for line in section.replace("\\\n", " ").splitlines()
+                if line.startswith("cachecast ")]
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    return [argv for w in run.WORKLOADS.values() for seed in range(run.SEED_POOL)
+            for argv in w.argvs(run.program_seed(w, seed))]
+
+
+@pytest.mark.parametrize("source", ["README", "perfbench"])
+def test_documented_command_lines_parse_and_validate(source):
+    # parsed and validated, not run, so a CLI change that breaks one of
+    # them fails here and not first in the benchmark or a reader's shell
+    argvs = _documented_command_lines(source)
+    assert len(argvs) >= (6 if source == "README" else 3)
+    for argv in argvs:
+        args = cli._build_parser().parse_args(argv)
+        assert args.command in cli._COMMANDS
+        cli._config_from_args(args).validate()
 
 
 def test_placement_subcommand_writes_profile(tmp_path):
@@ -251,6 +356,26 @@ def test_sweep_with_pattern_column(tmp_path):
     assert all(row["L"] == "2" for row in rows)
 
 
+def test_sweep_writes_only_the_schemes_asked_for(tmp_path):
+    # in SCHEMES order, whatever the order of --delivery
+    out = tmp_path / "sub.csv"
+    assert main(["sweep", "--K", "4", "--N", "40", "--m-ratio", "0.1:0.2:0.3",
+                 "--delivery", "adaptive,nonadaptive", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row["scheme"] for row in rows] == ["nonadaptive", "adaptive"] * 2 * 4
+
+
+def test_gap_cell_is_blank_where_the_bound_meets_the_nonadaptive_rate(tmp_path):
+    # at m_ratio 0 every scheme sends L whole files, at 1 nothing, and in
+    # both the bound is the nonadaptive rate; integer grid points print as given
+    out = tmp_path / "edges.csv"
+    run_scenario(ScenarioConfig(K=3, N=30, m_ratio=[0, 1], pattern=(2, 1), out=str(out)), "sweep")
+    _, rows = read_csv(out)
+    assert [(row["m_ratio"], row["rate"], row["bound"]) for row in rows] == (
+        [("0", "2", "2")] * 3 + [("1", "0", "0")] * 3)
+    assert all(row["gap_reduction"] == "" for row in rows)
+
+
 def test_sweep_and_rate_agree_on_one_pattern(tmp_path):
     # sweep reads --demands as rate does, not as a request for the average
     outs = [tmp_path / f"{i}.csv" for i in range(3)]
@@ -335,6 +460,19 @@ def test_config_file_rejects_demand_mode(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"K": 3, "m_ratio": 0.2, "demand_mode": "gibbs"}))
     assert main(["simulate", "--config", str(cfg_path)]) == 1
     assert "unknown field demand_mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "config: cannot read {path}: "),
+    ('{"K": 3,', "config: invalid JSON: "),
+    ("[3, 0.2]", "config: top-level JSON value must be an object\n"),
+], ids=["unreadable", "invalid", "not-an-object"])
+def test_config_file_errors(tmp_path, capsys, content, message):
+    conf = tmp_path / "c.json"
+    if content is not None:
+        conf.write_text(content)
+    assert main(["sweep", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=conf))
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -501,6 +639,43 @@ def test_verify_checks_each_message_length(tmp_path, monkeypatch):
     assert "exceeds slack" not in text
 
 
+def test_message_check_reads_each_uncoded_part():
+    # three symbols too many in file 1's uncoded part; the plan's cost,
+    # x_1 for the one coded message, does not see the schedule
+    prof = centralized_profile(2, 0.5)
+    d = DemandVector((1, 2))
+    schedule = cli.build_messages(materialize_partition(prof, 4, 200, 0), prof.fractions, d)
+    payload, idx = schedule.uncoded[1]
+    schedule.uncoded[1] = (np.concatenate([payload, np.zeros(3, dtype=np.uint8)]),
+                           np.concatenate([idx, np.arange(3)]))
+    kept = delivery._plan_accessor(prof.fractions, d, 2)
+    assert cli._message_failures(schedule, {1: kept(1), 2: kept(2)}) == (
+        0.5, ["uncoded part of file 1 has 3 symbols vs analytic 0"])
+
+
+def test_verify_certifies_each_plan_cost_at_any_F(tmp_path, monkeypatch):
+    # at F=3 < 2^K the rate slack (2^K - K - 1 + L) / F exceeds every rate,
+    # so only the plan's cost sees an analytic rate one file too high
+    exact = cli.adaptive_plan
+
+    def inflated(profile, d):
+        plan, rate = exact(profile, d)
+        return plan, rate + 1.0
+
+    monkeypatch.setattr(cli, "adaptive_plan", inflated)
+    report = tmp_path / "verify.txt"
+    assert main(["verify", "--K", "4", "--N", "6", "--m-ratio", "0.3", "--F", "3",
+                 "--placement", "decentralized", "--seed", "2", "--out", str(report)]) == 3
+    lines = report.read_text().splitlines()
+    failures = lines[lines.index("FAIL:") + 1:]
+    assert len(failures) == 20
+    assert failures[0] == "adaptive demand (6, 2, 1, 2): plan cost 1.533 vs analytic 2.533"
+    for line in failures:
+        label, text = line.split(": ")
+        cost, analytic = (float(v) for v in text.split()[2::3])
+        assert label.startswith("adaptive demand ") and analytic - cost == pytest.approx(1.0)
+
+
 def test_verify_refuses_an_m_ratio_grid(tmp_path, capsys):
     # verify runs one placement; a grid used to verify its first point only
     report = tmp_path / "verify.txt"
@@ -659,6 +834,14 @@ def test_verify_rate_slack_is_the_rounding_bound(tmp_path, monkeypatch):
                  "--F", "1000", "--demands", "1,2", "--out", str(report)])
     assert code == 3
     assert "exceeds slack 0.003" in report.read_text()
+
+
+def test_simulate_without_out_writes_into_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--K", "3", "--N", "12", "--chains", "1", "--burn-in", "5",
+                 "--samples", "10", "--m-ratio", "0.2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "simulate_rates.csv", "simulate_samples.csv", "simulate_stats.csv"]
 
 
 def test_simulate_writes_three_artifacts(tmp_path, capsys):

@@ -89,6 +89,16 @@ def test_distinct_counts_in_blocks_match_one_block(monkeypatch):
     assert whole[2].shape == () and whole[3].shape == (0,)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: RedundancyPattern(()), "pattern needs at least one part"),
+    (lambda: partitions_into_parts(0, 1), "partitions_into_parts needs K, L >= 1"),
+    (lambda: partitions_into_parts(3, 0), "partitions_into_parts needs K, L >= 1"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_partitions_into_parts_enumeration():
     nine_three = [p.counts for p in partitions_into_parts(9, 3)]
     assert nine_three == [
@@ -100,6 +110,7 @@ def test_partitions_into_parts_enumeration():
         (4, 3, 2),
         (3, 3, 3),
     ]
+    assert partitions_into_parts(2, 3) == []  # more parts than units
 
 
 def test_partitions_into_parts_counts():

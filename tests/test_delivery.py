@@ -1,6 +1,7 @@
 """Delivery rates: closed forms, transfer plans, and bit-level schedules."""
 
 import itertools
+import re
 from collections import Counter
 from math import comb
 
@@ -792,7 +793,7 @@ def test_bit_level_round_trip_property(K, data):
         plan, _ = _scheme_plan(prof, scheme, d, L)
         schedule = roundtrip(pm, plan, d)
         kept = _plan_accessor(plan, d, K)
-        assert _message_failures(schedule, {n: kept(n) for n in set(requests)}) == []
+        assert _message_failures(schedule, {n: kept(n) for n in set(requests)})[1] == []
 
 
 def test_roundtrip_identity_plan_matches_nonadaptive_rate():
@@ -932,6 +933,31 @@ def test_decode_error_order():
     assert_decode_error(pm, d, schedule, 1, f"conflicting reconstruction at symbol {first}")
     schedule.kept[1] = kept[1]
     assert_decode_error(pm, d, schedule, 1, "cache 1 lacks side information for message 5")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transfer_cutoff(3, 0), "need 1 <= L <= K"),
+    (lambda: rate_nonadaptive(centralized_profile(3, 0.5), 2, 4), "profile length disagrees with K"),
+    (lambda: simplified_plan(centralized_profile(3, 0.5), 4, 3), "need 1 <= L <= K"),
+    (lambda: adaptive_plan(centralized_profile(3, 0.5), DemandVector((1, 2))),
+     "profile length disagrees with demand length"),
+    (lambda: adaptive_plan(centralized_profile(13, 0.1), DemandVector(tuple(range(1, 14)))),
+     "K > 12 exceeds the subset enumeration cap"),
+    (lambda: _plan_accessor(TransferPlan(DemandVector((1, 1, 2)), centralized_profile(3, 0.5)),
+                            DemandVector((1, 2, 2)), 3),
+     "transfer plan was built for a different demand vector"),
+    (lambda: _plan_accessor(np.ones(3), DemandVector((1, 2, 2)), 3),
+     "per-size plan needs one fraction per subset size 0..K"),
+    (lambda: build_messages(_one_third_schedule()[0], np.ones(4), DemandVector((1, 2))),
+     "demand length disagrees with the partition map"),
+    (lambda: build_messages(_one_third_schedule()[0], np.ones(4), DemandVector((1, 2, 5))),
+     "demand requests a file beyond the library"),
+    (lambda: decode(4, {}, _one_third_schedule()[2]), "cache index out of range"),
+], ids=["cutoff-L", "rate-K", "simplified-L", "adaptive-K", "adaptive-cap", "plan-demand",
+        "per-size-length", "build-K", "build-library", "decode-cache"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_decode_rejects_a_part_longer_than_its_payload():

@@ -81,6 +81,16 @@ def test_popularity_validation():
             CorrelationModel(adjacency=good, r=0.5, popularity=np.array(pmf))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: complete_graph(0),
+    lambda: CorrelationModel(adjacency=np.zeros((0, 0), dtype=bool), r=0.5,
+                             popularity=zipf_pmf(4, 0.0)),
+], ids=["graph", "model"])
+def test_no_caches_is_refused(call):
+    with pytest.raises(ValueError, match="^need at least one cache$"):
+        call()
+
+
 def test_correlation_model_validation():
     pop = zipf_pmf(4, 0.0)
     good = complete_graph(3)

@@ -299,6 +299,19 @@ def test_shape_validation():
         )
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"f": np.ones(2)}, "E and f disagree on the number of equality rows"),
+    ({"b": np.zeros(1)}, "A and b disagree on the number of inequality rows"),
+    ({"lo": np.zeros(3)}, "bounds must have one entry per variable"),
+    ({"hi": np.ones(1)}, "bounds must have one entry per variable"),
+])
+def test_row_and_bound_counts_must_match(change, message):
+    shape = {"c": np.ones(2), "E": np.ones((1, 2)), "f": np.ones(1), "A": np.zeros((0, 2)),
+             "b": np.zeros(0), "lo": np.zeros(2), "hi": np.ones(2)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LinearProgram(**{**shape, **change})
+
+
 def test_solve_reports_violated_emptied_rows():
     # x_0 is fixed at 1, so x_0 = 2 and x_0 <= 0.5 lose their only variable
     eq = LinearProgram(c=[1.0, 1.0], E=[[1.0, 0.0], [1.0, 1.0]], f=[2.0, 3.0],

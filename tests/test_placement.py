@@ -1,5 +1,6 @@
 """Placement profiles, the placement LP, and bit-level materialization."""
 
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cachecast.placement import (
     SUBSET_ENUM_CAP,
+    PlacementProfile,
     apportion,
     centralized_profile,
     decentralized_profile,
@@ -122,6 +124,28 @@ def test_decentralized_profile_matches_power_form():
 def test_decentralized_edges():
     assert decentralized_profile(4, 0.0).fractions[0] == pytest.approx(1.0)
     assert decentralized_profile(4, 1.0).fractions[4] == pytest.approx(1.0)
+    # the power form puts all mass at one end, exactly and with +0.0 elsewhere
+    for K in range(1, SUBSET_ENUM_CAP + 1):
+        for q, end in ((0.0, 0), (1.0, K)):
+            x = decentralized_profile(K, q).fractions
+            assert x.tobytes() == np.eye(K + 1)[end].tobytes(), (K, q)
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ([1.0], "profile needs entries for sizes 0..K with K >= 1"),
+    ([0.5, np.nan, 0.25], "profile fractions must be finite"),
+    # kept as given by the adaptive plan, while its LP clipped it at 0:
+    # rate 0.5 for demand (1, 1, 2), against 1.05 for the other schemes
+    ([0.5, -0.05, 0.2, 0.25], "profile fractions must be nonnegative"),
+])
+def test_profile_checks(fractions, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PlacementProfile(fractions, "x")
+
+
+def test_profile_accepts_negative_zero():
+    # the LP's clip at 0 may leave -0.0, which is no negative fraction
+    assert PlacementProfile([1.0, -0.0, 0.0], "lp").K == 2
 
 
 def test_profiles_validate():
