@@ -19,6 +19,8 @@ import numpy as np
 
 from .core import distinct_counts
 
+__all__ = ["average_bound", "cutset_bound", "gap_reduction"]
+
 GAP_TOL = 1e-12
 
 

@@ -655,9 +655,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         run_scenario(cfg, args.command)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (LpNumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["DemandVector", "RedundancyPattern", "partitions_into_parts", "redundancy_pattern",
+           "redundancy_patterns"]
+
 
 @dataclass(frozen=True)
 class DemandVector:

@@ -67,6 +67,10 @@ from .core import DemandVector, RedundancyPattern
 from .lp import LinearProgram, LpNumericalError, solve
 from .placement import PartitionMap, PlacementProfile, SUBSET_ENUM_CAP, apportion
 
+__all__ = ["DecodeError", "Message", "MessageSchedule", "TransferPlan", "adaptive_plan",
+           "build_messages", "canonical_demand", "decode", "rate_nonadaptive",
+           "rate_of_schedule", "simplified_plan", "transfer_cutoff"]
+
 
 class DecodeError(RuntimeError):
     """A cache could not reconstruct its file from schedule + storage."""

@@ -53,6 +53,9 @@ import numpy as np
 
 from .core import DemandVector, distinct_counts
 
+__all__ = ["CorrelationModel", "DemandStats", "complete_graph", "empirical_stats", "epsr",
+           "load_edge_list", "mean_request_index", "sample_chains", "zipf_pmf"]
+
 PMF_TOL = 1e-12
 BLOCK = 1 << 10  # uniforms per rng.random call of the chain kernel
 

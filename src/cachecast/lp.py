@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["LpNumericalError"]
+
 FEAS_TOL = 1e-9   # constraint / bound residual tolerance
 OPT_TOL = 1e-9    # reduced-cost optimality tolerance
 PIVOT_TOL = 1e-10  # entries smaller than this never pivot

@@ -32,6 +32,9 @@ import numpy as np
 
 from .lp import LinearProgram, LpNumericalError, solve
 
+__all__ = ["PartitionMap", "PlacementProfile", "centralized_profile", "decentralized_profile",
+           "materialize_partition", "solve_placement_lp"]
+
 # bit-level work enumerates all 2^K subsets; masks are uint8 up to K = 8
 # and uint16 up to this cap
 SUBSET_ENUM_CAP = 12

@@ -3,12 +3,12 @@
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
 from cachecast.bounds import cutset_bound
-from cachecast.core import DemandVector
+from cachecast.core import DemandVector, partitions_into_parts
 from cachecast.demand import DemandStats, _sample
 from cachecast.lp import FEAS_TOL, LinearProgram
 
@@ -88,6 +88,35 @@ def adaptive_kept(x, requests, file) -> list[float]:
     for s in range(1, K + 1):
         kept[0] += moved[s] * x[s]
     return kept
+
+
+def iid_pattern_law(K: int, pmf) -> dict[tuple, float]:
+    """P(pattern) of K i.i.d. requests from pmf, for every partition of K.
+
+    A pattern (l_1, .., l_L) has probability K! / prod_i l_i! times the
+    monomial symmetric sum over distinct-file assignments of its parts,
+    sum prod_i pmf[f_i] ** l_i.  The sum is a DP over files whose state is
+    the multiset of parts not yet placed: each file takes no part or one
+    part of a value still left, so every assignment is counted once.  A
+    pattern with more parts than files has probability 0.
+    """
+    pmf = np.asarray(pmf, dtype=float).tolist()
+    law = {}
+    for L in range(1, K + 1):
+        for pattern in partitions_into_parts(K, L):
+            parts = pattern.counts
+            states = {parts: 1.0}
+            for p in pmf:
+                nxt = dict(states)
+                for left, w in states.items():
+                    for v in set(left):
+                        i = left.index(v)
+                        rest = left[:i] + left[i + 1:]
+                        nxt[rest] = nxt.get(rest, 0.0) + w * p**v
+                states = nxt
+            law[parts] = (factorial(K) / prod(factorial(v) for v in parts)
+                          * states.get((), 0.0))
+    return law
 
 
 def sample_demands(model, count: int, burn_in: int, seed) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, config handling, and exit codes."""
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -202,6 +204,14 @@ def _documented_command_lines(source):
         section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
         return [shlex.split(line)[1:] for line in section.replace("\\\n", " ").splitlines()
                 if line.startswith("cachecast ")]
+    run = _perfbench_run()
+    return [argv for w in run.WORKLOADS.values() for seed in range(run.SEED_POOL)
+            for argv in w.argvs(run.program_seed(w, seed))]
+
+
+@functools.cache
+def _perfbench_run():
+    """perfbench/run.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = run  # its dataclasses look their module up there
@@ -209,8 +219,7 @@ def _documented_command_lines(source):
         spec.loader.exec_module(run)
     finally:
         del sys.modules[spec.name]
-    return [argv for w in run.WORKLOADS.values() for seed in range(run.SEED_POOL)
-            for argv in w.argvs(run.program_seed(w, seed))]
+    return run
 
 
 @pytest.mark.parametrize("source", ["README", "perfbench"])
@@ -223,6 +232,27 @@ def test_documented_command_lines_parse_and_validate(source):
         args = cli._build_parser().parse_args(argv)
         assert args.command in cli._COMMANDS
         cli._config_from_args(args).validate()
+
+
+BENCH_REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("workload, seed", [
+    (name, seed) for name, digests in BENCH_REFERENCE.items() if isinstance(digests, dict)
+    for seed in digests])
+def test_benchmark_outputs_match_reference(workload, seed, tmp_path, monkeypatch):
+    # every benchmark job, run in-process as perfbench runs it in a child
+    # (stderr to call{i}.err), must reproduce its recorded output digest
+    # and pass its workload's output checks
+    run = _perfbench_run()
+    w = run.WORKLOADS[workload]
+    monkeypatch.chdir(tmp_path)
+    for i, argv in enumerate(w.argvs(None if seed == "None" else int(seed))):
+        with open(tmp_path / f"call{i}.err", "w") as err, contextlib.redirect_stderr(err):
+            assert main(argv) == 0, argv
+    assert run.output_digest(tmp_path, w.outputs) == BENCH_REFERENCE[workload][seed]
+    if w.check is not None:
+        assert w.check(tmp_path) == []
 
 
 def test_placement_subcommand_writes_profile(tmp_path):

@@ -135,20 +135,34 @@ def test_public_names_are_pinned():
     # only for tests
     assert sorted(cachecast.__all__) == [
         "CorrelationModel", "DecodeError", "DemandStats", "DemandVector",
-        "LinearProgram", "LpNumericalError", "LpSolution", "Message",
-        "MessageSchedule", "PartitionMap", "PlacementProfile",
-        "RedundancyPattern", "TransferPlan",
-        "adaptive_plan", "apportion", "average_bound", "build_messages",
+        "LpNumericalError", "Message", "MessageSchedule", "PartitionMap",
+        "PlacementProfile", "RedundancyPattern", "TransferPlan",
+        "adaptive_plan", "average_bound", "build_messages",
         "canonical_demand", "centralized_profile", "complete_graph",
-        "conditional_pmf", "cutset_bound", "decentralized_profile", "decode",
-        "empirical_stats", "epsr", "gap_reduction", "gibbs_sweep",
+        "cutset_bound", "decentralized_profile", "decode",
+        "empirical_stats", "epsr", "gap_reduction",
         "load_edge_list", "materialize_partition", "mean_request_index",
         "partitions_into_parts", "rate_nonadaptive", "rate_of_schedule",
         "redundancy_pattern", "redundancy_patterns", "sample_chains",
-        "simplified_plan", "solve", "solve_placement_lp", "transfer_cutoff",
+        "simplified_plan", "solve_placement_lp", "transfer_cutoff",
         "zipf_pmf",
     ]
     assert all(hasattr(cachecast, name) for name in cachecast.__all__)
+
+
+def test_package_api_is_the_union_of_module_lists():
+    # each module declares its share once; the package adds no name of its
+    # own, and names a module keeps for its siblings and tests stay out
+    modules = {m: importlib.import_module(f"cachecast.{m}")
+               for m in ("bounds", "core", "delivery", "demand", "lp", "placement")}
+    shares = [name for mod in modules.values() for name in mod.__all__]
+    assert sorted(shares) == cachecast.__all__
+    assert len(set(shares)) == len(shares)
+    internal = {"lp": ("LinearProgram", "LpSolution", "solve"),
+                "demand": ("gibbs_sweep", "conditional_pmf"), "placement": ("apportion",)}
+    for m, names in internal.items():
+        for name in names:
+            assert hasattr(modules[m], name) and not hasattr(cachecast, name), name
 
 
 def test_traced_names_stay_plain_functions():

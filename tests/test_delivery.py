@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from cachecast import delivery
 from cachecast.cli import SCHEMES, _message_failures, _scheme_plan
@@ -52,8 +53,9 @@ from oracles import (
 )
 
 
-def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
-    """Reference adaptive rate from the unreduced LP over all subsets.
+def adaptive_lp_direct(p: PlacementProfile, d: DemandVector) -> LinearProgram:
+    """The unreduced adaptive LP over all subsets, whose optimum is the
+    adaptive rate.
 
     Exponential in K; exists to verify the symmetry-reduced solver.
     """
@@ -102,7 +104,12 @@ def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
             rows.append(row)
     A = np.array(rows)
     b = np.zeros(A.shape[0])
-    sol = solve(LinearProgram(c=c, E=E, f=f, A=A, b=b, lo=lo, hi=hi))
+    return LinearProgram(c=c, E=E, f=f, A=A, b=b, lo=lo, hi=hi)
+
+
+def adaptive_rate_direct(p: PlacementProfile, d: DemandVector) -> float:
+    """Reference adaptive rate: adaptive_lp_direct solved by lp.solve."""
+    sol = solve(adaptive_lp_direct(p, d))
     if sol.status != "optimal":
         raise LpNumericalError(f"direct adaptive LP ended with status {sol.status}")
     return float(sol.value)
@@ -601,6 +608,7 @@ def _random_symmetric_profile(K, weights):
 
 # one weight of _random_symmetric_profile: some size classes stay empty
 _WEIGHT = st.one_of(st.just(0.0), st.floats(1e-2, 1.0))
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -621,6 +629,14 @@ def test_adaptive_rate_equals_direct_lp_property(data):
     d = DemandVector(tuple(labels[i] for i in picks))
     _, rate = adaptive_plan(prof, d)
     assert abs(rate - adaptive_rate_direct(prof, d)) <= 1e-8, (prof.fractions, d.requests)
+    # and by HiGHS, so that a simplex defect cannot pass on both sides; at
+    # its default 1e-7 feasibility tolerance HiGHS may drop a piece x_s
+    # below 1e-7 and undercut the rate by as much
+    lp = adaptive_lp_direct(prof, d)
+    ref = linprog(lp.c, A_ub=lp.A if lp.A.size else None, b_ub=lp.b if lp.A.size else None,
+                  A_eq=lp.E, b_eq=lp.f, bounds=list(zip(lp.lo, lp.hi)), method="highs",
+                  options=HIGHS_TIGHT)
+    assert ref.status == 0 and abs(rate - ref.fun) <= 1e-9, (prof.fractions, d.requests)
 
 
 def _patterns_up_to(K_max):

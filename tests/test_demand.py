@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import astuple
+from math import prod, sqrt
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from cachecast import demand
 from cachecast.bounds import average_bound
-from cachecast.core import DemandVector, redundancy_pattern, redundancy_patterns
+from cachecast.cli import main
+from cachecast.core import (
+    DemandVector,
+    RedundancyPattern,
+    redundancy_pattern,
+    redundancy_patterns,
+)
+from cachecast.delivery import adaptive_plan, canonical_demand
 from cachecast.demand import (
     BLOCK,
     CorrelationModel,
@@ -28,8 +36,10 @@ from cachecast.demand import (
     sample_chains,
     zipf_pmf,
 )
+from cachecast.placement import centralized_profile
 from oracles import (
     demand_vectors,
+    iid_pattern_law,
     sample_demands,
     sequential_average_bound,
     set_distinct_counts,
@@ -269,6 +279,62 @@ def test_independent_draws_pass_chi_square():
     expected = len(draws) / 20
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_99_DF19
+
+
+def test_iid_pattern_law_matches_enumeration():
+    rng = np.random.default_rng(7)
+    partition_counts = {3: 3, 4: 5}
+    for K, N in [(3, 4), (4, 3), (4, 5)]:
+        pmf = rng.random(N)
+        pmf /= pmf.sum()
+        want = {}
+        for d in itertools.product(range(1, N + 1), repeat=K):
+            key = redundancy_pattern(DemandVector(d)).counts
+            want[key] = want.get(key, 0.0) + prod(pmf[f - 1] for f in d)
+        law = iid_pattern_law(K, pmf)
+        assert len(law) == partition_counts[K]
+        for parts, P in law.items():
+            if len(parts) > N:
+                assert P == 0.0 and parts not in want
+            else:
+                assert abs(P - want[parts]) <= 1e-12, (K, N, parts)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.2])
+def test_iid_samples_follow_the_exact_pattern_law(theta, tmp_path):
+    # at r = 0 every request is an independent base-law draw, so the
+    # 5 x 1000 demand vectors are i.i.d. and each statistic below has an
+    # exact mean and variance; every bound is 4 standard deviations
+    K, N, n = 8, 1000, 5000
+    pmf = zipf_pmf(N, theta)
+    law = iid_pattern_law(K, pmf)
+    P = np.array(list(law.values()))
+    samples = sample_chains(CorrelationModel(complete_graph(K), 0.0, pmf), 5, 1000, 150, 0)
+    patterns, inverse = redundancy_patterns(samples)
+    seen = dict(zip((p.counts for p in patterns), np.bincount(inverse).tolist()))
+    checked = 0
+    for parts, p in law.items():
+        if n * p >= 20:
+            assert abs(seen.get(parts, 0) - n * p) <= 4 * sqrt(n * p * (1 - p)), parts
+            checked += 1
+    assert checked >= 2
+
+    def within_4_se(observed, values, slack=0.0):
+        mean = P @ values
+        return abs(observed - mean) <= 4 * sqrt(P @ (values - mean) ** 2 / n) + slack
+
+    assert within_4_se(empirical_stats(samples).L_avg, np.array([len(q) for q in law]))
+    # the same samples through simulate; its CSV prints 12 significant digits
+    assert main(["simulate", "--K", str(K), "--N", str(N), "--r", "0", "--theta", str(theta),
+                 "--chains", "5", "--samples", "1000", "--burn-in", "150", "--seed", "0",
+                 "--m-ratio", "0.25", "--delivery", "adaptive",
+                 "--out", str(tmp_path / "sim")]) == 0
+    row = (tmp_path / "sim_rates.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == "adaptive"
+    profile = centralized_profile(K, 0.25)
+    rates = np.array([adaptive_plan(profile, canonical_demand(RedundancyPattern(q)))[1]
+                      for q in law])
+    assert within_4_se(float(row[4]), rates, slack=1e-9)
 
 
 def test_redundancy_grows_with_copy_probability():
