@@ -30,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -104,7 +104,9 @@ class ScenarioConfig:
     theta: float = 0.0
     chains: int = 5
     burn_in: int = 150
-    samples: int = 1000
+    # per chain for simulate, demands for verify; None: 1000 for simulate
+    # and 20 for verify, a quick spot check (see run_scenario)
+    samples: int | None = None
     graph: str = field(default="complete", metadata={"help": "complete, or path to an edge-list file"})
     seed: int = 0
     F: int | None = None
@@ -158,7 +160,7 @@ class ScenarioConfig:
             errors.append("chains: must be at least 1")
         if self.burn_in < 0:
             errors.append("burn_in: must be nonnegative")
-        if self.samples < 1:
+        if self.samples is not None and self.samples < 1:
             errors.append("samples: must be at least 1")
         if self.seed < 0:
             errors.append("seed: must be nonnegative")
@@ -542,6 +544,8 @@ def run_scenario(cfg: ScenarioConfig, command: str = "sweep"):
     """Validate cfg and run one subcommand, returning the artifact paths."""
     if command not in _COMMANDS:
         raise ConfigError(f"command: unknown subcommand {command}")
+    if cfg.samples is None:
+        cfg = replace(cfg, samples=20 if command == "verify" else 1000)
     cfg.validate()
     return _COMMANDS[command][0](cfg)
 
@@ -603,9 +607,6 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args) -> ScenarioConfig:
     values = {}
-    if args.command == "verify" and args.samples is None:
-        # verify defaults to a quick spot check, not a full simulation run
-        values["samples"] = 20
     if args.config:
         try:
             with open(args.config) as fh:

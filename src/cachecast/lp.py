@@ -1,27 +1,37 @@
 """Linear-program solver used by the placement and delivery planners.
 
 Minimizes c.v subject to E v = f, A v <= b and per-variable bounds
-lo <= v <= hi.  The solver is a two-phase primal simplex on a dense
-tableau with native bounded variables (bounds never become rows), which
-keeps the planner LPs small.  Phase 1 adds an artificial column only for
-a row that cannot start on a feasible slack.  Every LP takes this one
-path; without rows, each improving column flips to its cheaper bound.
-Pivoting is deterministic: Dantzig's rule
-with lowest-index tie-breaks, switching to Bland's anti-cycling rule
-while a degenerate plateau persists, so repeated calls on identical
-input walk the identical path.
+lo <= v <= hi.  The solver is a two-phase primal simplex with native
+bounded variables (bounds never become rows), which keeps the planner LPs
+small.  Phase 1 adds an artificial column only for a row that cannot
+start on a feasible slack.  Every LP takes this one path; without rows,
+each improving column flips to its cheaper bound.  Pivoting is
+deterministic: Dantzig's rule with lowest-index tie-breaks, switching to
+Bland's anti-cycling rule while a degenerate plateau persists, so
+repeated calls on identical input walk the identical path.
 
 The problems this package produces are small (the largest adaptive
 delivery LP at K=12 has 380 columns under centralized placement and
 1,315 under decentralized), well scaled, always box-bounded and very
-sparse: in the K=12 adaptive delivery LPs a pivot's entering column has
-about 2 nonzeros in 73 rows and its pivot row about 8 in 267 columns.
-So the tableau is a plain dense array, and each iteration reads and
-writes only the nonzeros of the entering column and the pivot row; a
-post-solve residual check audits the result.  At two nonzeros a numpy
-call costs more than its arithmetic, so the ratio test, the basic-value
-update and the bound flips run on Python floats (see _simplex_phase),
-with the floats a full dense update computes.
+sparse.  The largest centralized K=12 tableau is 237 rows by 617 columns
+with 1,006 nonzeros, and in the K=12 LPs a pivot's entering column has
+about 2 nonzeros in 73 rows and its pivot row about 8 in 267 columns.  At
+that size a numpy call costs more than its arithmetic, so for the length
+of one solve the tableau is one {column: value} map per row and one
+{row: value} map per column, over exactly its nonzero cells, and an
+iteration runs on Python floats: the ratio test reads the entering
+column's map, and a pivot updates the block of that column's rows and the
+pivot row's columns in both maps in place (see _Tableau.pivot).  These
+are the IEEE operations of a dense loop, in the same order, so the pivot
+path and the bytes are those of a dense tableau.
+
+The dense array stays for one job: the reduced costs c - M.T @ c_B at
+each phase start and every 512th iteration.  BLAS sums them in an order
+the maps cannot reproduce, so solve keeps the dense M it builds the maps
+from and rewrites, in place, the rows that changed before each product.
+A tableau that fills in (dense rows over many rows) is far slower on maps
+than on a dense array; no LP this package builds does.  A post-solve
+residual check audits the result.
 """
 
 from __future__ import annotations
@@ -101,51 +111,86 @@ _AT_LO, _AT_UP = 0, 1
 
 
 class _Tableau:
-    """Working state: reduced rows, basic values, variable statuses."""
+    """Working state of one solve: the reduced rows as sparse maps, and the
+    basic values and variable statuses as Python lists.
 
-    def __init__(self, M, lo, hi):
-        self.M = M            # (m, ncol) current reduced coefficient rows
-        self.flat = M.reshape(-1)  # a view: M is C-contiguous and updated in place
-        self.m = M.shape[0]
-        self.ncol = M.shape[1]
-        self.lo = lo
-        self.hi = hi
-        self.basis = np.full(self.m, -1, dtype=int)
-        self.xB = np.zeros(self.m)
-        self.status = np.full(self.ncol, _AT_LO, dtype=np.int8)
-        self.val = lo.copy()  # every nonbasic column starts at its lower bound
+    rows[i] maps column -> value and cols[k] maps row -> value, each over
+    exactly the nonzero cells of the reduced matrix; pivot updates both in
+    place.  M is the dense matrix the maps started from, rewritten from
+    them in place before each product with it.
+    """
+
+    def __init__(self, M, lo, hi, basis, xB):
+        self.M = M
+        m, self.ncol = M.shape
+        # flat indices of the nonzeros (a boolean mask scans far faster
+        # than M.nonzero() on floats)
+        at = np.flatnonzero(M != 0.0)
+        vals = M.reshape(-1)[at].tolist()
+        at, ks = np.divmod(at, self.ncol)
+        self.rows = rows = [{} for _ in range(m)]
+        self.cols = cols = [{} for _ in range(self.ncol)]
+        for i, k, x in zip(at.tolist(), ks.tolist(), vals):
+            rows[i][k] = cols[k][i] = x
+        self.dirty = set()  # rows where M lags the maps
+        self.lo, self.hi = lo.tolist(), hi.tolist()
+        self.basis, self.xB = basis.tolist(), xB.tolist()
+        self.status = [_AT_LO] * self.ncol
+        self.val = list(self.lo)  # every nonbasic column starts at its lower bound
 
     def values(self):
-        vals = self.val.copy()
+        vals = np.array(self.val)
         vals[self.basis] = self.xB
         return vals
 
     def reduced_costs(self, c):
-        return c - self.M.T @ c[self.basis]
+        """c - M.T @ c[basis], through BLAS on the dense M, whose summation
+        order the maps cannot reproduce."""
+        M, rows, dirty = self.M, self.rows, list(self.dirty)
+        if dirty:
+            M[dirty] = 0.0
+            flat = M.reshape(-1)  # a view: M is C-contiguous
+            ncol = self.ncol
+            flat[[i * ncol + k for i in dirty for k in rows[i]]] = [
+                x for i in dirty for x in rows[i].values()]
+            self.dirty.clear()
+        return c - M.T @ c[self.basis]
 
-    def pivot(self, row, col, rows):
-        """Make col basic in row; rows are col's nonzero rows, row among
-        them.  Returns (cols, prow): row's nonzero columns and the new
-        pivot row there.
+    def pivot(self, row, col):
+        """Make col basic in row; returns the new pivot row's map.
 
         Only the block of col's other nonzero rows and row's nonzero
         columns changes.  Each of its cells gets the product-then-subtract
         of a full dense update, so the floats are those of one; a cell
         outside it would only have had a zero subtracted, which can flip
-        the sign of a zero and nothing else.  The block is read and written
-        through flat indices into M.
+        the sign of a zero and nothing else.  A cell that becomes exactly
+        zero leaves both maps, as a dense loop's nonzero() skips it.
         """
-        M = self.M
-        cols = M[row].nonzero()[0]
-        prow = M[row, cols] / M[row, col]
-        M[row, cols] = prow
-        rows = rows[rows != row]
-        if rows.size:
-            idx = (rows * self.ncol)[:, None] + cols
-            self.flat[idx] -= M[rows, col][:, None] * prow
-            M[rows, col] = 0.0
-        M[row, col] = 1.0
-        return cols, prow
+        rows, cols = self.rows, self.cols
+        prow = rows[row]
+        piv = prow[col]
+        for k, x in prow.items():
+            prow[k] = cols[k][row] = x / piv
+        prow[col] = 1.0
+        if 0.0 in prow.values():  # a quotient underflowed
+            for k in [k for k, p in prow.items() if not p]:
+                del prow[k], cols[k][row]
+        self.dirty.update(cols[col])
+        for i, a in [(i, a) for i, a in cols[col].items() if i != row]:
+            cells = rows[i]
+            get = cells.get
+            for k, p in prow.items():
+                x = get(k, 0.0) - a * p
+                if x:
+                    cells[k] = cols[k][i] = x
+                else:
+                    cells.pop(k, None)
+                    cols[k].pop(i, None)
+            # col's own cell came to a - a * 1.0 == 0.0 above unless a is
+            # not finite; a dense update zeroes it either way
+            cells.pop(col, None)
+        cols[col] = {row: 1.0}
+        return prow
 
 
 def _scores(z, status, open_):
@@ -154,7 +199,8 @@ def _scores(z, status, open_):
     that may enter at all; a nonbasic column is at its lower or its upper
     bound.  Improving means increasing where z < -OPT_TOL, blocked at the
     upper bound (status 1 == True), and decreasing where z > OPT_TOL,
-    blocked at the lower bound (status 0 == False)."""
+    blocked at the lower bound (status 0 == False).  _simplex_phase
+    repeats this test on Python floats for a pivot row's columns."""
     size = np.abs(z)
     can = (size > OPT_TOL) & open_
     can &= status != (z < -OPT_TOL)
@@ -170,107 +216,105 @@ def _simplex_phase(tab: _Tableau, c, max_iter):
 
     An iteration touches only the nonzeros of the entering column (ratio
     test, basic values) and of the pivot row (pivot, reduced costs,
-    scores).  Dantzig's rule is argmax of the scores, which breaks ties
-    toward the lowest index; Bland's rule takes the first column that
-    scores >= 0.
-
-    An entering column has about two nonzeros, where a numpy call costs
-    more than the arithmetic it does.  So for the length of the phase the
-    per-row state that the ratio test reads and writes (xB and basis) and
-    the per-column val, lo and hi are Python lists, and the ratio test,
-    the basic-value update and the bound-flip bookkeeping run in Python
-    floats: the same IEEE operations, in the same order, as the dense
-    loop's numpy ones, so the pivot path and the bytes are the same.  The
-    per-column z, status, open_ and score stay numpy arrays, updated over
-    the pivot row's columns at once; xB, basis and val go back to tab
-    however the phase ends.
+    scores), all Python floats in the tableau's maps and lists: the same
+    IEEE operations, in the same order, as a dense loop's numpy ones, so
+    the pivot path and the bytes are the same.  Only the score vector is a
+    numpy array, for its argmax: Dantzig's rule is argmax of the scores,
+    which breaks ties toward the lowest index; Bland's rule takes the first
+    column that scores >= 0.
     """
-    M, status = tab.M, tab.status
-    z = tab.reduced_costs(c)
-    enterable = (tab.hi - tab.lo) > 0
-    open_ = enterable.copy()
-    open_[tab.basis] = False
-    score = _scores(z, status, open_)
-    xB, basis, val = tab.xB.tolist(), tab.basis.tolist(), tab.val.tolist()
-    lo, hi = tab.lo.tolist(), tab.hi.tolist()
+    cols = tab.cols
+    xB, basis, val, status = tab.xB, tab.basis, tab.val, tab.status
+    lo, hi = tab.lo, tab.hi
+    enterable = [h - l > 0 for l, h in zip(lo, hi)]
+    open_ = list(enterable)
+    for k in basis:
+        open_[k] = False
+
+    def pricing():
+        z = tab.reduced_costs(c)
+        return z.tolist(), _scores(z, np.array(status), np.array(open_))
+
+    z, score = pricing()
+    inf = math.inf
     degen_run = 0
     iters = 0
-    try:
-        while iters < max_iter:
-            iters += 1
-            if degen_run >= _DEGEN_LIMIT:
-                j = int((score >= 0.0).argmax())  # Bland: lowest index
-            else:
-                j = int(score.argmax())
-            if score.item(j) < 0.0:
-                return "optimal", iters
-            sigma = 1.0 if z.item(j) < 0.0 else -1.0
+    while iters < max_iter:
+        iters += 1
+        if degen_run >= _DEGEN_LIMIT:
+            j = int((score >= 0.0).argmax())  # Bland: lowest index
+        else:
+            j = int(score.argmax())
+        if score.item(j) < 0.0:
+            return "optimal", iters
+        zj = z[j]
+        sigma = 1.0 if zj < 0.0 else -1.0
 
-            column = M[:, j]
-            rows = column.nonzero()[0]
-            at, entries = rows.tolist(), column[rows].tolist()
-            span = hi[j] - lo[j]
-            t_best = span if math.isfinite(span) else math.inf  # bound flip
-            leave_row = -1
-            ratios = []
-            for i, a in zip(at, entries):
-                mv = sigma * a  # basic value i changes by -mv * t
-                if mv > PIVOT_TOL:
-                    r = (xB[i] - lo[basis[i]]) / mv
-                elif mv < -PIVOT_TOL:
-                    r = (hi[basis[i]] - xB[i]) / -mv
-                else:
-                    continue
-                if math.isfinite(r):  # drift below 0, and -0.0, clamp to 0.0
-                    ratios.append((r if r > 0.0 else 0.0, basis[i], i, mv))
-            if ratios:
-                rmin = min(ratios)[0]
-                if rmin < t_best:
-                    t_best = rmin
-                    # ties go to the lowest variable index
+        column = cols[j]
+        span = hi[j] - lo[j]
+        t_best = span if span < inf else inf  # bound flip
+        leave_row = -1
+        ratios = []
+        for i, a in column.items():
+            mv = sigma * a  # basic value i changes by -mv * t
+            if mv > PIVOT_TOL:
+                var = basis[i]
+                r = (xB[i] - lo[var]) / mv
+            elif mv < -PIVOT_TOL:
+                var = basis[i]
+                r = (hi[var] - xB[i]) / -mv
+            else:
+                continue
+            if -inf < r < inf:  # finite; drift below 0, and -0.0, clamp to 0.0
+                ratios.append((r if r > 0.0 else 0.0, var, i, mv))
+        if ratios:
+            rmin = min(ratios)[0]
+            if rmin < t_best:
+                t_best = rmin
+                if len(ratios) == 1:
+                    _, out_var, leave_row, leave_move = ratios[0]
+                else:  # ties go to the lowest variable index
                     out_var, leave_row, leave_move = min(
                         (var, i, mv) for r, var, i, mv in ratios if r <= rmin + 1e-12)
-            if t_best == math.inf:
-                return "unbounded", iters
+        if t_best == inf:
+            return "unbounded", iters
 
-            degen_run = degen_run + 1 if t_best <= 1e-12 else 0
+        degen_run = degen_run + 1 if t_best <= 1e-12 else 0
 
-            for i, a in zip(at, entries):
-                xB[i] -= sigma * a * t_best
-            if leave_row < 0:
-                # bound flip, no basis change; j now sits at the bound it
-                # moved toward, where it cannot improve
-                status[j] = _AT_UP if sigma > 0 else _AT_LO
-                val[j] = hi[j] if sigma > 0 else lo[j]
-                score[j] = -1.0
-                continue
-            entering_val = val[j] + sigma * t_best
-            # leaving variable parks at whichever of its bounds it reached
-            if leave_move > 0:
-                status[out_var] = _AT_LO
-                val[out_var] = lo[out_var]
-            else:
-                status[out_var] = _AT_UP
-                val[out_var] = hi[out_var]
-            basis[leave_row] = j
-            open_[out_var] = enterable[out_var]
-            open_[j] = False
-            xB[leave_row] = entering_val
-            # cols holds j and out_var: the leaving column was the unit
-            # column of leave_row, so the pivot row is 1 / pivot there
-            cols, prow = tab.pivot(leave_row, j, rows)
-            zc = z[cols] - z[j] * prow
-            z[cols] = zc
-            z[j] = 0.0
-            if iters % 512 == 0:
-                tab.basis[:] = basis
-                z = tab.reduced_costs(c)  # refresh against drift
-                score = _scores(z, status, open_)
-            else:
-                score[cols] = _scores(zc, status[cols], open_[cols])
-        raise LpNumericalError("simplex exceeded the iteration budget")
-    finally:
-        tab.xB[:], tab.basis[:], tab.val[:] = xB, basis, val
+        for i, a in column.items():
+            xB[i] -= sigma * a * t_best
+        if leave_row < 0:
+            # bound flip, no basis change; j now sits at the bound it
+            # moved toward, where it cannot improve
+            status[j] = _AT_UP if sigma > 0 else _AT_LO
+            val[j] = hi[j] if sigma > 0 else lo[j]
+            score[j] = -1.0
+            continue
+        entering_val = val[j] + sigma * t_best
+        # leaving variable parks at whichever of its bounds it reached
+        if leave_move > 0:
+            status[out_var] = _AT_LO
+            val[out_var] = lo[out_var]
+        else:
+            status[out_var] = _AT_UP
+            val[out_var] = hi[out_var]
+        basis[leave_row] = j
+        open_[out_var] = enterable[out_var]
+        open_[j] = False
+        xB[leave_row] = entering_val
+        # the pivot row holds j and out_var: the leaving column was the
+        # unit column of leave_row, so the pivot row is 1 / pivot there
+        prow = tab.pivot(leave_row, j)
+        if iters % 512 == 0:
+            z, score = pricing()  # refresh against drift
+            continue
+        for k, p in prow.items():
+            zk = z[k] = z[k] - zj * p
+            size = abs(zk)
+            can = size > OPT_TOL and open_[k] and status[k] != (zk < -OPT_TOL)
+            score[k] = size if can else -1.0
+        z[j] = 0.0
+    raise LpNumericalError("simplex exceeded the iteration budget")
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -316,12 +360,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     M[art_rows, art_cols] = 1.0
     lo = np.concatenate([lp.lo, np.zeros(ncol - n)])
     hi = np.concatenate([lp.hi, np.full(ncol - n, np.inf)])
-
-    tab = _Tableau(M, lo, hi)
-    tab.basis[slack_rows] = n + slack_rows - me
-    tab.basis[art_rows] = art_cols
-    tab.xB[slack_rows] = resid[slack_rows]
-    tab.xB[art_rows] = np.abs(resid[art_rows])
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = n + slack_rows - me
+    basis[art_rows] = art_cols
+    tab = _Tableau(M, lo, hi, basis, np.where(slack_ok, resid, np.abs(resid)))
 
     max_iter = 50 * (m + ncol) + 5000
 
@@ -335,20 +377,20 @@ def solve(lp: LinearProgram) -> LpSolution:
         if float(c1 @ tab.values()) > 1e-7:
             return LpSolution("infeasible", np.nan, iterations=it1)
         # pin artificials so phase 2 cannot move them
-        tab.hi[art_cols] = 0.0
-        tab.lo[art_cols] = 0.0
+        tab.lo[first_art:] = tab.hi[first_art:] = [0.0] * art_cols.size
         # rows still holding an artificial, in the artificials' order
-        held = np.flatnonzero(tab.basis >= first_art)
-        for row in held[np.argsort(tab.basis[held])].tolist():
-            pivots = np.abs(tab.M[row, :first_art])
-            k = int(np.argmax(pivots))
-            if pivots[k] > PIVOT_TOL:
+        for _, row in sorted((k, i) for i, k in enumerate(tab.basis) if k >= first_art):
+            # the largest structural or slack entry, the lowest column on
+            # ties, as np.argmax of the row's magnitudes would pick it
+            k, x = max(((k, x) for k, x in tab.rows[row].items() if k < first_art),
+                       key=lambda kx: (abs(kx[1]), -kx[0]), default=(0, 0.0))
+            if abs(x) > PIVOT_TOL:
                 out = tab.basis[row]
                 tab.val[out] = 0.0
                 tab.status[out] = _AT_LO
                 tab.basis[row] = k
                 entering_val = tab.val[k]
-                tab.pivot(row, k, tab.M[:, k].nonzero()[0])
+                tab.pivot(row, k)
                 tab.xB[row] = entering_val
             # else: numerically redundant row; the artificial stays basic
             # at zero and its row is (near-)zero elsewhere, which is inert

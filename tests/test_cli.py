@@ -576,6 +576,31 @@ def test_verify_defaults_to_twenty_spot_checks(tmp_path):
     assert len(lines) == 20 * 3 + 1  # 20 demands x 3 schemes, then the verdict
 
 
+def test_verify_default_holds_through_run_scenario(tmp_path, monkeypatch):
+    # A config built in code gets verify's 20 demands too, not simulate's
+    # 1000 samples: run_scenario and main write the same report
+    api, flags = tmp_path / "api.txt", tmp_path / "flags.txt"
+    run_scenario(ScenarioConfig(K=3, N=6, m_ratio=[0.3], F=50, out=str(api)), "verify")
+    assert main(["verify", "--K", "3", "--N", "6", "--m-ratio", "0.3", "--F", "50",
+                 "--out", str(flags)]) == 0
+    assert api.read_bytes() == flags.read_bytes()
+    assert len(api.read_text().splitlines()) == 20 * 3 + 1
+
+    # simulate keeps its 1000 samples per chain on both paths
+    class Sampled(Exception):
+        pass
+
+    def stop(model, chains, count, burn_in, seed):
+        raise Sampled(count)
+
+    monkeypatch.setattr(cli, "sample_chains", stop)
+    for run in (lambda: run_scenario(ScenarioConfig(K=3, N=6, m_ratio=[0.3]), "simulate"),
+                lambda: main(["simulate", "--K", "3", "--N", "6", "--m-ratio", "0.3"])):
+        with pytest.raises(Sampled) as exc:
+            run()
+        assert exc.value.args == (1000,)
+
+
 @pytest.mark.parametrize("flags, digest, builds", [
     (["--K", "6", "--N", "10", "--m-ratio", "0.35", "--F", "500",
       "--placement", "centralized", "--seed", "0"],

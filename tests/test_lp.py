@@ -6,9 +6,13 @@ active constraints (rows at equality or variables at a bound) and solving
 the square system. That is exponential but fine at the sizes used here,
 and it is a completely independent check on the simplex path.
 
-The dense simplex loop that the sparse-aware one replaced is kept at the
-end of this file as a second oracle: on every input the two must walk the
-same pivot path to the same bytes.
+The dense two-phase simplex that the sparse map tableau replaced is kept
+at the end of this file, whole, as a second oracle (solve_reference): the
+same set-up, drive-out loop and phase loop on a dense array, sharing only
+the tolerances, the LP and solution types and the residual check with
+cachecast.lp.  On every input the two must walk the same pivot path to the
+same bytes; a trace of the reference shows which of its branches (Bland's
+rule, the reduced-cost refresh, the drive-out) each input reached.
 """
 
 import functools
@@ -20,16 +24,16 @@ from hypothesis import given, settings, strategies as st
 
 import cachecast.lp as lp_mod
 from cachecast import delivery
-from cachecast.core import partitions_into_parts
+from cachecast.core import RedundancyPattern, partitions_into_parts
 from cachecast.delivery import adaptive_plan, canonical_demand
 from cachecast.lp import (
-    _AT_LO,
-    _AT_UP,
     _DEGEN_LIMIT,
     OPT_TOL,
     PIVOT_TOL,
     LinearProgram,
     LpNumericalError,
+    LpSolution,
+    _check_residuals,
     solve,
 )
 from cachecast.placement import centralized_profile, decentralized_profile, solve_placement_lp
@@ -251,9 +255,9 @@ def test_degenerate_problem_terminates():
     # only feasible point, and the walk to it stalls long enough for
     # Bland's rule to take over and end it
     lp = cone_lp(np.random.default_rng(0))
-    events = set()
-    ref = solve_reference(lp, events)
-    assert "bland" in events
+    trace = {}
+    ref = solve_reference(lp, trace)
+    assert "bland" in trace["events"]
     sol = solve(lp)
     assert sol.status == ref.status == "optimal"
     assert sol.iterations == ref.iterations == 321
@@ -404,25 +408,51 @@ def test_solve_matches_hand_reduced_solve(lp):
     assert abs(full.value - (part.value + lp.c[fixed] @ lp.lo[fixed])) <= 1e-9
 
 
-# --- the dense loop that the sparse one replaced, as an oracle --------------
+# --- the dense two-phase solver that the sparse one replaced, as an oracle ---
 
-def pivot_reference(self, row, col, rows):
-    """``_Tableau.pivot`` before it went sparse: a full m x ncol update,
-    so col's nonzero rows are not needed and ``rows`` is ignored."""
-    piv = self.M[row, col]
-    self.M[row] /= piv
-    colvals = self.M[:, col].copy()
-    colvals[row] = 0.0
-    self.M -= np.outer(colvals, self.M[row])
-    self.M[:, col] = 0.0
-    self.M[row, col] = 1.0
+# nonbasic statuses of the reference tableau
+AT_LO, AT_UP = 0, 1
 
 
-def simplex_phase_reference(tab, c, max_iter, events):
-    """``_simplex_phase`` before it went sparse: dense eligibility and
-    ratio tests at every iteration.  Adds to events "bland" when Bland's
-    rule picks a column and "refresh" when the reduced costs are
-    recomputed; nothing else differs from the old loop.
+class DenseTableau:
+    """The reference solver's working state: the full reduced matrix M,
+    the basis and basic values xB, and each column's status and value."""
+
+    def __init__(self, M, lo, hi):
+        self.M = M
+        self.ncol = M.shape[1]
+        self.lo = lo
+        self.hi = hi
+        self.basis = np.full(M.shape[0], -1, dtype=int)
+        self.xB = np.zeros(M.shape[0])
+        self.status = np.full(self.ncol, AT_LO, dtype=np.int8)
+        self.val = lo.copy()  # every nonbasic column starts at its lower bound
+
+    def values(self):
+        vals = self.val.copy()
+        vals[self.basis] = self.xB
+        return vals
+
+    def reduced_costs(self, c):
+        return c - self.M.T @ c[self.basis]
+
+    def pivot(self, row, col, trace):
+        """Make col basic in row by a full m x ncol update; records in
+        trace["widest"] the most other rows one pivot's column reached."""
+        trace["widest"] = max(trace["widest"], np.count_nonzero(self.M[:, col]) - 1)
+        piv = self.M[row, col]
+        self.M[row] /= piv
+        colvals = self.M[:, col].copy()
+        colvals[row] = 0.0
+        self.M -= np.outer(colvals, self.M[row])
+        self.M[:, col] = 0.0
+        self.M[row, col] = 1.0
+
+
+def simplex_phase_reference(tab, c, max_iter, trace):
+    """One simplex phase with dense eligibility and ratio tests at every
+    iteration.  Adds to trace["events"] "bland" when Bland's rule picks a
+    column and "refresh" when the reduced costs are recomputed.
     """
     z = tab.reduced_costs(c)
     degen_run = 0
@@ -436,13 +466,13 @@ def simplex_phase_reference(tab, c, max_iter, events):
         # eligibility in the improving direction; a nonbasic column is at
         # its lower or its upper bound
         nonbasic = enterable & ~basic_mask
-        can_inc = nonbasic & (stat != _AT_UP) & (z < -OPT_TOL)
-        can_dec = nonbasic & (stat != _AT_LO) & (z > OPT_TOL)
+        can_inc = nonbasic & (stat != AT_UP) & (z < -OPT_TOL)
+        can_dec = nonbasic & (stat != AT_LO) & (z > OPT_TOL)
         cand = np.flatnonzero(can_inc | can_dec)
         if cand.size == 0:
             return "optimal", iters
         if degen_run >= _DEGEN_LIMIT:
-            events.add("bland")
+            trace["events"].add("bland")
             j = int(cand[0])  # Bland: lowest index
         else:
             j = int(cand[np.argmax(np.abs(z[cand]))])
@@ -478,38 +508,111 @@ def simplex_phase_reference(tab, c, max_iter, events):
         tab.xB -= move * t_best
         if leave_row < 0:
             # bound flip, no basis change
-            tab.status[j] = _AT_UP if sigma > 0 else _AT_LO
+            tab.status[j] = AT_UP if sigma > 0 else AT_LO
             tab.val[j] = tab.hi[j] if sigma > 0 else tab.lo[j]
             continue
         entering_val = tab.val[j] + sigma * t_best
         out_var = tab.basis[leave_row]
         # leaving variable parks at whichever of its bounds it reached
         if move[leave_row] > 0:
-            tab.status[out_var] = _AT_LO
+            tab.status[out_var] = AT_LO
             tab.val[out_var] = tab.lo[out_var]
         else:
-            tab.status[out_var] = _AT_UP
+            tab.status[out_var] = AT_UP
             tab.val[out_var] = tab.hi[out_var]
         tab.basis[leave_row] = j
         basic_mask[out_var] = False
         basic_mask[j] = True
         tab.xB[leave_row] = entering_val
-        tab.pivot(leave_row, j, None)
+        tab.pivot(leave_row, j, trace)
         z = z - z[j] * tab.M[leave_row]
         z[j] = 0.0
         if iters % 512 == 0:
-            events.add("refresh")
+            trace["events"].add("refresh")
             z = tab.reduced_costs(c)  # refresh against drift
     raise LpNumericalError("simplex exceeded the iteration budget")
 
 
-def solve_reference(lp, events):
-    """solve(lp) through the dense reference loop, adding its events to
-    the set events."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_mod, "_simplex_phase", functools.partial(simplex_phase_reference, events=events))
-        mp.setattr(lp_mod._Tableau, "pivot", pivot_reference)
-        return solve(lp)
+def solve_reference(lp, trace=None):
+    """``solve(lp)`` as the dense two-phase simplex computes it.
+
+    If given, the dict trace receives "events" (see
+    simplex_phase_reference), "width" (the tableau's column count),
+    "held" (rows holding an artificial after phase 1), "drive_outs" (the
+    (row, column) of each pivot made between the phases) and "widest"
+    (see DenseTableau.pivot).
+    """
+    trace = {} if trace is None else trace
+    trace.update(events=set(), width=None, held=[], drive_outs=[], widest=0)
+    n = lp.n_vars
+    me, mi = lp.E.shape[0], lp.A.shape[0]
+    m = me + mi
+    resid = np.concatenate([lp.f - lp.E @ lp.lo, lp.b - lp.A @ lp.lo])
+
+    slack_ok = np.zeros(m, dtype=bool)
+    slack_ok[me:] = resid[me:] >= 0.0
+    slack_rows = np.flatnonzero(slack_ok)
+    art_rows = np.flatnonzero(~slack_ok)
+    first_art = n + mi
+    ncol = first_art + art_rows.size
+    trace["width"] = ncol
+    if ncol == 0:
+        return LpSolution("optimal", 0.0, np.zeros(0))
+
+    M = np.zeros((m, ncol))
+    M[:me, :n] = lp.E
+    M[me:, :n] = lp.A
+    M[np.arange(me, m), np.arange(n, first_art)] = 1.0
+    flip = resid < 0
+    M[flip] = -M[flip]
+    art_cols = np.arange(first_art, ncol)
+    M[art_rows, art_cols] = 1.0
+    lo = np.concatenate([lp.lo, np.zeros(ncol - n)])
+    hi = np.concatenate([lp.hi, np.full(ncol - n, np.inf)])
+
+    tab = DenseTableau(M, lo, hi)
+    tab.basis[slack_rows] = n + slack_rows - me
+    tab.basis[art_rows] = art_cols
+    tab.xB[slack_rows] = resid[slack_rows]
+    tab.xB[art_rows] = np.abs(resid[art_rows])
+
+    max_iter = 50 * (m + ncol) + 5000
+
+    it1 = 0
+    if art_cols.size:
+        c1 = np.zeros(ncol)
+        c1[art_cols] = 1.0
+        status, it1 = simplex_phase_reference(tab, c1, max_iter, trace)
+        if status != "optimal":
+            raise LpNumericalError("phase 1 reported unbounded; bad problem data")
+        if float(c1 @ tab.values()) > 1e-7:
+            return LpSolution("infeasible", np.nan, iterations=it1)
+        tab.hi[art_cols] = 0.0
+        tab.lo[art_cols] = 0.0
+        held = np.flatnonzero(tab.basis >= first_art)
+        trace["held"] = held.tolist()
+        for row in held[np.argsort(tab.basis[held])].tolist():
+            pivots = np.abs(tab.M[row, :first_art])
+            k = int(np.argmax(pivots))
+            if pivots[k] > PIVOT_TOL:
+                trace["drive_outs"].append((row, k))
+                out = tab.basis[row]
+                tab.val[out] = 0.0
+                tab.status[out] = AT_LO
+                tab.basis[row] = k
+                entering_val = tab.val[k]
+                tab.pivot(row, k, trace)
+                tab.xB[row] = entering_val
+
+    c2 = np.zeros(ncol)
+    c2[:n] = lp.c
+    status, it2 = simplex_phase_reference(tab, c2, max_iter, trace)
+    if status == "unbounded":
+        return LpSolution("unbounded", -np.inf, iterations=it1 + it2)
+
+    x = np.clip(tab.values()[:n], lp.lo, lp.hi)
+    _check_residuals(lp, x)
+    return LpSolution("optimal", float(lp.c @ x), x, iterations=it1 + it2)
 
 
 def held_artificial_lps():
@@ -528,43 +631,15 @@ def held_artificial_lps():
     return [fixed, redundant]
 
 
-def _drive_out_trace(lp, phase, pivot):
-    """Solve lp through the given phase loop and pivot: (outcome, rows
-    holding an artificial after phase 1, (row, column) of each pivot made
-    between the two phases)."""
-    held, drive_outs = [], []
-    phases = {"started": 0, "ended": 0}
-
-    def recording_phase(tab, c, max_iter):
-        phases["started"] += 1
-        out = phase(tab, c, max_iter)
-        phases["ended"] += 1
-        if phases["ended"] == 1:  # phase 1: only artificials cost
-            held.extend(np.flatnonzero(c[tab.basis] > 0).tolist())
-        return out
-
-    def recording_pivot(tab, row, col, rows):
-        if phases["started"] == phases["ended"] == 1:
-            drive_outs.append((row, col))
-        return pivot(tab, row, col, rows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_mod, "_simplex_phase", recording_phase)
-        mp.setattr(lp_mod._Tableau, "pivot", recording_pivot)
-        outcome = _outcome(solve, lp)
-    return outcome, held, drive_outs
-
-
 def test_dense_reference_drives_out_held_artificials():
     # Same bytes through the loop after phase 1 that pivots a structural
     # column into each row still holding an artificial.
-    dense = functools.partial(simplex_phase_reference, events=set())
     for lp, drive_outs in zip(held_artificial_lps(), ([(1, 2)], [])):
-        ref = _drive_out_trace(lp, dense, pivot_reference)
-        assert ref[1:] == ([1], drive_outs)
-        assert ref[0][0] == "optimal"
-        assert _drive_out_trace(lp, lp_mod._simplex_phase, lp_mod._Tableau.pivot) == ref
-        assert _outcome(solve, lp) == ref[0]
+        trace = {}
+        ref = _outcome(functools.partial(solve_reference, trace=trace), lp)
+        assert (trace["held"], trace["drive_outs"]) == ([1], drive_outs)
+        assert ref[0] == "optimal"
+        assert _outcome(solve, lp) == ref
 
 
 def cone_lp(rng, n=30, m=60):
@@ -614,11 +689,8 @@ def klee_minty(n):
                          A=A, b=5.0 ** np.arange(1, n + 1), lo=np.zeros(n), hi=np.full(n, np.inf))
 
 
-def adaptive_lps(Ks=range(1, 9), makers=(centralized_profile, decentralized_profile,
-                                         solve_placement_lp)):
-    """Every adaptive delivery LP for K in Ks at m in {0.1, 0.4} under each
-    placement maker; by default K <= 8 under centralized, decentralized
-    and LP placement."""
+def adaptive_lp(profile, pattern):
+    """The LP that adaptive_plan solves for a demand of this pattern."""
     lps = []
 
     def recording(lp):
@@ -627,35 +699,35 @@ def adaptive_lps(Ks=range(1, 9), makers=(centralized_profile, decentralized_prof
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delivery, "solve", recording)
-        for K in Ks:
-            for m in (0.1, 0.4):
-                for maker in makers:
-                    prof = maker(K, m)
-                    for L in range(1, K + 1):
-                        for pattern in partitions_into_parts(K, L):
-                            adaptive_plan(prof, canonical_demand(pattern))
-    return lps
+        adaptive_plan(profile, canonical_demand(pattern))
+    (lp,) = lps
+    return lp
 
 
-def test_tableau_holds_artificials_only_for_rows_that_start_with_one(monkeypatch):
+def adaptive_lps(Ks=range(1, 9), makers=(centralized_profile, decentralized_profile,
+                                         solve_placement_lp)):
+    """Every adaptive delivery LP for K in Ks at m in {0.1, 0.4} under each
+    placement maker; by default K <= 8 under centralized, decentralized
+    and LP placement."""
+    return [adaptive_lp(maker(K, m), pattern)
+            for K in Ks for m in (0.1, 0.4) for maker in makers
+            for L in range(1, K + 1) for pattern in partitions_into_parts(K, L)]
+
+
+def test_tableau_holds_artificials_only_for_rows_that_start_with_one():
     # the K=8 adaptive LPs: an inequality row whose slack starts feasible
     # (resid >= 0 with every column at its lower bound) gets no artificial
-    # column, so the tableau is n + mi + (rows that start with one) wide
-    widths = []
-    init = lp_mod._Tableau.__init__
-
-    def recording_init(tab, M, lo, hi):
-        widths.append(M.shape[1])
-        init(tab, M, lo, hi)
-
-    monkeypatch.setattr(lp_mod._Tableau, "__init__", recording_init)
+    # column, so the tableau is n + mi + (rows that start with one) wide;
+    # solve walks the reference's path, so its phase 1 has the same columns
     lps = adaptive_lps(Ks=(8,), makers=(centralized_profile,))
-    assert len(widths) == len(lps) > 0
+    assert len(lps) > 0
     slack_started = 0
-    for lp, width in zip(lps, widths):
+    for lp in lps:
+        trace = {}
+        assert _outcome(solve, lp) == _outcome(functools.partial(solve_reference, trace=trace), lp)
         mi = lp.A.shape[0]
         started = int(np.count_nonzero(lp.b - lp.A @ lp.lo >= 0.0))
-        assert width == lp.n_vars + mi + (lp.E.shape[0] + mi - started)
+        assert trace["width"] == lp.n_vars + mi + (lp.E.shape[0] + mi - started)
         slack_started += started
     assert slack_started > 0
 
@@ -671,7 +743,14 @@ def _outcome(solver, lp):
     return sol.status, sol.iterations, x, np.float64(sol.value).tobytes()
 
 
-def test_sparse_loop_matches_dense_reference(monkeypatch):
+# (m, pattern) of the three cheapest decentralized K=12 adaptive LPs whose
+# phase 1 pivots at iteration 512 and so refreshes its reduced costs (of
+# the 308 phases of `sweep --K 12 --m-ratio 0.1:0.3:0.4 --placement
+# decentralized`, 48 pass iteration 512; in most of them it is a bound flip)
+K12_REFRESHING = ((0.1, (5, 3, 2, 2)), (0.4, (5, 3, 2, 2)), (0.1, (3, 3, 2, 1, 1, 1, 1)))
+
+
+def test_sparse_loop_matches_dense_reference():
     # Same pivot path, same bytes: the sparse loop performs the dense
     # loop's float operations on every cell that can change.
     rng = np.random.default_rng(7)
@@ -689,29 +768,26 @@ def test_sparse_loop_matches_dense_reference(monkeypatch):
     # at the K=12 cap under centralized placement, m in {0.1, 0.4}
     k12 = adaptive_lps(Ks=(12,), makers=(centralized_profile,))
     assert len(k12) == 154
+    refreshing = [adaptive_lp(decentralized_profile(12, m), RedundancyPattern(counts))
+                  for m, counts in K12_REFRESHING]
     cone_rng = np.random.default_rng(0)
-    trials = (random_trials() + sparse + [klee_minty(10)]
-              + [cone_lp(cone_rng) for _ in range(20)] + adaptive_lps() + k12 + filled)
+    head = (random_trials() + sparse + [klee_minty(10)] + [cone_lp(cone_rng) for _ in range(20)]
+            + held_artificial_lps() + adaptive_lps())
+    trials = head + k12 + refreshing + filled
 
-    widest = []  # per trial, the most rows one sparse pivot updated
-    pivot = lp_mod._Tableau.pivot
-
-    def recording_pivot(tab, row, col, rows):
-        widest[-1] = max(widest[-1], rows.size - 1)
-        return pivot(tab, row, col, rows)
-
-    monkeypatch.setattr(lp_mod._Tableau, "pivot", recording_pivot)
-    entered = {"bland": 0, "refresh": 0}
-    optimal = 0
+    traces, outcomes = [], []
     for lp in trials:
-        events = set()
-        ref = _outcome(functools.partial(solve_reference, events=events), lp)
-        widest.append(0)
-        assert _outcome(solve, lp) == ref
-        for name in events:
-            entered[name] += 1
-        optimal += isinstance(ref, tuple) and ref[0] == "optimal"
-    assert entered["bland"] > 0 and entered["refresh"] > 0
-    assert optimal > len(trials) // 2
-    assert max(widest[-len(filled):]) >= 10
+        traces.append({})
+        outcomes.append(_outcome(functools.partial(solve_reference, trace=traces[-1]), lp))
+        assert _outcome(solve, lp) == outcomes[-1]
+    # the pivot path as a count: the reference shares solve's tolerances,
+    # so a tolerance edit would move both sides; perfbench/baseline.json
+    # reads the same lp.solve.iterations on the K=12 sweep
+    assert sum(ref[1] for ref in outcomes[len(head):len(head) + len(k12)]) == 12979
+    events = [trace["events"] for trace in traces]
+    assert any("bland" in e for e in events) and any("refresh" in e for e in events)
+    assert all("refresh" in e for e in events[len(head) + len(k12):-len(filled)])
+    assert sum(isinstance(ref, tuple) and ref[0] == "optimal" for ref in outcomes) > len(trials) // 2
+    # the most other rows one pivot's entering column reached
+    assert max(trace["widest"] for trace in traces[-len(filled):]) >= 10
 
