@@ -23,15 +23,13 @@ iteration runs on Python floats: the ratio test reads the entering
 column's map, and a pivot updates the block of that column's rows and the
 pivot row's columns in both maps in place (see _Tableau.pivot).  These
 are the IEEE operations of a dense loop, in the same order, so the pivot
-path and the bytes are those of a dense tableau.
-
-The dense array stays for one job: the reduced costs c - M.T @ c_B at
-each phase start and every 512th iteration.  BLAS sums them in an order
-the maps cannot reproduce, so solve keeps the dense M it builds the maps
-from and rewrites, in place, the rows that changed before each product.
-A tableau that fills in (dense rows over many rows) is far slower on maps
-than on a dense array; no LP this package builds does.  A post-solve
-residual check audits the result.
+path and the bytes are those of a dense tableau.  The reduced costs at
+each phase start and every 512th iteration are summed from the row maps
+too, in ascending row order; they can differ from a BLAS product in the
+last bit, which moves no pivot choice on any LP the tests compare with
+the dense loop.  A tableau that fills in (dense rows over many rows) is
+far slower on maps than on a dense array; no LP this package builds
+does.  A post-solve residual check audits the result.
 """
 
 from __future__ import annotations
@@ -105,8 +103,9 @@ class LpSolution:
     iterations: int = 0
 
 
-# nonbasic status codes; _scores compares them with booleans, so _AT_LO
-# must be 0 (False) and _AT_UP 1 (True)
+# nonbasic status codes; _scores compares them with booleans and the
+# bound reads test their truth, so _AT_LO must be 0 (False) and _AT_UP 1
+# (True)
 _AT_LO, _AT_UP = 0, 1
 
 
@@ -116,12 +115,11 @@ class _Tableau:
 
     rows[i] maps column -> value and cols[k] maps row -> value, each over
     exactly the nonzero cells of the reduced matrix; pivot updates both in
-    place.  M is the dense matrix the maps started from, rewritten from
-    them in place before each product with it.
+    place.  A nonbasic column sits at hi if its status is _AT_UP, else at
+    lo.
     """
 
     def __init__(self, M, lo, hi, basis, xB):
-        self.M = M
         m, self.ncol = M.shape
         # flat indices of the nonzeros (a boolean mask scans far faster
         # than M.nonzero() on floats)
@@ -132,29 +130,26 @@ class _Tableau:
         self.cols = cols = [{} for _ in range(self.ncol)]
         for i, k, x in zip(at.tolist(), ks.tolist(), vals):
             rows[i][k] = cols[k][i] = x
-        self.dirty = set()  # rows where M lags the maps
         self.lo, self.hi = lo.tolist(), hi.tolist()
         self.basis, self.xB = basis.tolist(), xB.tolist()
         self.status = [_AT_LO] * self.ncol
-        self.val = list(self.lo)  # every nonbasic column starts at its lower bound
 
     def values(self):
-        vals = np.array(self.val)
+        vals = np.where(self.status, self.hi, self.lo)
         vals[self.basis] = self.xB
         return vals
 
     def reduced_costs(self, c):
-        """c - M.T @ c[basis], through BLAS on the dense M, whose summation
-        order the maps cannot reproduce."""
-        M, rows, dirty = self.M, self.rows, list(self.dirty)
-        if dirty:
-            M[dirty] = 0.0
-            flat = M.reshape(-1)  # a view: M is C-contiguous
-            ncol = self.ncol
-            flat[[i * ncol + k for i in dirty for k in rows[i]]] = [
-                x for i in dirty for x in rows[i].values()]
-            self.dirty.clear()
-        return c - M.T @ c[self.basis]
+        """c - M.T @ c[basis] for the matrix M the maps hold: per column,
+        the sum of a * c[basis[i]] over its rows in ascending order.  A row
+        whose basic cost is 0 is skipped: its products are zeros, and a
+        zero added to a sum that starts at +0.0 never changes it."""
+        acc = [0.0] * self.ncol
+        for cells, ci in zip(self.rows, c[self.basis].tolist()):
+            if ci:
+                for k, a in cells.items():
+                    acc[k] += a * ci
+        return c - np.array(acc)
 
     def pivot(self, row, col):
         """Make col basic in row; returns the new pivot row's map.
@@ -175,7 +170,6 @@ class _Tableau:
         if 0.0 in prow.values():  # a quotient underflowed
             for k in [k for k, p in prow.items() if not p]:
                 del prow[k], cols[k][row]
-        self.dirty.update(cols[col])
         for i, a in [(i, a) for i, a in cols[col].items() if i != row]:
             cells = rows[i]
             get = cells.get
@@ -224,7 +218,7 @@ def _simplex_phase(tab: _Tableau, c, max_iter):
     column that scores >= 0.
     """
     cols = tab.cols
-    xB, basis, val, status = tab.xB, tab.basis, tab.val, tab.status
+    xB, basis, status = tab.xB, tab.basis, tab.status
     lo, hi = tab.lo, tab.hi
     enterable = [h - l > 0 for l, h in zip(lo, hi)]
     open_ = list(enterable)
@@ -287,17 +281,11 @@ def _simplex_phase(tab: _Tableau, c, max_iter):
             # bound flip, no basis change; j now sits at the bound it
             # moved toward, where it cannot improve
             status[j] = _AT_UP if sigma > 0 else _AT_LO
-            val[j] = hi[j] if sigma > 0 else lo[j]
             score[j] = -1.0
             continue
-        entering_val = val[j] + sigma * t_best
+        entering_val = (hi[j] if status[j] else lo[j]) + sigma * t_best
         # leaving variable parks at whichever of its bounds it reached
-        if leave_move > 0:
-            status[out_var] = _AT_LO
-            val[out_var] = lo[out_var]
-        else:
-            status[out_var] = _AT_UP
-            val[out_var] = hi[out_var]
+        status[out_var] = _AT_LO if leave_move > 0 else _AT_UP
         basis[leave_row] = j
         open_[out_var] = enterable[out_var]
         open_[j] = False
@@ -364,6 +352,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     basis[slack_rows] = n + slack_rows - me
     basis[art_rows] = art_cols
     tab = _Tableau(M, lo, hi, basis, np.where(slack_ok, resid, np.abs(resid)))
+    del M  # the maps are the tableau from here on
 
     max_iter = 50 * (m + ncol) + 5000
 
@@ -385,13 +374,10 @@ def solve(lp: LinearProgram) -> LpSolution:
             k, x = max(((k, x) for k, x in tab.rows[row].items() if k < first_art),
                        key=lambda kx: (abs(kx[1]), -kx[0]), default=(0, 0.0))
             if abs(x) > PIVOT_TOL:
-                out = tab.basis[row]
-                tab.val[out] = 0.0
-                tab.status[out] = _AT_LO
+                tab.status[tab.basis[row]] = _AT_LO  # at its pinned 0.0
                 tab.basis[row] = k
-                entering_val = tab.val[k]
                 tab.pivot(row, k)
-                tab.xB[row] = entering_val
+                tab.xB[row] = tab.hi[k] if tab.status[k] else tab.lo[k]
             # else: numerically redundant row; the artificial stays basic
             # at zero and its row is (near-)zero elsewhere, which is inert
 

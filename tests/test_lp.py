@@ -16,6 +16,7 @@ rule, the reduced-cost refresh, the drive-out) each input reached.
 """
 
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -433,12 +434,17 @@ class DenseTableau:
         vals[self.basis] = self.xB
         return vals
 
-    def reduced_costs(self, c):
+    def reduced_costs(self, c, trace):
+        """c - M.T @ c_B through BLAS; appends to trace["pricings"] the
+        number of pivots made so far."""
+        trace["pricings"].append(trace["pivots"])
         return c - self.M.T @ c[self.basis]
 
     def pivot(self, row, col, trace):
-        """Make col basic in row by a full m x ncol update; records in
-        trace["widest"] the most other rows one pivot's column reached."""
+        """Make col basic in row by a full m x ncol update; counts itself in
+        trace["pivots"] and records in trace["widest"] the most other rows
+        one pivot's column reached."""
+        trace["pivots"] += 1
         trace["widest"] = max(trace["widest"], np.count_nonzero(self.M[:, col]) - 1)
         piv = self.M[row, col]
         self.M[row] /= piv
@@ -454,7 +460,7 @@ def simplex_phase_reference(tab, c, max_iter, trace):
     iteration.  Adds to trace["events"] "bland" when Bland's rule picks a
     column and "refresh" when the reduced costs are recomputed.
     """
-    z = tab.reduced_costs(c)
+    z = tab.reduced_costs(c, trace)
     degen_run = 0
     iters = 0
     enterable = (tab.hi - tab.lo) > 0  # fixed variables never enter
@@ -529,7 +535,7 @@ def simplex_phase_reference(tab, c, max_iter, trace):
         z[j] = 0.0
         if iters % 512 == 0:
             trace["events"].add("refresh")
-            z = tab.reduced_costs(c)  # refresh against drift
+            z = tab.reduced_costs(c, trace)  # refresh against drift
     raise LpNumericalError("simplex exceeded the iteration budget")
 
 
@@ -539,11 +545,13 @@ def solve_reference(lp, trace=None):
     If given, the dict trace receives "events" (see
     simplex_phase_reference), "width" (the tableau's column count),
     "held" (rows holding an artificial after phase 1), "drive_outs" (the
-    (row, column) of each pivot made between the phases) and "widest"
-    (see DenseTableau.pivot).
+    (row, column) of each pivot made between the phases), "pivots",
+    "widest" (see DenseTableau.pivot) and "pricings" (see
+    DenseTableau.reduced_costs).
     """
     trace = {} if trace is None else trace
-    trace.update(events=set(), width=None, held=[], drive_outs=[], widest=0)
+    trace.update(events=set(), width=None, held=[], drive_outs=[], pivots=0, widest=0,
+                 pricings=[])
     n = lp.n_vars
     me, mi = lp.E.shape[0], lp.A.shape[0]
     m = me + mi
@@ -750,16 +758,25 @@ def _outcome(solver, lp):
 K12_REFRESHING = ((0.1, (5, 3, 2, 2)), (0.4, (5, 3, 2, 2)), (0.1, (3, 3, 2, 1, 1, 1, 1)))
 
 
+def k12_refreshing_lps():
+    return [adaptive_lp(decentralized_profile(12, m), RedundancyPattern(counts))
+            for m, counts in K12_REFRESHING]
+
+
+def large_sparse_lps():
+    """Few rows, many columns: second phases of 613-680 iterations, two of
+    them pivoting at iteration 512 and so refreshing the reduced costs."""
+    rng = np.random.default_rng(4)
+    return [random_sparse_lp(rng, n, n // 6) for n in rng.integers(900, 1400, size=3)]
+
+
 def test_sparse_loop_matches_dense_reference():
     # Same pivot path, same bytes: the sparse loop performs the dense
     # loop's float operations on every cell that can change.
     rng = np.random.default_rng(7)
     sparse = [random_sparse_lp(rng, n, int(rng.integers(n // 2, 2 * n)))
               for n in rng.integers(10, 120, size=20)]
-    # few rows, many columns: second phases of 613-680 iterations, two of
-    # them pivoting at iteration 512 and so refreshing the reduced costs
-    large_rng = np.random.default_rng(4)
-    sparse += [random_sparse_lp(large_rng, n, n // 6) for n in large_rng.integers(900, 1400, size=3)]
+    sparse += large_sparse_lps()
     # about twice as many rows as columns: the tableau fills in, so a
     # pivot's block update spans many rows at once
     filled_rng = np.random.default_rng(11)
@@ -768,8 +785,7 @@ def test_sparse_loop_matches_dense_reference():
     # at the K=12 cap under centralized placement, m in {0.1, 0.4}
     k12 = adaptive_lps(Ks=(12,), makers=(centralized_profile,))
     assert len(k12) == 154
-    refreshing = [adaptive_lp(decentralized_profile(12, m), RedundancyPattern(counts))
-                  for m, counts in K12_REFRESHING]
+    refreshing = k12_refreshing_lps()
     cone_rng = np.random.default_rng(0)
     head = (random_trials() + sparse + [klee_minty(10)] + [cone_lp(cone_rng) for _ in range(20)]
             + held_artificial_lps() + adaptive_lps())
@@ -791,3 +807,100 @@ def test_sparse_loop_matches_dense_reference():
     # the most other rows one pivot's entering column reached
     assert max(trace["widest"] for trace in traces[-len(filled):]) >= 10
 
+
+def solve_pricings(lp):
+    """The number of pivots solve(lp) has made at each of its reduced-cost
+    recomputations."""
+    pivots, pricings = [0], []
+    pivot, reduced_costs = lp_mod._Tableau.pivot, lp_mod._Tableau.reduced_costs
+
+    def counting(tab, row, col):
+        pivots[0] += 1
+        return pivot(tab, row, col)
+
+    def recording(tab, c):
+        pricings.append(pivots[0])
+        return reduced_costs(tab, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_mod._Tableau, "pivot", counting)
+        mp.setattr(lp_mod._Tableau, "reduced_costs", recording)
+        solve(lp)
+    return pricings
+
+
+def test_reduced_costs_are_recomputed_where_the_dense_reference_does():
+    # A refreshed reduced cost differs from the incremental one by a few
+    # ulp, which moves no pivot choice on the LPs above: a solve that
+    # refreshes at iterations 511, 1022, ... passes the byte comparison
+    # and fails here.
+    refreshed = 0
+    for lp in k12_refreshing_lps() + large_sparse_lps():
+        trace = {}
+        solve_reference(lp, trace)
+        refreshed += "refresh" in trace["events"]
+        assert solve_pricings(lp) == trace["pricings"]
+    assert refreshed == 5
+
+
+def pivoted_tableau(lp, rng, pivots=12):
+    """A _Tableau on [E; A | I] with the identity columns basic, after
+    pivots pivots on random cells of magnitude above 0.1."""
+    m, n = lp.E.shape[0] + lp.A.shape[0], lp.n_vars
+    M = np.hstack([np.vstack([lp.E, lp.A]), np.eye(m)])
+    tab = lp_mod._Tableau(M, np.zeros(n + m), np.ones(n + m), np.arange(n, n + m), np.ones(m))
+    for _ in range(pivots):
+        row = int(rng.integers(m))
+        cells = sorted(k for k, x in tab.rows[row].items() if abs(x) > 0.1 and k not in tab.basis)
+        if cells:
+            col = cells[int(rng.integers(len(cells)))]
+            tab.basis[row] = col
+            tab.pivot(row, col)
+    return tab
+
+
+def test_reduced_costs_match_the_dense_product():
+    rng = np.random.default_rng(5)
+    lps = [random_sparse_lp(rng, 60, 40), adaptive_lp(centralized_profile(12, 0.1),
+                                                      RedundancyPattern((5, 3, 2, 2)))]
+    for lp in lps:
+        tab = pivoted_tableau(lp, rng)
+        # the column maps are exactly the transpose of the row maps
+        cells = {(i, k): x for i, row in enumerate(tab.rows) for k, x in row.items()}
+        assert cells == {(i, k): x for k, col in enumerate(tab.cols) for i, x in col.items()}
+        assert all(cells.values())
+        D = np.zeros((len(tab.rows), tab.ncol))
+        for (i, k), x in cells.items():
+            D[i, k] = x
+        # costs with zeros among the basic ones, which reduced_costs skips
+        phase2 = np.r_[lp.c, np.zeros(tab.ncol - lp.n_vars)]
+        scattered = rng.normal(size=tab.ncol) * (rng.random(tab.ncol) < 0.5)
+        for c in (phase2, scattered):
+            cB = c[tab.basis]
+            assert 0 < np.count_nonzero(cB) < cB.size
+            # within 4 ulp of the magnitudes each column sums
+            scale = np.abs(c) + np.abs(D).T @ np.abs(cB)
+            z = tab.reduced_costs(c)
+            assert np.all(np.abs(z - (c - D.T @ cB)) <= 4 * np.spacing(scale))
+
+
+def test_decentralized_k12_adaptive_lps_are_pinned(monkeypatch):
+    # The 154 decentralized K=12 adaptive LPs (all 77 patterns at m in
+    # {0.1, 0.4}) run the longest phases and refresh their reduced costs
+    # most, so a change in how those are summed would show here first.
+    # The pivot count and the rates' digest were recorded at commit 60970f3,
+    # where the reduced costs came from BLAS on a dense copy.
+    iterations = []
+
+    def counting(lp):
+        sol = solve(lp)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(delivery, "solve", counting)
+    rates = [adaptive_plan(decentralized_profile(12, m), canonical_demand(pattern))[1]
+             for m in (0.1, 0.4) for L in range(1, 13) for pattern in partitions_into_parts(12, L)]
+    assert len(iterations) == 154
+    assert sum(iterations) == 67050
+    assert hashlib.sha256(np.array(rates).tobytes()).hexdigest() == (
+        "04da7a4029d1d3a334e0847d782ca320af57c17b2a8f0ad574d4c01b77d5a60b")
