@@ -15,19 +15,19 @@ conditional_pmf is the specification of one draw: invert the cdf of the
 conditional pmf at one uniform. The sampler does not build that pmf. Its
 cdf is (1 - r) times the base cdf plus r / s for each of the s copy-set
 files at or below the index. The model builds that scaled base cdf and
-the other products and sums once, so a bisection of the scaled base cdf
-per run of indices between copy-set files finds the draw in O(K log N),
-for any r. The answer is kept only when the uniform lies farther than a
-rounding guard of order N * 2**-53 from the cdf on both sides of it;
-otherwise the draw is redone on the exact path with the same uniform.
-The samples are therefore those of the plain inverse-cdf sampler, bit
-for bit. One loop runs a whole chain with the draw inlined, taking its
-uniforms from the generator a bounded block at a time and writing the
-kept sweeps into an int array, one row per demand vector. Caches with
-equal closed neighbourhoods share one copy set, and the loop keeps each
-such set sorted as the chain runs: a draw that changes a request updates
-the sets that contain its cache, instead of every draw rebuilding its
-own.
+the other products and sums once, on its first draw, so a bisection of
+the scaled base cdf per run of indices between copy-set files finds the
+draw in O(K log N), for any r. The answer is kept only when the uniform
+lies farther than a rounding guard of order N * 2**-53 from the cdf on
+both sides of it; otherwise the draw is redone on the exact path with
+the same uniform. The samples are therefore those of the plain
+inverse-cdf sampler, bit for bit. One loop runs a whole chain with the
+draw inlined, taking its uniforms from the generator a bounded block at
+a time and writing the kept sweeps into an int array, one row per demand
+vector. Caches with equal closed neighbourhoods share one copy set, and
+the loop keeps each such set sorted as the chain runs: a draw that
+changes a request updates the sets that contain its cache, instead of
+every draw rebuilding its own.
 
 The base popularity is Zipf with exponent theta (theta = 0 is uniform).
 Convergence of the chains is monitored with the estimated potential scale
@@ -45,9 +45,11 @@ reproducible bit for bit from one integer seed.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, cycle
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,26 +85,11 @@ class CorrelationModel:
     r is the probability that a cache copies one of its neighbours'
     distinct current files instead of sampling from the base popularity,
     a pmf array whose entry n - 1 is the probability of file n.
-    The sampler's tables are built once here: the base cdf as a list, a
-    times it (a = 1 - r), and for each copy-set size s the products
-    (r / s) * t, t = 0..s, and the total mass a * cdf[-1] + (r / s) * s;
-    the neighbourhood groups, one per distinct closed neighbourhood
-    (all K caches of the complete graph form one), as each cache's group
-    (None where it draws from the base law: no neighbours, or r = 0),
-    each group's member caches and, per cache, the groups that contain
-    it; and the rounding guard of the fast draw.
     """
 
     adjacency: np.ndarray
     r: float
     popularity: np.ndarray
-    _cdf: list = field(init=False, repr=False, compare=False)
-    _acdf: list = field(init=False, repr=False, compare=False)
-    _mass: tuple = field(init=False, repr=False, compare=False)
-    _group: tuple = field(init=False, repr=False, compare=False)
-    _members: tuple = field(init=False, repr=False, compare=False)
-    _touch: tuple = field(init=False, repr=False, compare=False)
-    _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -125,28 +112,38 @@ class CorrelationModel:
             raise ValueError("popularity must sum to 1")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "popularity", pmf)
-        cdf = np.cumsum(pmf).tolist()
-        a, r = 1.0 - self.r, self.r
-        acdf = [a * c for c in cdf]
-        rts = [[r / s * t for t in range(s + 1)] for s in range(1, adj.shape[0] + 1)]
-        object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_acdf", acdf)
-        object.__setattr__(self, "_mass", (None,) + tuple((rt, acdf[-1] + rt[-1]) for rt in rts))
-        groups = {}  # closed neighbourhood -> group index, in first-seen order
-        closed = adj | np.eye(adj.shape[0], dtype=bool)
-        object.__setattr__(self, "_group", tuple(
-            groups.setdefault(tuple(np.flatnonzero(row).tolist()), len(groups))
-            if r > 0.0 and adj[k].any() else None
-            for k, row in enumerate(closed)))
-        object.__setattr__(self, "_members", tuple(groups))
-        object.__setattr__(self, "_touch", tuple(
-            tuple(g for g, members in enumerate(groups) if k in members)
-            for k in range(adj.shape[0])))
-        object.__setattr__(self, "_guard", 10 * (pmf.shape[0] + 3) * 2.0**-53)
 
     @property
     def K(self) -> int:
         return self.adjacency.shape[0]
+
+    @functools.cached_property
+    def _tables(self):
+        """The sampler's tables, built on first use: the base cdf as a
+        list, a times it (a = 1 - r), and for each copy-set size s the
+        products (r / s) * t, t = 0..s, and the total mass
+        a * cdf[-1] + (r / s) * s; the neighbourhood groups, one per
+        distinct closed neighbourhood (all K caches of the complete graph
+        form one), as each cache's group (None where it draws from the
+        base law: no neighbours, or r = 0), each group's member caches
+        and, per cache, the groups that contain it; and the rounding guard
+        of the fast draw."""
+        adj = self.adjacency
+        cdf = np.cumsum(self.popularity).tolist()
+        a, r = 1.0 - self.r, self.r
+        acdf = [a * c for c in cdf]
+        rts = [[r / s * t for t in range(s + 1)] for s in range(1, self.K + 1)]
+        groups = {}  # closed neighbourhood -> group index, in first-seen order
+        closed = adj | np.eye(self.K, dtype=bool)
+        group = tuple(groups.setdefault(tuple(np.flatnonzero(row).tolist()), len(groups))
+                      if r > 0.0 and adj[k].any() else None
+                      for k, row in enumerate(closed))
+        return SimpleNamespace(
+            cdf=cdf, acdf=acdf, mass=(None,) + tuple((rt, acdf[-1] + rt[-1]) for rt in rts),
+            group=group, members=tuple(groups),
+            touch=tuple(tuple(g for g, members in enumerate(groups) if k in members)
+                        for k in range(self.K)),
+            guard=10 * (len(cdf) + 3) * 2.0**-53)
 
 
 def complete_graph(K: int) -> np.ndarray:
@@ -279,11 +276,12 @@ def _chain(model: CorrelationModel, requests: list, uniforms, first: int = 0,
     sentinel N + 1 last, built from requests at the start. A draw that
     changes cache k's request updates the groups that contain k.
     """
-    cdf, acdf, mass, group, touch = model._cdf, model._acdf, model._mass, model._group, model._touch
-    top, guard = cdf[-1], model._guard
+    tables = model._tables
+    cdf, acdf, mass, group, touch = tables.cdf, tables.acdf, tables.mass, tables.group, tables.touch
+    top, guard = cdf[-1], tables.guard
     last, N1 = model.K - 1, len(cdf) - 1
     counts, copies = [], []
-    for members in model._members:
+    for members in tables.members:
         count = {}
         for j in members:
             count[requests[j]] = count.get(requests[j], 0) + 1

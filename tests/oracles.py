@@ -59,6 +59,37 @@ def adaptive_coefficients(ks) -> list[Fraction]:
     return coeff
 
 
+def coefficient_states(ks) -> list[dict]:
+    """The state tables of the DP form of adaptive_coefficients, one per
+    prefix of the requester groups, in order (the empty prefix first).
+
+    A state (n, t) is n members taken from the groups so far with partial
+    split cost t capped at 1, and it holds the number of member choices
+    that reach it, prod_j C(k_j, a_j).  A group only adds to t, so the
+    min(1, t(a)) of a whole message depends on its capped prefix sums
+    alone.
+    """
+    tables = [{(0, Fraction(0)): 1}]
+    for k in ks:
+        nxt = {}
+        for (n, t), w in tables[-1].items():
+            for ai in range(k + 1):
+                key = (n + ai, min(Fraction(1), t + Fraction(ai, k - ai + 1)))
+                nxt[key] = nxt.get(key, 0) + w * comb(k, ai)
+        tables.append(nxt)
+    return tables
+
+
+def adaptive_coefficients_dp(ks) -> list[Fraction]:
+    """adaptive_coefficients by the DP over the requester groups: a
+    message of n members adds (choices) * min(1, t) to coeff[n - 1]."""
+    coeff = [Fraction(0)] * (sum(ks) + 1)
+    for (n, t), w in coefficient_states(ks)[-1].items():
+        if n:
+            coeff[n - 1] += w * t
+    return coeff
+
+
 def adaptive_kept(x, requests, file) -> list[float]:
     """The adaptive plan's kept fractions of file over masks 0..2^K - 1,
     mask by mask: the piece at mask S keeps x_|S| if no message uses it

@@ -44,7 +44,9 @@ from cachecast.placement import (
 
 from oracles import (
     adaptive_coefficients,
+    adaptive_coefficients_dp,
     adaptive_kept,
+    coefficient_states,
     hand_reduced,
     peak_rate_centralized,
     peak_rate_decentralized,
@@ -683,6 +685,21 @@ def test_adaptive_coefficients_equal_the_nonadaptive_row_where_every_message_is_
     assert adaptive_coefficients((3,)) == nonadaptive_row(3, 1)
     # while two groups of four split some pairs: t((2, 0)) = 2/3
     assert adaptive_coefficients((4, 4))[1] < comb(8, 2)
+
+
+def test_adaptive_coefficients_dp_equals_the_message_sum():
+    # The DP over requester groups in order, whose state is (members so
+    # far, t capped at 1), gives the exact coefficients of the sum over
+    # every message composition, for all 138 patterns with K <= 10; at the
+    # K = 12 cap no prefix has more than 24 states (pattern 7, 3, 2).
+    patterns = _patterns_up_to(10)
+    assert len(patterns) == 138
+    for pattern in patterns:
+        assert adaptive_coefficients_dp(pattern.counts) == adaptive_coefficients(pattern.counts), \
+            pattern.counts
+    sizes = {p.counts: max(map(len, coefficient_states(p.counts)))
+             for L in range(1, 13) for p in partitions_into_parts(12, L)}
+    assert max(sizes.values()) == 24 and sizes[(7, 3, 2)] == 24
 
 
 def test_transfer_plan_validation():

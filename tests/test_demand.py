@@ -1,7 +1,7 @@
 """Correlated demand sampling: conditionals, chains, and diagnostics."""
 
 import itertools
-from dataclasses import astuple
+from dataclasses import astuple, fields, replace
 from math import prod, sqrt
 from unittest import mock
 
@@ -120,6 +120,22 @@ def test_correlation_model_validation():
         CorrelationModel(adjacency=good, r=1.2, popularity=pop)
     with pytest.raises(ValueError):
         CorrelationModel(adjacency=np.ones((2, 3), dtype=bool), r=0.5, popularity=pop)
+
+
+def test_correlation_model_is_its_three_inputs():
+    assert [f.name for f in fields(CorrelationModel)] == ["adjacency", "r", "popularity"]
+    model = uniform_model(3, 4, 0.5)
+    assert "_tables" not in vars(model)  # a model never sampled builds no tables
+    tables = model._tables
+    assert model._tables is tables and vars(model)["_tables"] is tables
+    # a replaced input gets tables of its own, those of a model built anew
+    quarter = replace(model, r=0.25)
+    assert "_tables" not in vars(quarter)
+    assert vars(quarter._tables) == vars(uniform_model(3, 4, 0.25)._tables)
+    assert quarter._tables.acdf == [0.75 * c for c in quarter._tables.cdf]
+    assert quarter._tables.mass[2] == ([0.0, 0.125, 0.25], 0.75 * quarter._tables.cdf[-1] + 0.25)
+    assert replace(model, r=0.0)._tables.group == (None, None, None)
+    assert model._tables is tables and tables.acdf == [0.5 * c for c in tables.cdf]
 
 
 def test_conditional_pmf_basics():
@@ -253,9 +269,10 @@ def test_sampling_is_deterministic_per_seed():
     first = sample_chains(model, chains=3, count=50, burn_in=20, seed=9)
     gibbs_sweep(DemandVector((1, 1, 2, 3)), model, np.random.default_rng(0))
     assert np.array_equal(sample_chains(model, chains=3, count=50, burn_in=20, seed=9), first)
-    for table in (model._group, model._members, model._touch):
+    tables = model._tables
+    for table in (tables.group, tables.members, tables.touch):
         assert isinstance(table, tuple)
-    assert all(isinstance(t, tuple) for t in model._members + model._touch)
+    assert all(isinstance(t, tuple) for t in tables.members + tables.touch)
 
 
 def test_sample_chains_spawns_independent_streams():
@@ -464,9 +481,10 @@ def test_sampler_matches_reference_sweep():
         got = sample_demands(model, count=150, burn_in=30, seed=31)
         want = reference_sample(model, count=150, burn_in=30, seed=31)
         assert np.array_equal(got, want), (adj.shape[0], N, r, theta)
-    assert CorrelationModel(adjacency=triangles, r=0.5, popularity=zipf_pmf(2, 0.0))._group \
+    pop = zipf_pmf(2, 0.0)
+    assert CorrelationModel(adjacency=triangles, r=0.5, popularity=pop)._tables.group \
         == (0, 0, 0, 1, 1, 1)
-    assert CorrelationModel(adjacency=k4_less, r=0.5, popularity=zipf_pmf(2, 0.0))._group \
+    assert CorrelationModel(adjacency=k4_less, r=0.5, popularity=pop)._tables.group \
         == (0, 1, 2, 2)
 
 
